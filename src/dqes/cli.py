@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import problems
@@ -94,7 +93,7 @@ def cmd_landscape(args) -> int:
         report = run_full_dqes(obs, name=name)
     else:
         k = args.k if args.k is not None else min(obs.n, MAX_MUB_QUBITS)
-        report = run_partial_dqes(obs, k, name=name, workers=args.workers)
+        report = run_partial_dqes(obs, k, name=name)
     out = Path(args.out) if args.out else _out_dir() / "landscape.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes)
@@ -136,22 +135,27 @@ def _parse_init_atoms(text: str) -> list[tuple]:
             subset = None
             if "@" in body:
                 body, subset_text = body.split("@", 1)
-                subset = tuple(int(t) for t in subset_text.split("-"))
+                subset = tuple(_atom_int(t, atom) for t in subset_text.split("-"))
             parts = body.split(":")
             if len(parts) != 2:
                 raise ValueError(f"bad init atom {atom!r}; expected spec:BASIS:STATE[@q1-q2-...]")
-            atoms.append(("spec", int(parts[0]), int(parts[1]), subset))
+            basis, state = (_atom_int(t, atom) for t in parts)
+            atoms.append(("spec", basis, state, subset))
         else:
             raise ValueError(
                 f"bad init atom {atom!r}; expected top-K, random-K, or spec:BASIS:STATE[@subset]")
     return atoms
 
 
-def _positive_int(text: str, atom: str) -> int:
+def _atom_int(text: str, atom: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"bad init atom {atom!r}: {text!r} is not an integer") from None
+
+
+def _positive_int(text: str, atom: str) -> int:
+    value = _atom_int(text, atom)
     if value < 1:
         raise ValueError(f"bad init atom {atom!r}: count must be >= 1")
     return value
@@ -161,7 +165,7 @@ def _ranking_report(obs: Observable, name: str, args) -> LandscapeReport:
     if obs.n <= MAX_MUB_QUBITS:
         return run_full_dqes(obs, name=name)
     k = args.k if args.k is not None else MAX_MUB_QUBITS
-    return run_partial_dqes(obs, k, name=name, workers=args.workers)
+    return run_partial_dqes(obs, k, name=name)
 
 
 def _build_inits(atoms, obs, name, args) -> list:
@@ -227,14 +231,14 @@ def cmd_vqe(args) -> int:
     inits = _build_inits(_parse_init_atoms(args.init), obs, name, args)
     if not inits:
         raise ValueError("no initializations requested")
+    labels = [init.label() for init in inits]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        # each run writes trace_<label>.csv, so a repeated label would overwrite a trace
+        raise ValueError(f"duplicate start label {', '.join(repeated)} in --init {args.init!r}")
     out_dir = Path(args.out) if args.out else _out_dir() / "vqe"
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, args.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda init: run_vqe(obs, spec, init, config), inits))
-    else:
-        results = [run_vqe(obs, spec, init, config) for init in inits]
+    results = [run_vqe(obs, spec, init, config) for init in inits]
     manifest = RunManifest(argv=tuple(args.argv), seeds={"seed": args.seed},
                            input_hashes=input_hashes)
     runs_doc = []
@@ -348,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     landscape.add_argument("--plot", default=None, help="also write an SVG scatter here")
     landscape.add_argument("--per-subset", action="store_true",
                            help="basis statistics per qubit subset instead of aggregated")
-    landscape.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     landscape.set_defaults(func=cmd_landscape)
 
     vqe = sub.add_parser("vqe", help="run VQE from landscape-ranked or random starts")
@@ -368,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     vqe.add_argument("--tol", type=float, default=1e-6)
     vqe.add_argument("--max-evals", type=int, default=500)
     vqe.add_argument("--threshold", type=float, default=None)
-    vqe.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     vqe.set_defaults(func=cmd_vqe)
 
     problem = sub.add_parser("problem", help="generate problem inputs")

@@ -3,15 +3,20 @@ Exhaustive cost evaluation over discretized state sets.
 
 A full sweep scores every state of the complete MUB set (n <= 3). A partial
 sweep scores every K-qubit MUB state tensored with |0> on the remaining
-qubits, over all K-subsets, which scales to larger registers. Records are
-produced in a fixed enumeration order (subset lex, then basis, then state),
-so reports and their CSV exports are deterministic.
+qubits, over all K-subsets, which scales to larger registers; the full sweep
+is its K = n case. Both read Pauli expectations from a per-K stabilizer table
+instead of building 2^n state vectors. Records are produced in a fixed
+enumeration order (subset lex, then basis, then state), so reports and their
+CSV exports are deterministic.
 """
 
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mub import MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs, realize_partial_state
-from .paulis import Observable, expectation_exact, observable_hash
+from .paulis import Observable, PauliString, observable_hash, observable_matrix
 from .states import StateVector
 
 
@@ -55,60 +60,126 @@ class BasisStats:
     variance: float
 
 
+# --- stabilizer-table kernel ----------------------------------------------------
+#
+# Every MUB state is a stabilizer state, so each K-qubit Pauli expectation on
+# it is exactly 0 or +-1. A sweep reads these from a table instead of building
+# 2^n vectors. Row b * 2^K + s of the table is state s of basis b; column
+# (x << K) | z is the Pauli with K-qubit symplectic masks x and z.
+
+
+def stabilizer_table(mubs: MubSet) -> np.ndarray:
+    """<psi|P|psi> for every state of the set and every K-qubit Pauli P.
+
+    Raises ValueError unless every value lies within 1e-9 of 0 or +-1, as it
+    does for the Pauli-class construction; the table holds the rounded values.
+    """
+    k = mubs.n
+    states = np.concatenate(mubs.bases, axis=1)  # column b * 2^K + s
+    table = np.empty((states.shape[1], 4**k), dtype=complex)
+    for letters in itertools.product("IXYZ", repeat=k):
+        pauli = PauliString("".join(letters))
+        matrix = observable_matrix(Observable(k, ((1.0, pauli),)))
+        table[:, (pauli.x_mask << k) | pauli.z_mask] = np.einsum(
+            "ir,ij,jr->r", states.conj(), matrix, states)
+    rounded = np.rint(table.real)
+    worst = float(np.max(np.abs(table - rounded)))
+    if worst > 1e-9:
+        raise ValueError(
+            f"MUB set on {k} qubits is not a stabilizer set: a Pauli expectation lies "
+            f"{worst:.3e} from 0 or +-1")
+    rounded.flags.writeable = False
+    return rounded
+
+
+_TABLES: dict[int, np.ndarray] = {}
+
+
+def _table(k: int, mubs: MubSet | None = None) -> np.ndarray:
+    """The table of mubs, or the cached one of build_full_mub_set(k) when mubs is None."""
+    if mubs is not None:
+        return stabilizer_table(mubs)
+    if k not in _TABLES:
+        _TABLES[k] = stabilizer_table(build_full_mub_set(k))
+    return _TABLES[k]
+
+
+def _term_columns(obs: Observable, subset: tuple[int, ...]) -> list[int]:
+    """Table column of each term's letters on subset, or -1 when the term has
+    an X or Y letter off the subset (its expectation on |0> there is 0).
+    Z letters off the subset act on |0> and contribute +1."""
+    k = len(subset)
+    off = [q - 1 for q in range(1, obs.n + 1) if q not in subset]
+    cols = []
+    for _, pauli in obs.terms:
+        if any(pauli.letters[i] in "XY" for i in off):
+            cols.append(-1)
+        else:
+            local = PauliString("".join(pauli.letters[q - 1] for q in subset))
+            cols.append((local.x_mask << k) | local.z_mask)
+    return cols
+
+
+def _subset_energies(obs: Observable, table: np.ndarray, subsets) -> np.ndarray:
+    """Energies of every table row on every subset, shape (len(subsets), rows).
+
+    Terms are added one at a time in canonical order with elementwise
+    arithmetic, so one row comes out bit for bit the same whatever else is
+    scored with it.
+    """
+    # column -1 of the padded table is the zero column of off-subset X/Y terms
+    padded = np.hstack([table, np.zeros((table.shape[0], 1))])
+    cols = np.array([_term_columns(obs, s) for s in subsets], dtype=np.intp).reshape(
+        len(subsets), len(obs.terms))
+    energies = np.zeros((len(subsets), table.shape[0]))
+    for t, (coeff, _) in enumerate(obs.terms):
+        energies += coeff * padded[:, cols[:, t]].T
+    return energies
+
+
+def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
+    """The energy a sweep gives the state of spec, from the same kernel."""
+    if obs.n != spec.n:
+        raise ValueError(f"observable is on {obs.n} qubits but spec is on {spec.n}")
+    energies = _subset_energies(obs, _table(spec.k), [spec.subset])
+    return float(energies[0, spec.basis_index * 2**spec.k + spec.state_index])
+
+
+def _sweep(obs: Observable, k: int, kind: str, name: str,
+           mubs: MubSet | None = None) -> LandscapeReport:
+    """Every K-qubit MUB state on every K-subset; K = n is the full sweep."""
+    specs = enumerate_partial_specs(obs.n, k)
+    subsets = list(dict.fromkeys(spec.subset for spec in specs))
+    # specs run subset, basis, state: the order of the flattened energy rows
+    energies = _subset_energies(obs, _table(k, mubs), subsets).ravel()
+    return LandscapeReport(
+        observable_name=name,
+        observable_hash=observable_hash(obs),
+        n=obs.n,
+        k=k,
+        kind=kind,
+        records=tuple(LandscapeRecord(index=i, spec=spec, energy=float(energies[i]))
+                      for i, spec in enumerate(specs)),
+    )
+
+
 def run_full_dqes(obs: Observable, mubs: MubSet | None = None,
                   name: str = "observable") -> LandscapeReport:
     """Score all (2^n + 1) * 2^n states of the complete MUB set."""
     if obs.n > 3:
         raise ValueError(
             f"full sweeps need a complete MUB set (n <= 3), got n={obs.n}; use a partial sweep")
-    if mubs is None:
-        mubs = build_full_mub_set(obs.n)
-    if mubs.n != obs.n:
+    if mubs is not None and mubs.n != obs.n:
         raise ValueError(f"MUB set is on {mubs.n} qubits but observable is on {obs.n}")
-    subset = tuple(range(1, obs.n + 1))
-    records = []
-    for basis in range(mubs.n_bases):
-        for state in range(2**obs.n):
-            spec = PartialMubSpec(n=obs.n, subset=subset, basis_index=basis, state_index=state)
-            energy = expectation_exact(obs, mubs.state(basis, state))
-            records.append(LandscapeRecord(index=len(records), spec=spec, energy=energy))
-    return LandscapeReport(
-        observable_name=name,
-        observable_hash=observable_hash(obs),
-        n=obs.n,
-        k=obs.n,
-        kind="full",
-        records=tuple(records),
-    )
+    if mubs is not None and mubs.n_bases != 2**obs.n + 1:
+        raise ValueError(f"a complete MUB set on {obs.n} qubits has {2**obs.n + 1} bases, "
+                         f"got {mubs.n_bases}")
+    return _sweep(obs, obs.n, "full", name, mubs)
 
 
-def run_partial_dqes(obs: Observable, k: int, name: str = "observable",
-                     workers: int = 1) -> LandscapeReport:
+def run_partial_dqes(obs: Observable, k: int, name: str = "observable") -> LandscapeReport:
     """Score every K-local MUB product state: C(n,K) * (2^K + 1) * 2^K records."""
-    specs = enumerate_partial_specs(obs.n, k)
-    mubs = build_full_mub_set(k)
-
-    def score(item):
-        index, spec = item
-        state = realize_partial_state(spec, mubs)
-        return LandscapeRecord(index=index, spec=spec, energy=expectation_exact(obs, state))
-
-    items = list(enumerate(specs))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(score, items, chunksize=64))
-    else:
-        records = tuple(score(it) for it in items)
-    return LandscapeReport(
-        observable_name=name,
-        observable_hash=observable_hash(obs),
-        n=obs.n,
-        k=k,
-        kind="partial",
-        records=records,
-    )
+    return _sweep(obs, k, "partial", name)
 
 
 def realize_record_state(record: LandscapeRecord, mubs: MubSet | None = None) -> StateVector:

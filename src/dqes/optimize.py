@@ -6,6 +6,7 @@ an improvement.
 
 Evaluation schedule, relied on by callers: evaluation 1 is theta0 itself and
 evaluations 2 .. dim+1 probe theta0 with coordinate j-1 offset by +rho_init.
+A caller that already knows the cost at theta0 passes it in as evaluation 1.
 Every cost evaluation lands in the trace; the reported final energy is the
 trace minimum, so reporting is monotone even though the walk is not.
 """
@@ -65,12 +66,14 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def minimize(cost, theta0, config: OptimizerConfig | None = None) -> OptimizationTrace:
+def minimize(cost, theta0, config: OptimizerConfig | None = None,
+             cost0: float | None = None) -> OptimizationTrace:
     """Minimize a scalar cost over R^dim starting from theta0.
 
-    Stops when the trust radius shrinks below tol ("converged"), when a cost
-    value reaches config.threshold ("threshold"), or when max_evals cost
-    calls have been spent ("max-evals").
+    cost0, when given, is the known cost at theta0: it becomes evaluation 1
+    and cost is not called there. Stops when the trust radius shrinks below
+    tol ("converged"), when a cost value reaches config.threshold
+    ("threshold"), or when max_evals cost calls have been spent ("max-evals").
     """
     if config is None:
         config = OptimizerConfig()
@@ -86,7 +89,10 @@ def minimize(cost, theta0, config: OptimizerConfig | None = None) -> Optimizatio
     def evaluate(point: np.ndarray) -> float:
         if len(entries) >= config.max_evals:
             raise _Stop("max-evals")
-        value = float(cost(point))
+        if not entries and cost0 is not None:
+            value = float(cost0)
+        else:
+            value = float(cost(point))
         if not np.isfinite(value):
             raise ValueError(f"cost returned a non-finite value {value!r} at {point!r}")
         entries.append(TraceEntry(index=len(entries) + 1,

@@ -4,8 +4,9 @@ the fit of ansatz parameters to a target state.
 
 Initialization strategies:
 - ShiftedMubInit: start the optimizer at theta0 (default zeros) with the MUB
-  state itself as the circuit input; evaluation 1 then reproduces the
-  landscape energy exactly, because the ansatz is the identity at zero.
+  state itself as the circuit input. The ansatz is the identity at zero, so
+  at the default theta0 evaluation 1 is the landscape energy, scored by the
+  sweep's own kernel: it equals the landscape record by construction.
 - ParameterFitInit: solve for parameters that prepare the MUB state from
   |0...0> and start there; falls back to ShiftedMubInit semantics when the
   state is outside the ansatz family (recorded on the result).
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzSpec, prepare_state
+from .landscape import score_spec
 from .mub import PartialMubSpec, build_full_mub_set, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .paulis import Observable, expectation_exact
@@ -175,7 +177,10 @@ def run_vqe(obs: Observable, spec: AnsatzSpec, init: InitStrategy,
         raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")
     initial, theta_start, used_fallback = _resolve_init(init, spec)
     cost = vqe_cost(obs, spec, initial)
-    trace = minimize(cost, theta_start, config)
+    known = None
+    if isinstance(init, ShiftedMubInit) and init.theta0 is None:
+        known = score_spec(obs, init.spec)
+    trace = minimize(cost, theta_start, config, cost0=known)
     best = trace.best_entry
     return VqeResult(
         label=init.label(),

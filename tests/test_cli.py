@@ -68,8 +68,7 @@ def test_landscape_partial_sweep_cardinality(tmp_path, capsys):
 def test_landscape_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("landscape", "--fixture", "ising_fig7", "--full", "--out", str(a))
-    run_cli("landscape", "--fixture", "ising_fig7", "--full", "--out", str(b),
-            "--workers", "3")
+    run_cli("landscape", "--fixture", "ising_fig7", "--full", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -166,11 +165,29 @@ def test_vqe_rejects_bad_init_atoms(tmp_path, capsys):
     assert "spec:BASIS:STATE" in capsys.readouterr().err
 
 
+def test_vqe_rejects_non_integer_spec_fields(tmp_path, capsys):
+    for atom, bad in (("spec:a:0", "a"), ("spec:0:0@1-x", "x")):
+        assert run_cli("vqe", "--fixture", "H2_075", "--init", atom,
+                       "--out", str(tmp_path / "v")) == 1
+        err = capsys.readouterr().err
+        assert f"bad init atom {atom!r}: {bad!r} is not an integer" in err
+        assert "invalid literal" not in err
+
+
+def test_vqe_rejects_duplicate_start_labels(tmp_path, capsys):
+    # every run writes trace_<label>.csv, so repeated labels would overwrite traces
+    for init, label in (("random-2,random-2", "random0"), ("top-2,spec:0:1", "b0s1q1-2")):
+        out = tmp_path / "v"
+        assert run_cli("vqe", "--fixture", "H2_075", "--init", init, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "duplicate start label" in err and label in err
+        assert not out.exists()
+
+
 def test_vqe_traces_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    for out, workers in ((a, "1"), (b, "4")):
-        run_cli("vqe", "--fixture", "HeH+_100", "--init", "top-2",
-                "--out", str(out), "--workers", workers)
+    for out in (a, b):
+        run_cli("vqe", "--fixture", "HeH+_100", "--init", "top-2", "--out", str(out))
     for name in ("trace_b0s1q1-2.csv", "trace_b0s0q1-2.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 

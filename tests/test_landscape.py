@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dqes.ansatz import AnsatzSpec, shift_mub_set
 from dqes.landscape import (
     LandscapeReport,
     basis_statistics,
@@ -14,10 +15,12 @@ from dqes.landscape import (
     realize_record_state,
     run_full_dqes,
     run_partial_dqes,
+    score_spec,
+    stabilizer_table,
 )
 from dqes.manifest import file_sha256
-from dqes.mub import build_full_mub_set
-from dqes.paulis import Observable, expectation_exact, observable_hash
+from dqes.mub import MubSet, build_full_mub_set
+from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
@@ -118,12 +121,12 @@ def test_partial_sweep_cardinality_and_order():
     assert report.records[-1].spec.subset == (3, 4)
 
 
-def test_partial_sweep_is_worker_invariant():
+def test_partial_sweep_reruns_are_identical():
     obs = maxcut_hamiltonian(random_graph(6, 0.5, seed=7))
-    serial = run_partial_dqes(obs, 2, workers=1)
-    threaded = run_partial_dqes(obs, 2, workers=4)
-    assert [r.energy for r in serial.records] == [r.energy for r in threaded.records]
-    assert [r.label() for r in serial.records] == [r.label() for r in threaded.records]
+    first = run_partial_dqes(obs, 2)
+    second = run_partial_dqes(obs, 2)
+    assert [r.energy for r in first.records] == [r.energy for r in second.records]
+    assert [r.label() for r in first.records] == [r.label() for r in second.records]
 
 
 def test_maxcut_partial_sweep_frozen_minimum():
@@ -143,6 +146,39 @@ def test_full_sweep_size_guard():
         run_full_dqes(obs)
     with pytest.raises(ValueError, match="MUB set is on 2 qubits"):
         run_full_dqes(single_qubit_xy(), mubs=build_full_mub_set(2))
+    with pytest.raises(ValueError, match="has 3 bases, got 1"):
+        run_full_dqes(single_qubit_xy(), mubs=MubSet(n=1, bases=(np.eye(2),)))
+
+
+def test_stabilizer_table_holds_exact_pauli_expectations():
+    for k in (1, 2, 3):
+        mubs = build_full_mub_set(k)
+        table = stabilizer_table(mubs)
+        assert table.shape == ((2**k + 1) * 2**k, 4**k)
+        assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+        # column 0 is the identity; row b * 2^k + s is state s of basis b
+        assert np.all(table[:, 0] == 1.0)
+        z_first = PauliString("Z" + "I" * (k - 1))
+        column = (z_first.x_mask << k) | z_first.z_mask
+        for state in range(2**k):
+            assert table[state, column] == (-1.0 if state >> (k - 1) else 1.0)
+
+
+def test_stabilizer_table_rejects_non_stabilizer_sets():
+    spec = AnsatzSpec(n=2)
+    shifted = shift_mub_set(build_full_mub_set(2), spec, np.full(spec.parameter_count, 0.3))
+    with pytest.raises(ValueError, match="not a stabilizer set"):
+        stabilizer_table(shifted)
+    with pytest.raises(ValueError, match="not a stabilizer set"):
+        run_full_dqes(molecule_fixture("H2_075"), mubs=shifted)
+
+
+def test_score_spec_reproduces_each_record_bit_for_bit():
+    wide = transverse_field_ising(5, *ISING_STRONG_ZZ)
+    narrow = transverse_field_ising(3, 0.4, 0.7)
+    for obs, report in ((wide, run_partial_dqes(wide, 2)), (narrow, run_full_dqes(narrow))):
+        for rec in report.records:
+            assert score_spec(obs, rec.spec) == rec.energy
 
 
 def test_basis_statistics_grouping():
@@ -222,7 +258,7 @@ def test_export_is_byte_identical_across_reruns(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     export_csv(run_partial_dqes(obs, 2), first)
-    export_csv(run_partial_dqes(obs, 2, workers=3), second)
+    export_csv(run_partial_dqes(obs, 2), second)
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -22,6 +22,20 @@ def test_probe_pattern_is_single_coordinate_offsets():
     assert trace.entries[3].params == (0.25, -0.5, 1.5)
 
 
+def test_known_cost_at_theta0_is_evaluation_one():
+    calls = []
+
+    def cost(x):
+        calls.append(tuple(x))
+        return quadratic([1.0, 1.0])(x)
+
+    trace = minimize(cost, np.zeros(2), OptimizerConfig(max_evals=10), cost0=123.0)
+    assert trace.entries[0].params == (0.0, 0.0)
+    assert trace.entries[0].energy == 123.0
+    assert (0.0, 0.0) not in calls
+    assert len(calls) == trace.evaluations - 1
+
+
 def test_trace_indices_are_contiguous():
     trace = minimize(quadratic([0.5]), np.array([0.0]), OptimizerConfig(max_evals=50))
     assert [e.index for e in trace.entries] == list(range(1, trace.evaluations + 1))

@@ -35,7 +35,7 @@ def test_scatter_svg_one_color_per_basis():
 def test_scatter_svg_is_deterministic():
     obs = maxcut_hamiltonian(random_graph(5, 0.5, seed=2))
     a = scatter_svg(run_partial_dqes(obs, 2))
-    b = scatter_svg(run_partial_dqes(obs, 2, workers=2))
+    b = scatter_svg(run_partial_dqes(obs, 2))
     assert a == b
 
 
