@@ -5,19 +5,20 @@ landscape states.
 """
 
 from ._version import __version__
-from .ansatz import AnsatzSpec, build_ansatz, prepare_state, shift_mub_set, shift_state
+from .ansatz import (AnsatzSpec, build_ansatz, compile_ansatz, prepare_state, shift_mub_set,
+                     shift_state)
 from .landscape import (BasisStats, LandscapeRecord, LandscapeReport, basis_statistics,
                         export_csv, landscape_csv_text, rank_initial_states,
                         realize_record_state, run_full_dqes, run_partial_dqes)
-from .manifest import RunManifest, write_sidecar
+from .manifest import RunManifest, write_sidecar, write_text_atomic
 from .mub import (MubCertification, MubSet, PartialMubSpec, build_full_mub_set,
                   encode_mub_set, enumerate_partial_specs, realize_partial_state,
                   verify_mub_set)
 from .optimize import OptimizationTrace, OptimizerConfig, TraceEntry, minimize
-from .paulis import (Observable, PauliString, decode_observable, encode_observable,
-                     expectation_exact, expectation_sampled, load_observable,
+from .paulis import (Observable, PauliString, compile_observable, decode_observable,
+                     encode_observable, expectation_exact, expectation_sampled, load_observable,
                      observable_hash, observable_matrix, pauli_apply, save_observable)
-from .problems import (ExactSpectrumResult, GraphSpec, cut_value, exact_spectrum,
+from .problems import (ExactSpectrumResult, GraphSpec, cut_value, exact_spectrum, fixture,
                        max_cut_brute_force, maxcut_hamiltonian, molecule_fixture,
                        random_graph, single_qubit_xy, transverse_field_ising)
 from .states import (Gate, StateVector, apply_gate, basis_state, bloch_coordinates,

@@ -12,6 +12,12 @@ unchanged.
 
 Parameter order: layer-major, then qubit, then axis (Y before Z), with
 layers + 1 rotation layers in total.
+
+build_ansatz and apply_gate are the reference: one validated Gate and one
+validated StateVector per step. compile_ansatz is the kernel every caller
+runs: each CX chain (and the whole V(0)^dagger prefix) becomes one gather
+index, and each rotation is the same 2x2 product on raw amplitudes, so its
+output equals the reference bit for bit.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import MubSet
-from .states import MAX_QUBITS, Gate, StateVector, apply_gate, cnot, ry, rz
+from .states import (MAX_QUBITS, Gate, StateVector, _cnot_source, _rotate, _ry_matrix,
+                     _rz_matrix, cnot, ry, rz)
 
 _ALLOWED_AXES = (("Y",), ("Y", "Z"))
 
@@ -81,14 +88,48 @@ def build_ansatz(spec: AnsatzSpec, params) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
+def _cx_chain_source(n: int, controls) -> np.ndarray:
+    """One gather index for the CX gates (q, q + 1), applied in the order given."""
+    src = np.arange(2**n)
+    for q in controls:
+        src = src[_cnot_source(n, q, q + 1)]
+    return src
+
+
+def compile_ansatz(spec: AnsatzSpec):
+    """Function (theta, amps) -> U(theta) amps on raw amplitude arrays.
+
+    theta must already be a parameter vector of the spec and amps a 2^n array;
+    neither is checked. The result equals build_ansatz plus apply_gate bit for
+    bit: gathers only move amplitudes, and each rotation is the product
+    apply_gate forms.
+    """
+    n, layers = spec.n, spec.layers
+    prefix = _cx_chain_source(n, [q for _ in range(layers) for q in range(n - 1, 0, -1)])
+    chain = _cx_chain_source(n, range(1, n))
+    matrices = [_ry_matrix if axis == "Y" else _rz_matrix for axis in spec.rotation_axes]
+
+    def circuit(theta: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        psi = amps[prefix]
+        k = 0
+        for layer in range(layers + 1):
+            for q in range(1, n + 1):
+                for matrix in matrices:
+                    psi = _rotate(psi, n, q, matrix(theta[k]))
+                    k += 1
+            if layer < layers:
+                psi = psi[chain]
+        return psi
+
+    return circuit
+
+
 def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector:
     """U(params) applied to the initial state."""
     if initial.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
-    state = initial
-    for gate in build_ansatz(spec, params):
-        state = apply_gate(state, gate)
-    return state
+    vec = as_parameter_vector(spec, params)
+    return StateVector(spec.n, compile_ansatz(spec)(vec, initial.amps))
 
 
 def shift_state(state: StateVector, spec: AnsatzSpec, theta0) -> StateVector:
@@ -100,9 +141,10 @@ def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     """Shift every state of every basis; unitarity keeps the set mutually unbiased."""
     if mubs.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but MUB set is on {mubs.n}")
+    circuit = compile_ansatz(spec)
+    vec = as_parameter_vector(spec, theta0)
     shifted = []
     for basis in mubs.bases:
-        cols = [shift_state(StateVector(mubs.n, basis[:, j]), spec, theta0).amps
-                for j in range(2**mubs.n)]
+        cols = [circuit(vec, StateVector(mubs.n, basis[:, j]).amps) for j in range(2**mubs.n)]
         shifted.append(np.column_stack(cols))
     return MubSet(n=mubs.n, bases=tuple(shifted))

@@ -19,33 +19,16 @@ from pathlib import Path
 
 from . import problems
 from ._version import __version__
-from .ansatz import AnsatzSpec, prepare_state
+from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
                         run_full_dqes, run_partial_dqes)
-from .manifest import RunManifest, file_sha256, write_sidecar
+from .manifest import RunManifest, file_sha256, write_sidecar, write_text_atomic
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
 from .paulis import Observable, load_observable, observable_hash, save_observable
-from .states import bloch_coordinates
+from .states import StateVector, bloch_coordinates
 from .svg import scatter_svg
 from .vqe import (ParameterFitInit, RandomStateInit, ShiftedMubInit, VqeResult, run_vqe)
-
-_FIXTURES = {
-    "H2_075": lambda: problems.molecule_fixture("H2_075"),
-    "HeH+_100": lambda: problems.molecule_fixture("HeH+_100"),
-    "xy1": problems.single_qubit_xy,
-    "ising_fig7": lambda: problems.transverse_field_ising(3, *problems.ISING_WEAK_ZZ),
-    "ising_fig8": lambda: problems.transverse_field_ising(3, *problems.ISING_STRONG_ZZ),
-}
-
-
-def _resolve_fixture(name: str) -> Observable:
-    if name in _FIXTURES:
-        return _FIXTURES[name]()
-    if name.startswith("LiH"):
-        return problems.molecule_fixture(name)  # raises with the file-ingestion hint
-    raise ValueError(f"unknown fixture {name!r}; available: {', '.join(sorted(_FIXTURES))}")
-
 
 def _out_dir() -> Path:
     return Path(os.environ.get("DQES_OUTPUT_DIR", "."))
@@ -54,7 +37,7 @@ def _out_dir() -> Path:
 def _resolve_observable(args) -> tuple[Observable, str, dict]:
     """(observable, display name, input-hash fields) from --fixture or --observable."""
     if args.fixture is not None:
-        obs = _resolve_fixture(args.fixture)
+        obs = problems.fixture(args.fixture)
         return obs, args.fixture, {}
     obs = load_observable(args.observable)
     name = Path(args.observable).stem
@@ -77,7 +60,7 @@ def cmd_mub(args) -> int:
     mubs = build_full_mub_set(args.n)
     out = Path(args.out) if args.out else _out_dir() / f"mub{args.n}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(encode_mub_set(mubs))
+    write_text_atomic(out, encode_mub_set(mubs))
     manifest = RunManifest(argv=tuple(args.argv))
     write_sidecar(out, manifest.as_fields())
     print(f"wrote {out}")
@@ -111,7 +94,7 @@ def cmd_landscape(args) -> int:
     if args.plot:
         plot = Path(args.plot)
         plot.parent.mkdir(parents=True, exist_ok=True)
-        plot.write_text(scatter_svg(report))
+        write_text_atomic(plot, scatter_svg(report))
         write_sidecar(plot, manifest.as_fields())
         print(f"wrote {plot}")
     return 0
@@ -210,10 +193,12 @@ def _trace_csv(result: VqeResult) -> str:
 
 def _bloch_csv(result: VqeResult) -> str:
     # single-qubit runs only: Bloch vector of the state at each evaluation
+    spec = result.ansatz
+    circuit = compile_ansatz(spec)
     lines = ["eval,x,y,z"]
     for entry in result.trace.entries:
-        state = prepare_state(result.ansatz, entry.params, result.initial_state)
-        x, y, z = bloch_coordinates(state)
+        amps = circuit(as_parameter_vector(spec, entry.params), result.initial_state.amps)
+        x, y, z = bloch_coordinates(StateVector(spec.n, amps))
         lines.append(f"{entry.index},{x:.12g},{y:.12g},{z:.12g}")
     return "\n".join(lines) + "\n"
 
@@ -244,11 +229,11 @@ def cmd_vqe(args) -> int:
     runs_doc = []
     for result in results:
         trace_path = out_dir / f"trace_{result.label}.csv"
-        trace_path.write_text(_trace_csv(result))
+        write_text_atomic(trace_path, _trace_csv(result))
         write_sidecar(trace_path, manifest.as_fields())
         if obs.n == 1:
             bloch_path = out_dir / f"bloch_{result.label}.csv"
-            bloch_path.write_text(_bloch_csv(result))
+            write_text_atomic(bloch_path, _bloch_csv(result))
             write_sidecar(bloch_path, manifest.as_fields())
         entry = {
             "label": result.label,
@@ -280,7 +265,7 @@ def cmd_vqe(args) -> int:
             entry["gap_to_exact"] = entry["final_energy"] - exact.ground_energy
         print(f"exact ground energy: {exact.ground_energy:.8f}")
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    write_text_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
     write_sidecar(summary_path, manifest.as_fields())
     print(f"wrote {out_dir}")
     return 0
@@ -312,7 +297,7 @@ def cmd_problem(args) -> int:
         obs = problems.transverse_field_ising(args.n, args.czz, args.cx)
         out = Path(args.out) if args.out else _out_dir() / f"ising{args.n}.json"
     else:  # fixture
-        obs = _resolve_fixture(args.name)
+        obs = problems.fixture(args.name)
         out = Path(args.out) if args.out else _out_dir() / f"{args.name}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_observable(obs, out)
@@ -398,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_observable_args(parser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--fixture", default=None,
-                        help=f"built-in observable: {', '.join(sorted(_FIXTURES))}")
+                        help=f"built-in observable: {', '.join(sorted(problems.FIXTURES))}")
     source.add_argument("--observable", default=None, help="observable JSON file")
 
 

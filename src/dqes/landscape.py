@@ -244,10 +244,9 @@ def landscape_csv_text(report: LandscapeReport) -> str:
 
 def export_csv(report: LandscapeReport, path, sidecar_fields: dict | None = None) -> None:
     """Write the records CSV and its <path>.manifest.json sidecar."""
-    from .manifest import write_sidecar
+    from .manifest import write_sidecar, write_text_atomic
 
-    with open(path, "w") as f:
-        f.write(landscape_csv_text(report))
+    write_text_atomic(path, landscape_csv_text(report))
     fields = {
         "observable_name": report.observable_name,
         "observable_sha256": report.observable_hash,

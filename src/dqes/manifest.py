@@ -1,11 +1,15 @@
 """
 Run manifests: the volatile metadata (timestamps, argv, seeds, hashes) kept
 out of data files so those stay byte-identical across reruns. Each output
-file <f> gets a sidecar <f>.manifest.json.
+file <f> gets a sidecar <f>.manifest.json, written after <f>.
+
+Every output file is written by write_text_atomic, so a run that fails or is
+killed part-way leaves each file either absent, as it was, or complete.
 """
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +35,22 @@ class RunManifest:
         return fields
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text to a temp file next to path, then os.replace it into place.
+
+    On any error the temp file is removed and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -46,5 +66,5 @@ def write_sidecar(data_path, fields: dict) -> Path:
     doc["output_sha256"] = file_sha256(data_path)
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
     path = Path(str(data_path) + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .paulis import PauliString
+from .paulis import PauliString, _masks_commute, _pauli_action
 from .states import MAX_QUBITS, StateVector
 
 MAX_MUB_QUBITS = 3
@@ -124,10 +124,6 @@ def _span(gens: list[tuple[int, int]]) -> set[tuple[int, int]]:
     return out
 
 
-def _commutes(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    return (bin(p[0] & q[1]).count("1") + bin(q[0] & p[1]).count("1")) % 2 == 0
-
-
 def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Partition the non-identity Paulis into 2^n + 1 commuting classes.
 
@@ -157,7 +153,7 @@ def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
                 found.add(by_order(e for e in span if e != (0, 0)))
                 return
             for q in sorted(uncovered, key=order.get):
-                if q in span or not all(_commutes(q, g) for g in gens):
+                if q in span or not all(_masks_commute(q, g) for g in gens):
                     continue
                 grown = span | {(a[0] ^ q[0], a[1] ^ q[1]) for a in span}
                 if all(e == (0, 0) or e in uncovered for e in grown):
@@ -198,23 +194,18 @@ def _class_generators(cls, n: int, order) -> list[tuple[int, int]]:
     return gens[::-1]
 
 
-def _apply_masks(x_mask: int, z_mask: int, v: np.ndarray) -> np.ndarray:
-    src = np.arange(len(v)) ^ x_mask
-    signs = 1 - 2 * (np.bitwise_count(src & z_mask).astype(np.int64) & 1)
-    return (1j ** bin(x_mask & z_mask).count("1")) * signs * v[src]
-
-
 def _joint_eigenbasis(gens: list[tuple[int, int]], n: int) -> np.ndarray:
     """Columns: stabilizer projections of computational seeds, phase-fixed."""
     d = 2**n
+    actions = [_pauli_action(d, x, z) for x, z in gens]
     cols = np.zeros((d, d), dtype=complex)
     for j in range(d):
         for seed in range(d):
             v = np.zeros(d, dtype=complex)
             v[seed] = 1.0
-            for k, (x, z) in enumerate(gens):
+            for k, (src, phase) in enumerate(actions):
                 sign = -1.0 if (j >> (n - 1 - k)) & 1 else 1.0
-                v = (v + sign * _apply_masks(x, z, v)) / 2
+                v = (v + sign * (phase * v[src])) / 2
             norm = np.linalg.norm(v)
             if norm > 1e-6:
                 v = v / norm

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import StateVector, apply_gate, hadamard, s_dagger
+from .manifest import write_text_atomic
+from .states import _H, _SDG, StateVector, _rotate
 
 _LETTERS = frozenset("IXYZ")
 
@@ -64,8 +65,7 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError(f"string lengths differ: {self.n} vs {other.n}")
-        overlap = bin(self.x_mask & other.z_mask).count("1") + bin(other.x_mask & self.z_mask).count("1")
-        return overlap % 2 == 0
+        return _masks_commute((self.x_mask, self.z_mask), (other.x_mask, other.z_mask))
 
     @staticmethod
     def from_masks(n: int, x_mask: int, z_mask: int) -> "PauliString":
@@ -77,19 +77,26 @@ class PauliString:
         return PauliString("".join(out))
 
 
-def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
-    """P|psi> without building the 2^n x 2^n matrix.
+def _masks_commute(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether the Paulis with (x_mask, z_mask) pairs p and q commute."""
+    return (bin(p[0] & q[1]).count("1") + bin(q[0] & p[1]).count("1")) % 2 == 0
 
-    Per basis label b: X/Y positions flip bits, Y and Z positions contribute
-    (-1)^bit, and each Y contributes a factor i.
-    """
+
+def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase) with (P psi)[b] = phase[b] * psi[src[b]] for the Pauli P with
+    these masks: X/Y positions flip bits, Y and Z positions contribute
+    (-1)^bit, and each Y contributes a factor i."""
+    src = np.arange(dim) ^ x_mask
+    signs = 1 - 2 * (np.bitwise_count(src & z_mask).astype(np.int64) & 1)
+    return src, (1j ** bin(x_mask & z_mask).count("1")) * signs
+
+
+def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
+    """P|psi> without building the 2^n x 2^n matrix."""
     if pauli.n != state.n:
         raise ValueError(f"Pauli string has {pauli.n} letters but state has {state.n} qubits")
-    src = np.arange(state.dim) ^ pauli.x_mask
-    signs = 1 - 2 * (np.bitwise_count(src & pauli.z_mask).astype(np.int64) & 1)
-    y_count = bin(pauli.x_mask & pauli.z_mask).count("1")
-    amps = (1j**y_count) * signs * state.amps[src]
-    return StateVector(state.n, amps)
+    src, phase = _pauli_action(state.dim, pauli.x_mask, pauli.z_mask)
+    return StateVector(state.n, phase * state.amps[src])
 
 
 @dataclass(frozen=True)
@@ -125,16 +132,33 @@ class Observable:
         return float(sum(abs(c) for c, _ in self.terms))
 
 
+def compile_observable(obs: Observable):
+    """Function amps -> <psi|H|psi> on a raw 2^n amplitude array (not checked).
+
+    Each term's (src, phase) is built once; the terms are added one at a time
+    in canonical order, each as coeff * <psi|P psi>, as pauli_apply would give
+    them. Raises ValueError when the sum has an imaginary residue above 1e-10.
+    """
+    dim = 2**obs.n
+    terms = [(coeff, *_pauli_action(dim, pauli.x_mask, pauli.z_mask))
+             for coeff, pauli in obs.terms]
+
+    def expectation(amps: np.ndarray) -> float:
+        total = 0.0 + 0.0j
+        for coeff, src, phase in terms:
+            total += coeff * np.vdot(amps, phase * amps[src])
+        if abs(total.imag) > 1e-10:
+            raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
+        return float(total.real)
+
+    return expectation
+
+
 def expectation_exact(obs: Observable, state: StateVector) -> float:
     """<psi|H|psi> by direct Pauli application, exact up to float arithmetic."""
     if obs.n != state.n:
         raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
-    total = 0.0 + 0.0j
-    for coeff, pauli in obs.terms:
-        total += coeff * np.vdot(state.amps, pauli_apply(pauli, state).amps)
-    if abs(total.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return compile_observable(obs)(state.amps)
 
 
 def expectation_sampled(obs: Observable, state: StateVector, shots: int,
@@ -157,15 +181,13 @@ def expectation_sampled(obs: Observable, state: StateVector, shots: int,
         if pauli.is_identity:
             total += coeff
             continue
-        rotated = state
-        for q in range(1, state.n + 1):
-            letter = pauli.letters[q - 1]
-            if letter == "X":
-                rotated = apply_gate(rotated, hadamard(q))
-            elif letter == "Y":
-                rotated = apply_gate(rotated, s_dagger(q))
-                rotated = apply_gate(rotated, hadamard(q))
-        probs = np.abs(rotated.amps) ** 2
+        rotated = state.amps
+        for q, letter in enumerate(pauli.letters, start=1):
+            if letter == "Y":
+                rotated = _rotate(rotated, state.n, q, _SDG)
+            if letter in "XY":
+                rotated = _rotate(rotated, state.n, q, _H)
+        probs = np.abs(rotated) ** 2
         probs = probs / probs.sum()
         outcomes = rng.choice(state.dim, size=shots, p=probs)
         support = pauli.x_mask | pauli.z_mask
@@ -252,8 +274,7 @@ def decode_observable(text: str) -> Observable:
 
 
 def save_observable(obs: Observable, path) -> None:
-    with open(path, "w") as f:
-        f.write(encode_observable(obs))
+    write_text_atomic(path, encode_observable(obs))
 
 
 def load_observable(path) -> Observable:

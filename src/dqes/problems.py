@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .manifest import write_text_atomic
 from .paulis import Observable, observable_matrix
 from .states import MAX_QUBITS, StateVector
 
@@ -42,15 +43,19 @@ ISING_WEAK_ZZ = (0.04645122, 0.27498273)
 ISING_STRONG_ZZ = (0.61436456, 0.32435029)
 
 
+def _reject_lih(name: str) -> None:
+    if name.startswith("LiH"):
+        raise ValueError(
+            "LiH is not built in; supply its 10-qubit Hamiltonian as an "
+            "observable JSON file instead (landscape --observable FILE)")
+
+
 def molecule_fixture(name: str) -> Observable:
     """Built-in molecular observable by name (H2_075 or HeH+_100)."""
     if name in _MOLECULES:
         n, terms = _MOLECULES[name]
         return Observable.from_strings(n, terms)
-    if name.startswith("LiH"):
-        raise ValueError(
-            "LiH is not built in; supply its 10-qubit Hamiltonian as an "
-            "observable JSON file instead (landscape --observable FILE)")
+    _reject_lih(name)
     known = ", ".join(sorted(_MOLECULES))
     raise ValueError(f"unknown molecule fixture {name!r}; built-in fixtures: {known}")
 
@@ -70,6 +75,25 @@ def transverse_field_ising(n: int, c_zz: float, c_x: float) -> Observable:
     for i in range(n):
         terms.append((c_x, "I" * i + "X" + "I" * (n - i - 1)))
     return Observable.from_strings(n, terms)
+
+
+# Every built-in observable by name: the molecules plus the paper's 1- and
+# 3-qubit examples.
+FIXTURES = {
+    "H2_075": lambda: molecule_fixture("H2_075"),
+    "HeH+_100": lambda: molecule_fixture("HeH+_100"),
+    "xy1": single_qubit_xy,
+    "ising_fig7": lambda: transverse_field_ising(3, *ISING_WEAK_ZZ),
+    "ising_fig8": lambda: transverse_field_ising(3, *ISING_STRONG_ZZ),
+}
+
+
+def fixture(name: str) -> Observable:
+    """Built-in observable by name, one of FIXTURES."""
+    if name in FIXTURES:
+        return FIXTURES[name]()
+    _reject_lih(name)
+    raise ValueError(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +260,7 @@ def decode_graph(text: str) -> GraphSpec:
 
 
 def save_graph(graph: GraphSpec, path) -> None:
-    with open(path, "w") as f:
-        f.write(encode_graph(graph))
+    write_text_atomic(path, encode_graph(graph))
 
 
 def load_graph(path) -> GraphSpec:

@@ -102,14 +102,21 @@ def s_dagger(target: int) -> Gate:
     return Gate(target=target, matrix=_SDG)
 
 
-def ry(theta: float, target: int) -> Gate:
+def _ry_matrix(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return Gate(target=target, matrix=np.array([[c, -s], [s, c]], dtype=complex))
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _rz_matrix(theta: float) -> np.ndarray:
+    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex)
+
+
+def ry(theta: float, target: int) -> Gate:
+    return Gate(target=target, matrix=_ry_matrix(theta))
 
 
 def rz(theta: float, target: int) -> Gate:
-    return Gate(target=target, matrix=np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex))
+    return Gate(target=target, matrix=_rz_matrix(theta))
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -153,11 +160,26 @@ def _apply_single(amps: np.ndarray, n: int, target: int, matrix: np.ndarray) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
+def _rotate(amps: np.ndarray, n: int, target: int, matrix: np.ndarray) -> np.ndarray:
+    """A 2x2 matrix on qubit target of raw amplitudes, without validation.
+
+    This is the product np.tensordot forms inside _apply_single, called
+    directly, so the result is bit for bit the same as apply_gate's.
+    """
+    a, b = 2 ** (target - 1), 2 ** (n - target)
+    psi = np.dot(matrix, amps.reshape(a, 2, b).transpose(1, 0, 2).reshape(2, -1))
+    return psi.reshape(2, a, b).transpose(1, 0, 2).reshape(-1)
+
+
+def _cnot_source(n: int, control: int, target: int) -> np.ndarray:
+    """Gather index of a CNOT: the new amplitude i is the old amplitude src[i]."""
     idx = np.arange(2**n)
     flip = idx ^ (1 << (n - target))
-    src = np.where((idx >> (n - control)) & 1 == 1, flip, idx)
-    return amps[src]
+    return np.where((idx >> (n - control)) & 1 == 1, flip, idx)
+
+
+def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
+    return amps[_cnot_source(n, control, target)]
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

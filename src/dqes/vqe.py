@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, prepare_state
+from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz, prepare_state
 from .landscape import score_spec
 from .mub import PartialMubSpec, build_full_mub_set, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
-from .paulis import Observable, expectation_exact
+from .paulis import Observable, compile_observable
 from .states import StateVector, random_state, zero_state
 
 
@@ -92,12 +92,20 @@ class VqeResult:
 
 
 def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
-    """Callable theta -> <psi(theta)|H|psi(theta)> with psi = U(theta) initial."""
+    """Callable theta -> <psi(theta)|H|psi(theta)> with psi = U(theta) initial.
+
+    The circuit and the observable are compiled once; each call equals
+    expectation_exact(obs, prepare_state(spec, theta, initial)) bit for bit.
+    """
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")
+    if initial.n != spec.n:
+        raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
+    circuit = compile_ansatz(spec)
+    energy = compile_observable(obs)
 
     def cost(theta) -> float:
-        return expectation_exact(obs, prepare_state(spec, theta, initial))
+        return energy(circuit(as_parameter_vector(spec, theta), initial.amps))
 
     return cost
 
@@ -120,12 +128,13 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
         raise ValueError(f"target has {target.n} qubits but ansatz is on {spec.n}")
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
-    zero = zero_state(spec.n)
+    zero = zero_state(spec.n).amps
     conj_target = np.conj(target.amps)
+    circuit = compile_ansatz(spec)
 
     def infidelity(theta) -> float:
-        psi = prepare_state(spec, theta, zero)
-        return 1.0 - abs(np.dot(conj_target, psi.amps)) ** 2
+        psi = circuit(as_parameter_vector(spec, theta), zero)
+        return 1.0 - abs(np.dot(conj_target, psi)) ** 2
 
     best_value = np.inf
     best_params: tuple[float, ...] = ()

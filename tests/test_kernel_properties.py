@@ -1,0 +1,135 @@
+"""Property tests: the compiled circuit and observable against the gate-by-gate
+and term-by-term reference paths, and the file codec round trips."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqes.ansatz import AnsatzSpec, build_ansatz, compile_ansatz
+from dqes.paulis import (Observable, compile_observable, decode_observable, encode_observable,
+                         expectation_sampled, load_observable, observable_matrix, pauli_apply,
+                         save_observable)
+from dqes.problems import GraphSpec, decode_graph, encode_graph, load_graph, save_graph
+from dqes.states import StateVector, apply_gate, hadamard, random_state, s_dagger
+from dqes.vqe import vqe_cost
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def circuits(draw, max_n=6):
+    """(spec, theta, input state)."""
+    n = draw(st.integers(1, max_n))
+    spec = AnsatzSpec(n=n, layers=draw(st.integers(1, 3)),
+                      rotation_axes=draw(st.sampled_from([("Y",), ("Y", "Z")])))
+    theta = np.array(draw(st.lists(angles, min_size=spec.parameter_count,
+                                   max_size=spec.parameter_count)))
+    return spec, theta, random_state(n, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def observables(draw, max_n=6, n=None):
+    n = draw(st.integers(1, max_n)) if n is None else n
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    pairs = draw(st.lists(st.tuples(coeffs, letters), min_size=1, max_size=8))
+    return Observable.from_strings(n, pairs)
+
+
+def reference_prepare(spec, theta, state):
+    for gate in build_ansatz(spec, theta):
+        state = apply_gate(state, gate)
+    return state.amps
+
+
+def reference_expectation(obs, state):
+    total = 0.0 + 0.0j
+    for coeff, pauli in obs.terms:
+        total += coeff * np.vdot(state.amps, pauli_apply(pauli, state).amps)
+    return float(total.real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circuits())
+def test_compiled_circuit_equals_the_gate_sequence(case):
+    spec, theta, state = case
+    circuit = compile_ansatz(spec)
+    assert np.array_equal(circuit(theta, state.amps), reference_prepare(spec, theta, state))
+    assert np.array_equal(circuit(np.zeros(spec.parameter_count), state.amps), state.amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obs=observables(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_observable_equals_the_term_sum(obs, seed):
+    state = random_state(obs.n, seed)
+    value = compile_observable(obs)(state.amps)
+    assert value == reference_expectation(obs, state)
+    dense = float(np.vdot(state.amps, observable_matrix(obs) @ state.amps).real)
+    assert abs(value - dense) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=circuits(max_n=4), data=st.data())
+def test_vqe_cost_equals_the_reference_composition(case, data):
+    spec, theta, state = case
+    obs = data.draw(observables(n=spec.n))
+    expected = reference_expectation(obs, StateVector(spec.n, reference_prepare(spec, theta, state)))
+    assert vqe_cost(obs, spec, state)(theta) == expected
+
+
+def reference_sampled(obs, state, shots, seed):
+    rng = np.random.default_rng(seed)
+    total = variance = 0.0
+    for coeff, pauli in obs.terms:
+        if pauli.is_identity:
+            total += coeff
+            continue
+        rotated = state
+        for q, letter in enumerate(pauli.letters, start=1):
+            if letter == "X":
+                rotated = apply_gate(rotated, hadamard(q))
+            elif letter == "Y":
+                rotated = apply_gate(apply_gate(rotated, s_dagger(q)), hadamard(q))
+        probs = np.abs(rotated.amps) ** 2
+        outcomes = rng.choice(state.dim, size=shots, p=probs / probs.sum())
+        parity = np.bitwise_count(outcomes & (pauli.x_mask | pauli.z_mask)).astype(np.int64) & 1
+        values = 1 - 2 * parity
+        total += coeff * float(values.mean())
+        if shots > 1:
+            variance += coeff**2 * float(values.var(ddof=1)) / shots
+    return total, float(np.sqrt(variance))
+
+
+@settings(max_examples=30, deadline=None)
+@given(obs=observables(max_n=4), seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 50))
+def test_sampled_expectation_equals_the_gate_rotation_path(obs, seed, shots):
+    state = random_state(obs.n, seed)
+    assert expectation_sampled(obs, state, shots, seed) == reference_sampled(obs, state, shots, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(obs=observables())
+def test_observable_file_round_trip(obs, tmp_path_factory):
+    assert decode_observable(encode_observable(obs)) == obs
+    path = tmp_path_factory.mktemp("obs") / "obs.json"
+    save_observable(obs, path)
+    assert load_observable(path) == obs
+
+
+@st.composite
+def graphs(draw):
+    nodes = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    seed = draw(st.none() | st.integers(0, 2**31))
+    prob = None if seed is None else draw(st.none() | st.floats(0.0, 1.0))
+    return GraphSpec(node_count=nodes, edges=tuple(edges), seed=seed, edge_prob=prob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=graphs())
+def test_graph_file_round_trip(graph, tmp_path_factory):
+    assert decode_graph(encode_graph(graph)) == graph
+    path = tmp_path_factory.mktemp("graph") / "g.graph.txt"
+    save_graph(graph, path)
+    assert load_graph(path) == graph

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 
+import pytest
+
+from dqes import manifest
 from dqes._version import __version__
-from dqes.manifest import RunManifest, file_sha256, write_sidecar
+from dqes.manifest import RunManifest, file_sha256, write_sidecar, write_text_atomic
 
 
 def test_file_sha256(tmp_path):
@@ -41,3 +45,34 @@ def test_sidecar_keeps_the_data_file_untouched(tmp_path):
     data.write_text(payload)
     write_sidecar(data, {})
     assert data.read_text() == payload
+
+
+def test_atomic_write_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents that are longer than the new ones\n")
+    write_text_atomic(path, "new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    # the encoder fails on the lone surrogate after a long valid prefix
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "0,1.0\n" * 100_000 + "\ud800")
+    assert os.listdir(tmp_path) == []
+    path.write_text("kept\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "0,1.0\n" * 100_000 + "\ud800")
+    assert path.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_interrupted_move_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("device gone")
+
+    monkeypatch.setattr(manifest.os, "replace", fail)
+    with pytest.raises(OSError, match="device gone"):
+        write_text_atomic(tmp_path / "summary.json", "{}\n")
+    assert os.listdir(tmp_path) == []

@@ -12,6 +12,7 @@ from dqes.problems import (
     decode_graph,
     encode_graph,
     exact_spectrum,
+    fixture,
     load_graph,
     max_cut_brute_force,
     maxcut_hamiltonian,
@@ -69,13 +70,25 @@ def test_molecule_ground_energies():
 
 
 def test_lih_points_at_the_file_path():
-    with pytest.raises(ValueError, match="observable JSON file"):
-        molecule_fixture("LiH_160")
+    for lookup in (molecule_fixture, fixture):
+        with pytest.raises(ValueError, match="observable JSON file"):
+            lookup("LiH_160")
 
 
 def test_unknown_fixture_lists_the_builtins():
     with pytest.raises(ValueError, match="H2_075, HeH\\+_100"):
         molecule_fixture("H3_000")
+    with pytest.raises(ValueError, match="unknown fixture 'H3_000'; available: H2_075, HeH\\+_100, "
+                                         "ising_fig7, ising_fig8, xy1"):
+        fixture("H3_000")
+
+
+def test_fixture_table_builds_every_builtin():
+    assert fixture("H2_075") == molecule_fixture("H2_075")
+    assert fixture("HeH+_100") == molecule_fixture("HeH+_100")
+    assert fixture("xy1") == single_qubit_xy()
+    assert fixture("ising_fig7") == transverse_field_ising(3, *ISING_WEAK_ZZ)
+    assert fixture("ising_fig8") == transverse_field_ising(3, *ISING_STRONG_ZZ)
 
 
 def test_single_qubit_xy_observable():
