@@ -8,8 +8,8 @@ from ._version import __version__
 from .ansatz import (AnsatzSpec, build_ansatz, compile_ansatz, prepare_state, shift_mub_set,
                      shift_state)
 from .landscape import (BasisStats, LandscapeRecord, LandscapeReport, basis_statistics,
-                        export_csv, landscape_csv_text, rank_initial_states,
-                        realize_record_state, run_full_dqes, run_partial_dqes)
+                        export_csv, landscape_csv_text, rank_initial_states, run_full_dqes,
+                        run_partial_dqes)
 from .manifest import RunManifest, write_sidecar, write_text_atomic
 from .mub import (MubCertification, MubSet, PartialMubSpec, build_full_mub_set,
                   encode_mub_set, enumerate_partial_specs, realize_partial_state,

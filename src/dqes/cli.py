@@ -22,7 +22,7 @@ from ._version import __version__
 from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
                         run_full_dqes, run_partial_dqes)
-from .manifest import RunManifest, file_sha256, write_sidecar, write_text_atomic
+from .manifest import RunManifest, file_sha256, sidecar_path, write_sidecar, write_text_atomic
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
 from .paulis import Observable, load_observable, observable_hash, save_observable
@@ -70,14 +70,27 @@ def cmd_mub(args) -> int:
 # --- landscape -----------------------------------------------------------------
 
 
+def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> LandscapeReport:
+    """The complete sweep when full, else the K-partial sweep with K = k or min(n, 3)."""
+    if full:
+        return run_full_dqes(obs, name=name)
+    return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
+
+
+def _reject_plot_clash(out: Path, plot: Path) -> None:
+    # the CSV, the SVG and each one's sidecar must be four different files
+    o, p = out.resolve(), plot.resolve()
+    if p in (o, sidecar_path(o)) or o == sidecar_path(p):
+        raise ValueError(f"--plot {plot} and --out {out} would overwrite each other "
+                         f"or each other's sidecar; give --plot a different path")
+
+
 def cmd_landscape(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
-    if args.full:
-        report = run_full_dqes(obs, name=name)
-    else:
-        k = args.k if args.k is not None else min(obs.n, MAX_MUB_QUBITS)
-        report = run_partial_dqes(obs, k, name=name)
     out = Path(args.out) if args.out else _out_dir() / "landscape.csv"
+    if args.plot:
+        _reject_plot_clash(out, Path(args.plot))
+    report = _sweep_report(obs, name, args.full, args.k)
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes)
     export_csv(report, out, sidecar_fields=manifest.as_fields())
@@ -144,13 +157,6 @@ def _positive_int(text: str, atom: str) -> int:
     return value
 
 
-def _ranking_report(obs: Observable, name: str, args) -> LandscapeReport:
-    if obs.n <= MAX_MUB_QUBITS:
-        return run_full_dqes(obs, name=name)
-    k = args.k if args.k is not None else MAX_MUB_QUBITS
-    return run_partial_dqes(obs, k, name=name)
-
-
 def _build_inits(atoms, obs, name, args) -> list:
     mub_init = ParameterFitInit if args.strategy == "fit" else ShiftedMubInit
     inits = []
@@ -158,7 +164,7 @@ def _build_inits(atoms, obs, name, args) -> list:
     for atom in atoms:
         if atom[0] == "top":
             if report is None:
-                report = _ranking_report(obs, name, args)
+                report = _sweep_report(obs, name, False, args.k)
             for rec in rank_initial_states(report, atom[1]):
                 inits.append(_make_mub_init(mub_init, rec.spec, args))
         elif atom[0] == "random":
@@ -258,7 +264,7 @@ def cmd_vqe(args) -> int:
         "strategy": args.strategy,
         "runs": runs_doc,
     }
-    if obs.n <= 10:
+    if obs.n <= problems.MAX_EXACT_QUBITS:
         exact = problems.exact_spectrum(obs)
         summary["exact_ground_energy"] = exact.ground_energy
         for entry in summary["runs"]:
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     vqe.add_argument("--init", required=True,
                      help="comma list of top-K, random-K, spec:BASIS:STATE[@q1-q2-...]")
     vqe.add_argument("--k", type=int, choices=(1, 2, 3), default=None,
-                     help="partial-sweep K used to rank starts when n > 3")
+                     help="K of the partial sweep that ranks the top starts (default min(n, 3))")
     vqe.add_argument("--layers", type=int, default=1)
     vqe.add_argument("--axes", choices=("Y", "YZ"), default=None,
                      help="rotation axes (default Y; YZ for single-qubit registers)")

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs, realize_partial_state
+from .mub import MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs
 from .paulis import Observable, PauliString, observable_hash, observable_matrix
-from .states import StateVector
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,8 @@ def stabilizer_table(mubs: MubSet) -> np.ndarray:
 _TABLES: dict[int, np.ndarray] = {}
 
 
-def _table(k: int, mubs: MubSet | None = None) -> np.ndarray:
-    """The table of mubs, or the cached one of build_full_mub_set(k) when mubs is None."""
-    if mubs is not None:
-        return stabilizer_table(mubs)
+def _table(k: int) -> np.ndarray:
+    """The table of build_full_mub_set(k), built on first use."""
     if k not in _TABLES:
         _TABLES[k] = stabilizer_table(build_full_mub_set(k))
     return _TABLES[k]
@@ -145,13 +142,12 @@ def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
     return float(energies[0, spec.basis_index * 2**spec.k + spec.state_index])
 
 
-def _sweep(obs: Observable, k: int, kind: str, name: str,
-           mubs: MubSet | None = None) -> LandscapeReport:
+def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
     """Every K-qubit MUB state on every K-subset; K = n is the full sweep."""
     specs = enumerate_partial_specs(obs.n, k)
     subsets = list(dict.fromkeys(spec.subset for spec in specs))
     # specs run subset, basis, state: the order of the flattened energy rows
-    energies = _subset_energies(obs, _table(k, mubs), subsets).ravel()
+    energies = _subset_energies(obs, _table(k), subsets).ravel()
     return LandscapeReport(
         observable_name=name,
         observable_hash=observable_hash(obs),
@@ -163,31 +159,17 @@ def _sweep(obs: Observable, k: int, kind: str, name: str,
     )
 
 
-def run_full_dqes(obs: Observable, mubs: MubSet | None = None,
-                  name: str = "observable") -> LandscapeReport:
+def run_full_dqes(obs: Observable, *, name: str = "observable") -> LandscapeReport:
     """Score all (2^n + 1) * 2^n states of the complete MUB set."""
     if obs.n > 3:
         raise ValueError(
             f"full sweeps need a complete MUB set (n <= 3), got n={obs.n}; use a partial sweep")
-    if mubs is not None and mubs.n != obs.n:
-        raise ValueError(f"MUB set is on {mubs.n} qubits but observable is on {obs.n}")
-    if mubs is not None and mubs.n_bases != 2**obs.n + 1:
-        raise ValueError(f"a complete MUB set on {obs.n} qubits has {2**obs.n + 1} bases, "
-                         f"got {mubs.n_bases}")
-    return _sweep(obs, obs.n, "full", name, mubs)
+    return _sweep(obs, obs.n, "full", name)
 
 
 def run_partial_dqes(obs: Observable, k: int, name: str = "observable") -> LandscapeReport:
     """Score every K-local MUB product state: C(n,K) * (2^K + 1) * 2^K records."""
     return _sweep(obs, k, "partial", name)
-
-
-def realize_record_state(record: LandscapeRecord, mubs: MubSet | None = None) -> StateVector:
-    """Reconstruct the state a record scored."""
-    spec = record.spec
-    if mubs is None:
-        mubs = build_full_mub_set(spec.k)
-    return realize_partial_state(spec, mubs)
 
 
 def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[BasisStats]:

@@ -59,12 +59,17 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def sidecar_path(data_path) -> Path:
+    """<data_path>.manifest.json, where write_sidecar describes data_path."""
+    return Path(str(data_path) + ".manifest.json")
+
+
 def write_sidecar(data_path, fields: dict) -> Path:
     """Write <data_path>.manifest.json describing an already-written file."""
     doc = dict(fields)
     doc.setdefault("tool_version", __version__)
     doc["output_sha256"] = file_sha256(data_path)
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
-    path = Path(str(data_path) + ".manifest.json")
+    path = sidecar_path(data_path)
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

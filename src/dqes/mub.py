@@ -82,7 +82,9 @@ class PartialMubSpec:
     """One K-qubit MUB state placed on a qubit subset, |0> elsewhere.
 
     subset is a strictly increasing tuple of 1-based qubit indices; K is its
-    length. For a full sweep (K = n) the subset covers every qubit.
+    length. For a full sweep (K = n) the subset covers every qubit. The K-qubit
+    state is build_full_mub_set(K).state(basis_index, state_index), the one
+    discretization every sweep and VQE start uses.
     """
 
     n: int
@@ -181,11 +183,12 @@ def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     return ordered
 
 
-def _class_generators(cls, n: int, order) -> list[tuple[int, int]]:
-    # greedy lex-first independent subset, reversed: lex-largest binds the MSB
+def _class_generators(cls, n: int) -> list[tuple[int, int]]:
+    # cls is already in lex order: greedy lex-first independent subset,
+    # reversed: lex-largest binds the MSB
     gens: list[tuple[int, int]] = []
     span = {(0, 0)}
-    for m in sorted(cls, key=order.get):
+    for m in cls:
         if m not in span:
             gens.append(m)
             span |= {(a[0] ^ m[0], a[1] ^ m[1]) for a in span}
@@ -226,14 +229,10 @@ def build_full_mub_set(n: int) -> MubSet:
     if n not in (1, 2, 3):
         raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
     if n not in _CACHE:
-        classes = _partition_classes(n)
-        strings = sorted("".join(t) for t in itertools.product("IXYZ", repeat=n))
-        strings.remove("I" * n)
-        order = {(PauliString(s).x_mask, PauliString(s).z_mask): i for i, s in enumerate(strings)}
         bases = []
         letter_classes = []
-        for cls in classes:
-            gens = _class_generators(cls, n, order)
+        for cls in _partition_classes(n):
+            gens = _class_generators(cls, n)
             bases.append(_joint_eigenbasis(gens, n))
             letter_classes.append(tuple(PauliString.from_masks(n, x, z) for x, z in cls))
         _CACHE[n] = MubSet(n=n, bases=tuple(bases), classes=tuple(letter_classes))
@@ -284,15 +283,14 @@ def enumerate_partial_specs(n: int, k: int) -> list[PartialMubSpec]:
     return specs
 
 
-def realize_partial_state(spec: PartialMubSpec, mubs: MubSet) -> StateVector:
-    """Tensor the chosen MUB state onto spec.subset with |0> on the rest.
+def realize_partial_state(spec: PartialMubSpec) -> StateVector:
+    """Tensor the chosen state of build_full_mub_set(K) onto spec.subset with
+    |0> on the rest.
 
-    The MUB set must live on K qubits; MUB-state qubit k maps to register
-    qubit spec.subset[k], so amplitudes scatter per the global bit convention.
+    MUB-state qubit k maps to register qubit spec.subset[k], so amplitudes
+    scatter per the global bit convention.
     """
-    if mubs.n != spec.k:
-        raise ValueError(f"MUB set is on {mubs.n} qubits but spec subset has {spec.k}")
-    small = mubs.state(spec.basis_index, spec.state_index).amps
+    small = build_full_mub_set(spec.k).state(spec.basis_index, spec.state_index).amps
     amps = np.zeros(2**spec.n, dtype=complex)
     k = spec.k
     for m in range(2**k):

@@ -172,6 +172,10 @@ def maxcut_hamiltonian(graph: GraphSpec) -> Observable:
     return Observable.from_strings(n, terms)
 
 
+# Largest register exact_spectrum diagonalizes: a dense 2^10 x 2^10 matrix.
+MAX_EXACT_QUBITS = 10
+
+
 @dataclass(frozen=True)
 class ExactSpectrumResult:
     """Dense diagonalization output: ascending eigenvalues plus the ground pair."""
@@ -186,10 +190,10 @@ class ExactSpectrumResult:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def exact_spectrum(obs: Observable, max_n: int = 10) -> ExactSpectrumResult:
-    """Full spectrum via dense Hermitian diagonalization (n <= 10)."""
-    if obs.n > max_n:
-        raise ValueError(f"exact spectrum is limited to n <= {max_n}, got n={obs.n}")
+def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
+    """Full spectrum via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS)."""
+    if obs.n > MAX_EXACT_QUBITS:
+        raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
     matrix = observable_matrix(obs)
     eigenvalues, vectors = np.linalg.eigh(matrix)
     ground = vectors[:, 0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz, prepare_state
 from .landscape import score_spec
-from .mub import PartialMubSpec, build_full_mub_set, realize_partial_state
+from .mub import PartialMubSpec, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .paulis import Observable, compile_observable
 from .states import StateVector, random_state, zero_state
@@ -162,11 +162,11 @@ def _resolve_init(init: InitStrategy, spec: AnsatzSpec):
     """(initial state, starting parameters, used_fallback) for a strategy."""
     zeros = np.zeros(spec.parameter_count)
     if isinstance(init, ShiftedMubInit):
-        state = realize_partial_state(init.spec, build_full_mub_set(init.spec.k))
+        state = realize_partial_state(init.spec)
         theta = zeros if init.theta0 is None else np.asarray(init.theta0, dtype=float)
         return state, theta, False
     if isinstance(init, ParameterFitInit):
-        target = realize_partial_state(init.spec, build_full_mub_set(init.spec.k))
+        target = realize_partial_state(init.spec)
         fit = fit_parameters_to_state(spec, target, starts=init.starts, seed=init.seed)
         if fit.reachable:
             return zero_state(spec.n), np.asarray(fit.params, dtype=float), False

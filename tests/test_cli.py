@@ -109,6 +109,30 @@ def test_landscape_plot_groups_by_basis(tmp_path):
     assert (tmp_path / "plot.svg.manifest.json").exists()
 
 
+def test_landscape_plot_must_differ_from_out(tmp_path, capsys):
+    # the SVG may be neither the CSV nor its sidecar, and its sidecar not the CSV
+    csv = tmp_path / "a.csv"
+    for out, plot in ((csv, csv), (csv, tmp_path / "sub" / ".." / "a.csv"),
+                      (csv, tmp_path / "a.csv.manifest.json"),
+                      (tmp_path / "p.svg.manifest.json", tmp_path / "p.svg")):
+        assert run_cli("landscape", "--fixture", "H2_075", "--full",
+                       "--out", str(out), "--plot", str(plot)) == 1
+        err = capsys.readouterr().err
+        assert f"--plot {plot}" in err and f"--out {out}" in err
+        assert not list(tmp_path.iterdir())
+
+
+def test_vqe_k_sets_the_ranking_sweep_at_any_n(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert run_cli("vqe", "--fixture", "ising_fig8", "--k", "1", "--init", "top-2",
+                   "--max-evals", "8", "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [run["label"] for run in summary["runs"]] == ["b0s1q2", "b1s1q2"]
+    assert run_cli("vqe", "--fixture", "H2_075", "--k", "3", "--init", "top-1",
+                   "--out", str(tmp_path / "w")) == 1
+    assert "subset size 3 exceeds register size 2" in capsys.readouterr().err
+
+
 def test_vqe_h2_top3(tmp_path, capsys):
     out = tmp_path / "vqe"
     assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-3",

@@ -168,16 +168,14 @@ def test_partial_spec_bounds():
 
 def test_realize_places_computational_states_by_subset():
     # basis 0, state 3 on qubits (1, 3) of a 3-qubit register: |1 0 1> = index 5
-    mubs = build_full_mub_set(2)
     spec = PartialMubSpec(n=3, subset=(1, 3), basis_index=0, state_index=3)
-    assert states_equal(realize_partial_state(spec, mubs), basis_state(3, 5))
+    assert states_equal(realize_partial_state(spec), basis_state(3, 5))
 
 
 def test_realize_scatters_superposition_amplitudes():
     # |-> on qubit 2 of three: amplitudes on indices 000 and 010
-    mubs = build_full_mub_set(1)
     spec = PartialMubSpec(n=3, subset=(2,), basis_index=1, state_index=1)
-    amps = realize_partial_state(spec, mubs).amps
+    amps = realize_partial_state(spec).amps
     r = 1 / np.sqrt(2)
     assert abs(amps[0] - r) < 1e-15
     assert abs(amps[2] + r) < 1e-15
@@ -185,9 +183,8 @@ def test_realize_scatters_superposition_amplitudes():
 
 
 def test_realized_states_are_orthonormal_within_a_basis():
-    mubs = build_full_mub_set(2)
     specs = [PartialMubSpec(n=4, subset=(2, 4), basis_index=3, state_index=s) for s in range(4)]
-    states = [realize_partial_state(sp, mubs) for sp in specs]
+    states = [realize_partial_state(sp) for sp in specs]
     for i in range(4):
         for j in range(4):
             expected = 1.0 if i == j else 0.0
@@ -199,14 +196,7 @@ def test_full_subset_realization_matches_the_mub_state():
     for b in range(5):
         for s in range(4):
             spec = PartialMubSpec(n=2, subset=(1, 2), basis_index=b, state_index=s)
-            assert states_equal(realize_partial_state(spec, mubs), mubs.state(b, s))
-
-
-def test_realize_checks_subset_size():
-    mubs = build_full_mub_set(2)
-    spec = PartialMubSpec(n=4, subset=(1,), basis_index=0, state_index=0)
-    with pytest.raises(ValueError, match="MUB set is on 2 qubits but spec subset has 1"):
-        realize_partial_state(spec, mubs)
+            assert states_equal(realize_partial_state(spec), mubs.state(b, s))
 
 
 def test_encode_mub_set_round_trips_amplitudes():
@@ -222,11 +212,10 @@ def test_encode_mub_set_round_trips_amplitudes():
 
 def test_zero_tail_state_from_unit_subset():
     # a 1-qubit computational pick leaves the register in a pure basis state
-    mubs = build_full_mub_set(1)
     spec = PartialMubSpec(n=5, subset=(5,), basis_index=0, state_index=1)
-    assert states_equal(realize_partial_state(spec, mubs), basis_state(5, 1))
+    assert states_equal(realize_partial_state(spec), basis_state(5, 1))
     assert realize_partial_state(
-        PartialMubSpec(n=5, subset=(1,), basis_index=0, state_index=0), mubs
+        PartialMubSpec(n=5, subset=(1,), basis_index=0, state_index=0)
     ).amps[0] == 1.0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dqes.ansatz import AnsatzSpec, shift_state
 from dqes.landscape import run_full_dqes
-from dqes.mub import PartialMubSpec, build_full_mub_set, realize_partial_state
+from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig
 from dqes.paulis import expectation_exact
 from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
@@ -75,7 +75,7 @@ def test_shifted_init_with_explicit_theta0():
     theta0 = (0.3, -0.2, 0.1, 0.4)
     spec = full_spec(1, 1)
     result = run_vqe(H2, H2_SPEC, ShiftedMubInit(spec=spec, theta0=theta0))
-    state = realize_partial_state(spec, build_full_mub_set(2))
+    state = realize_partial_state(spec)
     shifted = shift_state(state, H2_SPEC, np.array(theta0))
     assert abs(result.initial_energy - expectation_exact(H2, shifted)) < 1e-12
     assert result.trace.entries[0].params == theta0
@@ -94,7 +94,7 @@ def test_fit_init_reproduces_the_landscape_start():
 
 def test_fit_parameters_reach_a_real_target():
     spec = AnsatzSpec(n=2)
-    target = realize_partial_state(full_spec(1, 2), build_full_mub_set(2))
+    target = realize_partial_state(full_spec(1, 2))
     fit = fit_parameters_to_state(spec, target, starts=8, seed=1)
     assert fit.reachable
     assert fit.fidelity > 1 - 1e-9
@@ -123,7 +123,7 @@ def test_fit_fallback_keeps_the_run_going():
     init = ParameterFitInit(spec=full_spec(2, 1, n=1), starts=2)
     result = run_vqe(obs, spec, init)
     assert result.used_fallback
-    target = realize_partial_state(full_spec(2, 1, n=1), build_full_mub_set(1))
+    target = realize_partial_state(full_spec(2, 1, n=1))
     assert abs(abs(inner_product(result.initial_state, target)) - 1.0) < 1e-12
     assert result.initial_energy == expectation_exact(obs, target)
 
