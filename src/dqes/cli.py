@@ -95,9 +95,10 @@ def cmd_landscape(args) -> int:
     manifest = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes)
     export_csv(report, out, sidecar_fields=manifest.as_fields())
     print(f"observable: {name} (n={obs.n}, {len(obs.terms)} terms)")
-    print(f"records: {len(report.records)} ({report.kind} sweep, K={report.k})")
+    print(f"records: {len(report.energies)} ({report.kind} sweep, K={report.k})")
     best = report.min_record()
     print(f"min energy: {best.energy:.12g} at {best.label()} (index {best.index})")
+    print(f"records within 1e-12 of the min: {report.min_ties()}")
     print(f"{'basis':>6} {'count':>6} {'min':>14} {'max':>14} {'mean':>14} {'variance':>12}")
     for st in basis_statistics(report, per_subset=args.per_subset):
         tag = f"{st.basis_index}" if st.subset is None else f"{st.basis_index}@{'-'.join(map(str, st.subset))}"
@@ -211,6 +212,8 @@ def _bloch_csv(result: VqeResult) -> str:
 
 def cmd_vqe(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
+    if args.k is not None and args.k > obs.n:
+        raise ValueError(f"--k {args.k}: subset size {args.k} exceeds register size {obs.n}")
     axes = args.axes
     if axes is None:
         # a Y-only single-qubit circuit cannot leave the real plane

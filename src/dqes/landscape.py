@@ -8,14 +8,19 @@ is its K = n case. Both read Pauli expectations from a per-K stabilizer table
 instead of building 2^n state vectors. Records are produced in a fixed
 enumeration order (subset lex, then basis, then state), so reports and their
 CSV exports are deterministic.
+
+A report stores a sweep as columns: the K-subsets as one int array and the
+energies as one float64 array in enumeration order. Readers work on the
+columns; a LandscapeRecord is built only for a record a caller asks for.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .mub import MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs
+from .mub import MubSet, PartialMubSpec, _check_sweep_size, build_full_mub_set
 from .paulis import Observable, PauliString, observable_hash, observable_matrix
 
 
@@ -31,19 +36,63 @@ class LandscapeRecord:
         return self.spec.label()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandscapeReport:
-    """All records of one sweep plus the observable's identity."""
+    """All records of one sweep, as columns, plus the observable's identity.
+
+    subsets is a (C(n,K), K) array of 1-based qubit indices in lex order;
+    energies holds every record's energy in enumeration order, subset, then
+    basis, then state. So record i lies on subset i // records_per_subset,
+    and its remainder splits into basis and state by divmod with 2^K.
+    """
 
     observable_name: str
     observable_hash: str
     n: int
     k: int
     kind: str  # "full" or "partial"
-    records: tuple[LandscapeRecord, ...]
+    subsets: np.ndarray
+    energies: np.ndarray
+
+    def __post_init__(self):
+        subsets = np.asarray(self.subsets, dtype=np.int64).reshape(-1, self.k).view()
+        energies = np.asarray(self.energies, dtype=np.float64).view()
+        expected = len(subsets) * self.records_per_subset
+        if energies.shape != (expected,):
+            raise ValueError(f"{len(subsets)} subsets need {expected} energies, "
+                             f"got shape {energies.shape}")
+        subsets.flags.writeable = False
+        energies.flags.writeable = False
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "energies", energies)
+
+    @property
+    def records_per_subset(self) -> int:
+        """Records on one subset: (2^K + 1) bases of 2^K states."""
+        return (2**self.k + 1) * 2**self.k
+
+    def record(self, index: int) -> LandscapeRecord:
+        """Record index, built from the columns."""
+        subset, rest = divmod(index, self.records_per_subset)
+        basis, state = divmod(rest, 2**self.k)
+        spec = PartialMubSpec(n=self.n, subset=tuple(self.subsets[subset].tolist()),
+                              basis_index=basis, state_index=state)
+        return LandscapeRecord(index=index, spec=spec, energy=float(self.energies[index]))
+
+    @cached_property
+    def records(self) -> tuple[LandscapeRecord, ...]:
+        """Every record, built on first access and kept."""
+        return tuple(self.record(i) for i in range(len(self.energies)))
 
     def min_record(self) -> LandscapeRecord:
-        return min(self.records, key=lambda r: r.energy)
+        """The lowest-energy record; the first one in enumeration order on a tie."""
+        if not len(self.energies):
+            raise ValueError("report has no records")
+        return self.record(int(np.argmin(self.energies)))
+
+    def min_ties(self) -> int:
+        """Records within 1e-12 of the lowest energy, the minimum itself included."""
+        return int(np.count_nonzero(self.energies - self.energies.min() <= 1e-12))
 
 
 @dataclass(frozen=True)
@@ -101,36 +150,41 @@ def _table(k: int) -> np.ndarray:
     return _TABLES[k]
 
 
-def _term_columns(obs: Observable, subset: tuple[int, ...]) -> list[int]:
-    """Table column of each term's letters on subset, or -1 when the term has
-    an X or Y letter off the subset (its expectation on |0> there is 0).
-    Z letters off the subset act on |0> and contribute +1."""
-    k = len(subset)
-    off = [q - 1 for q in range(1, obs.n + 1) if q not in subset]
-    cols = []
-    for _, pauli in obs.terms:
-        if any(pauli.letters[i] in "XY" for i in off):
-            cols.append(-1)
-        else:
-            local = PauliString("".join(pauli.letters[q - 1] for q in subset))
-            cols.append((local.x_mask << k) | local.z_mask)
+def _term_columns(obs: Observable, subsets: np.ndarray) -> np.ndarray:
+    """Table column of each term's letters on each subset, shape (subsets, terms).
+
+    A term with an X or Y letter off a subset gets column 4^K, the zero column
+    of the padded table: its expectation on |0> there is 0. Z letters off the
+    subset act on |0> and contribute +1, so only the subset's letters count.
+    Qubit q sits on bit n - q of a term's masks; subset position p becomes
+    local bit K - 1 - p, as in the K-letter string of the subset's letters.
+    """
+    k = subsets.shape[1]
+    shifts = obs.n - subsets  # (subsets, K): bit of each subset qubit
+    on_subset = np.bitwise_or.reduce(np.int64(1) << shifts, axis=1)
+    local_bits = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
+    cols = np.empty((len(subsets), len(obs.terms)), dtype=np.intp)
+    for t, (_, pauli) in enumerate(obs.terms):
+        x = ((np.int64(pauli.x_mask) >> shifts) & 1) @ local_bits
+        z = ((np.int64(pauli.z_mask) >> shifts) & 1) @ local_bits
+        off_xy = (np.int64(pauli.x_mask) & ~on_subset) != 0
+        cols[:, t] = np.where(off_xy, 4**k, (x << k) | z)
     return cols
 
 
-def _subset_energies(obs: Observable, table: np.ndarray, subsets) -> np.ndarray:
+def _subset_energies(obs: Observable, table: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Energies of every table row on every subset, shape (len(subsets), rows).
 
     Terms are added one at a time in canonical order with elementwise
     arithmetic, so one row comes out bit for bit the same whatever else is
     scored with it.
     """
-    # column -1 of the padded table is the zero column of off-subset X/Y terms
-    padded = np.hstack([table, np.zeros((table.shape[0], 1))])
-    cols = np.array([_term_columns(obs, s) for s in subsets], dtype=np.intp).reshape(
-        len(subsets), len(obs.terms))
+    # row c of padded is table column c; row 4^K is the zero column of off-subset X/Y terms
+    padded = np.vstack([table.T, np.zeros((1, table.shape[0]))])
+    cols = _term_columns(obs, subsets)
     energies = np.zeros((len(subsets), table.shape[0]))
     for t, (coeff, _) in enumerate(obs.terms):
-        energies += coeff * padded[:, cols[:, t]].T
+        energies += coeff * padded[cols[:, t]]
     return energies
 
 
@@ -138,15 +192,16 @@ def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
     """The energy a sweep gives the state of spec, from the same kernel."""
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but spec is on {spec.n}")
-    energies = _subset_energies(obs, _table(spec.k), [spec.subset])
+    energies = _subset_energies(obs, _table(spec.k), np.array([spec.subset], dtype=np.int64))
     return float(energies[0, spec.basis_index * 2**spec.k + spec.state_index])
 
 
 def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
     """Every K-qubit MUB state on every K-subset; K = n is the full sweep."""
-    specs = enumerate_partial_specs(obs.n, k)
-    subsets = list(dict.fromkeys(spec.subset for spec in specs))
-    # specs run subset, basis, state: the order of the flattened energy rows
+    _check_sweep_size(obs.n, k)
+    subsets = np.array(list(itertools.combinations(range(1, obs.n + 1), k)),
+                       dtype=np.int64)
+    # rows run basis, then state, so the flattened energies run subset, basis, state
     energies = _subset_energies(obs, _table(k), subsets).ravel()
     return LandscapeReport(
         observable_name=name,
@@ -154,8 +209,8 @@ def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
         n=obs.n,
         k=k,
         kind=kind,
-        records=tuple(LandscapeRecord(index=i, spec=spec, energy=float(energies[i]))
-                      for i, spec in enumerate(specs)),
+        subsets=subsets,
+        energies=energies,
     )
 
 
@@ -175,17 +230,22 @@ def run_partial_dqes(obs: Observable, k: int, name: str = "observable") -> Lands
 def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[BasisStats]:
     """Min/max/mean/variance of energies grouped by basis (optionally by subset too).
 
-    Variance is the population variance over the group.
+    Variance is the population variance over the group. Each group's energies
+    are summed in enumeration order with Python's sum, so the figures do not
+    depend on numpy's summation order.
     """
-    if not report.records:
+    if not len(report.energies):
         raise ValueError("report has no records")
-    groups: dict[tuple, list[float]] = {}
-    for rec in report.records:
-        key = (rec.spec.subset, rec.spec.basis_index) if per_subset else (None, rec.spec.basis_index)
-        groups.setdefault(key, []).append(rec.energy)
+    grid = report.energies.reshape(len(report.subsets), 2**report.k + 1, 2**report.k)
+    if per_subset:
+        groups = [(tuple(subset), b, grid[s, b])
+                  for b in range(grid.shape[1])
+                  for s, subset in enumerate(report.subsets.tolist())]
+    else:
+        groups = [(None, b, grid[:, b]) for b in range(grid.shape[1])]
     stats = []
-    for (subset, basis) in sorted(groups, key=lambda g: (g[1], g[0] or ())):
-        energies = groups[(subset, basis)]
+    for subset, basis, values in groups:
+        energies = values.ravel().tolist()
         count = len(energies)
         mean = sum(energies) / count
         var = sum((e - mean) ** 2 for e in energies) / count
@@ -203,9 +263,10 @@ def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[
 
 def rank_initial_states(report: LandscapeReport, k: int) -> list[LandscapeRecord]:
     """The k lowest-energy records, ties broken by enumeration order."""
-    if not 1 <= k <= len(report.records):
-        raise ValueError(f"k must be in [1, {len(report.records)}], got {k}")
-    return sorted(report.records, key=lambda r: r.energy)[:k]
+    if not 1 <= k <= len(report.energies):
+        raise ValueError(f"k must be in [1, {len(report.energies)}], got {k}")
+    order = np.argsort(report.energies, kind="stable")[:k]
+    return [report.record(int(i)) for i in order]
 
 
 # --- CSV export ----------------------------------------------------------------
@@ -216,11 +277,15 @@ def rank_initial_states(report: LandscapeReport, k: int) -> list[LandscapeRecord
 
 
 def landscape_csv_text(report: LandscapeReport) -> str:
+    tails = [f"{b},{s}," for b in range(2**report.k + 1) for s in range(2**report.k)]
+    energies = report.energies.tolist()
     lines = ["index,subset,basis,state,energy"]
-    for rec in report.records:
-        subset = "-".join(str(q) for q in rec.spec.subset)
-        lines.append(f"{rec.index},{subset},{rec.spec.basis_index},{rec.spec.state_index},"
-                     f"{rec.energy:.12g}")
+    index = 0
+    for subset in report.subsets.tolist():
+        head = "-".join(map(str, subset))
+        for tail in tails:
+            lines.append(f"{index},{head},{tail}{energies[index]:.12g}")
+            index += 1
     return "\n".join(lines) + "\n"
 
 
@@ -235,7 +300,7 @@ def export_csv(report: LandscapeReport, path, sidecar_fields: dict | None = None
         "n": report.n,
         "k": report.k,
         "kind": report.kind,
-        "record_count": len(report.records),
+        "record_count": len(report.energies),
     }
     if sidecar_fields:
         fields.update(sidecar_fields)

@@ -27,6 +27,9 @@ from .paulis import PauliString, _masks_commute, _pauli_action
 from .states import MAX_QUBITS, StateVector
 
 MAX_MUB_QUBITS = 3
+# Largest register a sweep takes. Sweeps never build a 2^n state vector; they
+# place a subset's qubits with int64 bit masks, qubit q on bit n - q.
+MAX_SWEEP_QUBITS = 62
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ class PartialMubSpec:
     state_index: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"register size must be in [1, {MAX_QUBITS}], got {self.n}")
+        if not 1 <= self.n <= MAX_SWEEP_QUBITS:
+            raise ValueError(f"register size must be in [1, {MAX_SWEEP_QUBITS}], got {self.n}")
         k = len(self.subset)
         if not 1 <= k <= MAX_MUB_QUBITS:
             raise ValueError(f"subset size must be in [1, {MAX_MUB_QUBITS}], got {k}")
@@ -264,15 +267,20 @@ def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:
     )
 
 
-def enumerate_partial_specs(n: int, k: int) -> list[PartialMubSpec]:
-    """Every K-qubit MUB state on every K-subset: C(n,K) * (2^K + 1) * 2^K specs,
-    ordered subset-lex, then basis, then state."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"register size must be in [1, {MAX_QUBITS}], got {n}")
+def _check_sweep_size(n: int, k: int) -> None:
+    """Raise ValueError unless a sweep of K-qubit states on n qubits is possible."""
+    if not 1 <= n <= MAX_SWEEP_QUBITS:
+        raise ValueError(f"register size must be in [1, {MAX_SWEEP_QUBITS}], got {n}")
     if not 1 <= k <= MAX_MUB_QUBITS:
         raise ValueError(f"subset size must be in [1, {MAX_MUB_QUBITS}], got {k}")
     if k > n:
         raise ValueError(f"subset size {k} exceeds register size {n}")
+
+
+def enumerate_partial_specs(n: int, k: int) -> list[PartialMubSpec]:
+    """Every K-qubit MUB state on every K-subset: C(n,K) * (2^K + 1) * 2^K specs,
+    ordered subset-lex, then basis, then state."""
+    _check_sweep_size(n, k)
     specs = []
     for subset in itertools.combinations(range(1, n + 1), k):
         for basis in range(2**k + 1):
@@ -290,6 +298,9 @@ def realize_partial_state(spec: PartialMubSpec) -> StateVector:
     MUB-state qubit k maps to register qubit spec.subset[k], so amplitudes
     scatter per the global bit convention.
     """
+    if spec.n > MAX_QUBITS:
+        raise ValueError(
+            f"state vectors are limited to {MAX_QUBITS} qubits, spec is on {spec.n}")
     small = build_full_mub_set(spec.k).state(spec.basis_index, spec.state_index).amps
     amps = np.zeros(2**spec.n, dtype=complex)
     k = spec.k

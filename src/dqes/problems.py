@@ -12,8 +12,9 @@ from itertools import combinations
 import numpy as np
 
 from .manifest import write_text_atomic
+from .mub import MAX_SWEEP_QUBITS
 from .paulis import Observable, observable_matrix
-from .states import MAX_QUBITS, StateVector
+from .states import StateVector
 
 # Two-qubit tapered molecular Hamiltonians at fixed geometry, coefficients in
 # Hartree. Keys are <molecule>_<separation in hundredths of an Angstrom>.
@@ -67,8 +68,8 @@ def single_qubit_xy() -> Observable:
 
 def transverse_field_ising(n: int, c_zz: float, c_x: float) -> Observable:
     """Open chain: c_zz * sum Z_i Z_{i+1} + c_x * sum X_i."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"chain length must be in [2, {MAX_QUBITS}], got {n}")
+    if not 2 <= n <= MAX_SWEEP_QUBITS:
+        raise ValueError(f"chain length must be in [2, {MAX_SWEEP_QUBITS}], got {n}")
     terms = []
     for i in range(n - 1):
         terms.append((c_zz, "I" * i + "ZZ" + "I" * (n - i - 2)))
@@ -158,9 +159,8 @@ def max_cut_brute_force(graph: GraphSpec) -> tuple[int, int]:
 def maxcut_hamiltonian(graph: GraphSpec) -> Observable:
     """sum over edges of Z_u Z_v; on a basis state this equals |E| - 2 * cut."""
     n = graph.node_count
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"graphs above {MAX_QUBITS} nodes are not supported for exact evaluation, got {n}")
+    if n > MAX_SWEEP_QUBITS:
+        raise ValueError(f"graphs above {MAX_SWEEP_QUBITS} nodes are not supported, got {n}")
     if not graph.edges:
         raise ValueError("graph has no edges, the Max-Cut observable would be empty")
     terms = []

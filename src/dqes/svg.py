@@ -16,10 +16,10 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 170, 45, 55
 
 
 def scatter_svg(report: LandscapeReport) -> str:
-    if not report.records:
+    energies = report.energies.tolist()
+    if not energies:
         raise ValueError("report has no records to plot")
-    count = len(report.records)
-    energies = [r.energy for r in report.records]
+    count = len(energies)
     lo, hi = min(energies), max(energies)
     if hi - lo < 1e-15:
         lo, hi = lo - 1.0, hi + 1.0
@@ -34,7 +34,8 @@ def scatter_svg(report: LandscapeReport) -> str:
     def sy(energy: float) -> float:
         return _TOP + plot_h * (hi - energy) / (hi - lo)
 
-    bases = sorted({r.spec.basis_index for r in report.records})
+    states = 2**report.k
+    bases = range(states + 1)  # every subset carries every basis
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -64,9 +65,9 @@ def scatter_svg(report: LandscapeReport) -> str:
     out.append(f'<text x="20" y="{_TOP + plot_h / 2:.2f}" font-family="sans-serif" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 20 {_TOP + plot_h / 2:.2f})">energy</text>')
     # points
-    for rec in report.records:
-        color = PALETTE[rec.spec.basis_index % len(PALETTE)]
-        out.append(f'<circle cx="{sx(rec.index):.2f}" cy="{sy(rec.energy):.2f}" r="3" '
+    for index, energy in enumerate(energies):
+        color = PALETTE[(index // states) % len(bases) % len(PALETTE)]
+        out.append(f'<circle cx="{sx(index):.2f}" cy="{sy(energy):.2f}" r="3" '
                    f'fill="{color}" fill-opacity="0.8"/>')
     # legend
     lx = _WIDTH - _RIGHT + 20

@@ -133,6 +133,45 @@ def test_vqe_k_sets_the_ranking_sweep_at_any_n(tmp_path, capsys):
     assert "subset size 3 exceeds register size 2" in capsys.readouterr().err
 
 
+def test_vqe_checks_k_whatever_the_starts(tmp_path, capsys):
+    out = tmp_path / "w"
+    assert run_cli("vqe", "--fixture", "H2_075", "--k", "3", "--init", "random-1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "--k 3" in err and "register size 2" in err
+    assert not out.exists()
+
+
+def test_landscape_prints_the_ties_at_the_minimum(tmp_path, capsys):
+    for fixture, ties in (("H2_075", 1), ("ising_fig8", 2)):
+        assert run_cli("landscape", "--fixture", fixture, "--full",
+                       "--out", str(tmp_path / "x.csv")) == 0
+        assert f"records within 1e-12 of the min: {ties}\n" in capsys.readouterr().out
+
+
+def test_landscape_sweeps_past_the_state_vector_cap(tmp_path, capsys):
+    ising = tmp_path / "ising20.json"
+    assert run_cli("problem", "gen", "ising", "--n", "20", "--czz", "0.61436456",
+                   "--cx", "0.32435029", "--out", str(ising)) == 0
+    out = tmp_path / "sweep.csv"
+    assert run_cli("landscape", "--observable", str(ising), "--k", "3", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert "records: 82080 (partial sweep, K=3)" in printed
+    assert len(out.read_text().splitlines()) == 82081
+
+
+def test_vqe_rejects_registers_above_the_state_vector_cap(tmp_path, capsys):
+    ising = tmp_path / "ising20.json"
+    assert run_cli("problem", "gen", "ising", "--n", "20", "--czz", "0.61436456",
+                   "--cx", "0.32435029", "--out", str(ising)) == 0
+    out = tmp_path / "v"
+    assert run_cli("vqe", "--observable", str(ising), "--init", "top-1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "register size must be in [1, 12], got 20" in err
+    assert not out.exists()
+
+
 def test_vqe_h2_top3(tmp_path, capsys):
     out = tmp_path / "vqe"
     assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-3",

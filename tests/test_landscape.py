@@ -7,6 +7,8 @@ import pytest
 
 from dqes.ansatz import AnsatzSpec, shift_mub_set
 from dqes.landscape import (
+    BasisStats,
+    LandscapeRecord,
     LandscapeReport,
     basis_statistics,
     export_csv,
@@ -18,7 +20,8 @@ from dqes.landscape import (
     stabilizer_table,
 )
 from dqes.manifest import file_sha256
-from dqes.mub import build_full_mub_set, realize_partial_state
+from dqes.mub import (PartialMubSpec, build_full_mub_set, enumerate_partial_specs,
+                      realize_partial_state)
 from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
@@ -29,6 +32,7 @@ from dqes.problems import (
     single_qubit_xy,
     transverse_field_ising,
 )
+from dqes.svg import scatter_svg
 
 H2_DIAGONAL = [-1.06658017, -1.82172107, -0.26673071, -1.06658017]
 
@@ -199,7 +203,8 @@ def test_basis_statistics_per_subset():
 
 def test_basis_statistics_requires_records():
     empty = LandscapeReport(observable_name="x", observable_hash="0", n=1, k=1,
-                            kind="full", records=())
+                            kind="full", subsets=np.empty((0, 1), dtype=np.int64),
+                            energies=np.empty(0))
     with pytest.raises(ValueError, match="no records"):
         basis_statistics(empty)
     with pytest.raises(ValueError):
@@ -260,3 +265,113 @@ def test_report_identity_fields():
     assert report.observable_name == "h2"
     assert report.observable_hash == observable_hash(obs)
     assert report.n == 2 and report.k == 2
+
+
+# --- columnar report against the per-spec path ---------------------------------
+#
+# The oracle is the record list a sweep built before reports became columnar:
+# every spec from enumerate_partial_specs, each scored alone by score_spec, and
+# every reader written over that list.
+
+
+def oracle_records(obs, k):
+    return [LandscapeRecord(index=i, spec=spec, energy=score_spec(obs, spec))
+            for i, spec in enumerate(enumerate_partial_specs(obs.n, k))]
+
+
+def oracle_statistics(records, per_subset):
+    groups = {}
+    for rec in records:
+        key = (rec.spec.subset if per_subset else None, rec.spec.basis_index)
+        groups.setdefault(key, []).append(rec.energy)
+    stats = []
+    for subset, basis in sorted(groups, key=lambda g: (g[1], g[0] or ())):
+        energies = groups[(subset, basis)]
+        mean = sum(energies) / len(energies)
+        var = sum((e - mean) ** 2 for e in energies) / len(energies)
+        stats.append(BasisStats(basis, subset, len(energies), min(energies), max(energies),
+                                mean, var))
+    return stats
+
+
+def oracle_csv(records):
+    lines = ["index,subset,basis,state,energy"]
+    for rec in records:
+        subset = "-".join(str(q) for q in rec.spec.subset)
+        lines.append(f"{rec.index},{subset},{rec.spec.basis_index},{rec.spec.state_index},"
+                     f"{rec.energy:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+COLUMNAR_CASES = {
+    "h2_full": (molecule_fixture("H2_075"), 2, "full"),
+    "ising_fig8_full": (transverse_field_ising(3, *ISING_STRONG_ZZ), 3, "full"),
+    "maxcut6_k2": (maxcut_hamiltonian(random_graph(6, 0.5, seed=7)), 2, "partial"),
+    "maxcut8_k3": (maxcut_hamiltonian(random_graph(8, 0.5, seed=42)), 3, "partial"),
+    "ising5_k1": (transverse_field_ising(5, 0.4, 0.7), 1, "partial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+def test_columnar_readers_match_the_per_spec_path(case):
+    obs, k, kind = COLUMNAR_CASES[case]
+    report = run_full_dqes(obs) if kind == "full" else run_partial_dqes(obs, k)
+    oracle = oracle_records(obs, k)
+    by_energy = sorted(oracle, key=lambda r: r.energy)
+    assert report.min_record() == min(oracle, key=lambda r: r.energy)
+    # the full ranking orders every tie by enumeration
+    for count in (1, 3, len(oracle)):
+        assert rank_initial_states(report, count) == by_energy[:count]
+    for per_subset in (False, True):
+        assert basis_statistics(report, per_subset) == oracle_statistics(oracle, per_subset)
+    assert landscape_csv_text(report) == oracle_csv(oracle)
+    lowest = by_energy[0].energy
+    assert report.min_ties() == sum(1 for r in oracle if r.energy - lowest <= 1e-12)
+    assert report.records == tuple(oracle)
+    assert report.records is report.records
+
+
+def test_rankings_keep_enumeration_order_on_ties():
+    # Max-Cut energies are integers, so most records tie with others
+    report = run_partial_dqes(maxcut_hamiltonian(random_graph(8, 0.5, seed=42)), 3)
+    top = rank_initial_states(report, 40)
+    for a, b in zip(top, top[1:]):
+        assert (a.energy, a.index) < (b.energy, b.index)
+    assert report.min_ties() > 1
+
+
+def test_sweep_readers_build_no_record_per_state(monkeypatch):
+    built = []
+    validate = PartialMubSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(PartialMubSpec, "__post_init__", counting)
+    report = run_partial_dqes(transverse_field_ising(10, *ISING_STRONG_ZZ), 3)
+    rank_initial_states(report, 3)
+    basis_statistics(report)
+    landscape_csv_text(report)
+    scatter_svg(report)
+    assert len(report.energies) == 8640
+    assert len(built) <= 3
+
+
+def test_report_checks_its_columns():
+    with pytest.raises(ValueError, match="2 subsets need 40 energies"):
+        LandscapeReport(observable_name="x", observable_hash="0", n=3, k=2, kind="partial",
+                        subsets=[(1, 2), (1, 3)], energies=np.zeros(39))
+    report = run_partial_dqes(transverse_field_ising(4, *ISING_WEAK_ZZ), 2)
+    assert report.subsets.shape == (6, 2)
+    assert not report.subsets.flags.writeable and not report.energies.flags.writeable
+
+
+def test_partial_sweeps_run_past_the_state_vector_cap():
+    obs = transverse_field_ising(20, *ISING_STRONG_ZZ)
+    report = run_partial_dqes(obs, 3)
+    assert len(report.energies) == 1140 * 72
+    best = report.min_record()
+    assert score_spec(obs, best.spec) == best.energy
+    with pytest.raises(ValueError, match="limited to 12 qubits"):
+        realize_partial_state(best.spec)

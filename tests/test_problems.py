@@ -180,8 +180,8 @@ def test_maxcut_hamiltonian_identity():
 def test_maxcut_hamiltonian_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="no edges"):
         maxcut_hamiltonian(GraphSpec(node_count=3, edges=()))
-    big = GraphSpec(node_count=13, edges=((0, 1),))
-    with pytest.raises(ValueError):
+    big = GraphSpec(node_count=63, edges=((0, 1),))
+    with pytest.raises(ValueError, match="above 62 nodes"):
         maxcut_hamiltonian(big)
 
 
