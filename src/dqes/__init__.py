@@ -5,8 +5,7 @@ landscape states.
 """
 
 from ._version import __version__
-from .ansatz import (AnsatzSpec, build_ansatz, compile_ansatz, prepare_state, shift_mub_set,
-                     shift_state)
+from .ansatz import AnsatzSpec, build_ansatz, compile_ansatz, prepare_state, shift_mub_set
 from .landscape import (BasisStats, LandscapeRecord, LandscapeReport, basis_statistics,
                         export_csv, landscape_csv_text, rank_initial_states, run_full_dqes,
                         run_partial_dqes)
@@ -22,10 +21,8 @@ from .problems import (ExactSpectrumResult, GraphSpec, cut_value, exact_spectrum
                        max_cut_brute_force, maxcut_hamiltonian, molecule_fixture,
                        random_graph, single_qubit_xy, transverse_field_ising)
 from .states import (Gate, StateVector, apply_gate, basis_state, bloch_coordinates,
-                     inner_product, random_state, states_equal, tensor_product,
-                     zero_state)
-from .vqe import (FitResult, ParameterFitInit, RandomStateInit, RawParamsInit,
-                  ShiftedMubInit, VqeResult, fit_parameters_to_state, run_vqe,
-                  vqe_cost)
+                     inner_product, random_state, states_equal, zero_state)
+from .vqe import (FitResult, ParameterFitInit, RandomStateInit, ShiftedMubInit, VqeResult,
+                  fit_parameters_to_state, run_vqe, vqe_cost)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

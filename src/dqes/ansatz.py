@@ -132,11 +132,6 @@ def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector
     return StateVector(spec.n, compile_ansatz(spec)(vec, initial.amps))
 
 
-def shift_state(state: StateVector, spec: AnsatzSpec, theta0) -> StateVector:
-    """The ansatz-shifted state U(theta0)|psi>; at theta0 = 0 this is |psi> itself."""
-    return prepare_state(spec, theta0, state)
-
-
 def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     """Shift every state of every basis; unitarity keeps the set mutually unbiased."""
     if mubs.n != spec.n:

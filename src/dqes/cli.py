@@ -320,27 +320,30 @@ def cmd_problem(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    k_choices = tuple(range(1, MAX_MUB_QUBITS + 1))
     parser = argparse.ArgumentParser(
         prog="dqes",
         description="Exhaustive MUB-state cost sweeps and landscape-initialized VQE.")
     parser.add_argument("--version", action="version", version=f"dqes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mub = sub.add_parser("mub", help="certify or export the full MUB sets (n <= 3)")
+    mub = sub.add_parser("mub",
+                         help=f"certify or export the full MUB sets (n <= {MAX_MUB_QUBITS})")
     mub_sub = mub.add_subparsers(dest="action", required=True)
     verify = mub_sub.add_parser("verify", help="check orthonormality and unbiasedness")
-    verify.add_argument("n", type=int, choices=(1, 2, 3))
+    verify.add_argument("n", type=int, choices=k_choices)
     verify.add_argument("--tol", type=float, default=1e-10)
     export = mub_sub.add_parser("export", help="write the bases as JSON amplitude pairs")
-    export.add_argument("n", type=int, choices=(1, 2, 3))
+    export.add_argument("n", type=int, choices=k_choices)
     export.add_argument("--out", default=None)
     mub.set_defaults(func=cmd_mub)
 
     landscape = sub.add_parser("landscape", help="sweep every discretized state, write CSV")
     _add_observable_args(landscape)
     mode = landscape.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--full", action="store_true", help="complete MUB sweep (n <= 3)")
-    mode.add_argument("--k", type=int, choices=(1, 2, 3), default=None,
+    mode.add_argument("--full", action="store_true",
+                      help=f"complete MUB sweep (n <= {MAX_MUB_QUBITS})")
+    mode.add_argument("--k", type=int, choices=k_choices, default=None,
                       help="partial sweep with K-qubit MUB states")
     landscape.add_argument("--out", default=None, help="records CSV path")
     landscape.add_argument("--plot", default=None, help="also write an SVG scatter here")
@@ -352,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observable_args(vqe)
     vqe.add_argument("--init", required=True,
                      help="comma list of top-K, random-K, spec:BASIS:STATE[@q1-q2-...]")
-    vqe.add_argument("--k", type=int, choices=(1, 2, 3), default=None,
-                     help="K of the partial sweep that ranks the top starts (default min(n, 3))")
+    vqe.add_argument("--k", type=int, choices=k_choices, default=None,
+                     help="K of the partial sweep that ranks the top starts "
+                          f"(default min(n, {MAX_MUB_QUBITS}))")
     vqe.add_argument("--layers", type=int, default=1)
     vqe.add_argument("--axes", choices=("Y", "YZ"), default=None,
                      help="rotation axes (default Y; YZ for single-qubit registers)")

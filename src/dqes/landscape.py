@@ -1,13 +1,13 @@
 """
 Exhaustive cost evaluation over discretized state sets.
 
-A full sweep scores every state of the complete MUB set (n <= 3). A partial
-sweep scores every K-qubit MUB state tensored with |0> on the remaining
-qubits, over all K-subsets, which scales to larger registers; the full sweep
-is its K = n case. Both read Pauli expectations from a per-K stabilizer table
-instead of building 2^n state vectors. Records are produced in a fixed
-enumeration order (subset lex, then basis, then state), so reports and their
-CSV exports are deterministic.
+A full sweep scores every state of the complete MUB set (n <= MAX_MUB_QUBITS).
+A partial sweep scores every K-qubit MUB state tensored with |0> on the
+remaining qubits, over all K-subsets, which scales to larger registers; the
+full sweep is its K = n case. Both read Pauli expectations from a per-K
+stabilizer table instead of building 2^n state vectors. Records are produced
+in a fixed enumeration order (subset lex, then basis, then state), so reports
+and their CSV exports are deterministic.
 
 A report stores a sweep as columns: the K-subsets as one int array and the
 energies as one float64 array in enumeration order. Readers work on the
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mub import MubSet, PartialMubSpec, _check_sweep_size, build_full_mub_set
+from .mub import MAX_MUB_QUBITS, MubSet, PartialMubSpec, _check_sweep_size, build_full_mub_set
 from .paulis import Observable, PauliString, observable_hash, observable_matrix
 
 
@@ -216,9 +216,9 @@ def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
 
 def run_full_dqes(obs: Observable, *, name: str = "observable") -> LandscapeReport:
     """Score all (2^n + 1) * 2^n states of the complete MUB set."""
-    if obs.n > 3:
-        raise ValueError(
-            f"full sweeps need a complete MUB set (n <= 3), got n={obs.n}; use a partial sweep")
+    if obs.n > MAX_MUB_QUBITS:
+        raise ValueError(f"full sweeps need a complete MUB set (n <= {MAX_MUB_QUBITS}), "
+                         f"got n={obs.n}; use a partial sweep")
     return _sweep(obs, obs.n, "full", name)
 
 

@@ -4,11 +4,16 @@ Mutually unbiased bases for 1 to 3 qubits, and partial-tensor extensions.
 Construction: the 4^n - 1 non-identity Pauli strings split into 2^n + 1
 classes of 2^n - 1 mutually commuting strings; the joint eigenbasis of each
 class is one basis, and eigenbases of disjoint commuting classes are mutually
-unbiased. The partition is found by a deterministic backtracking search over
-totally isotropic subspaces of GF(2)^2n, seeded with the pure-Z and pure-X
-classes so that basis 0 is always the computational basis and basis 1 the
-transversal-Hadamard basis. Remaining classes are ordered by their
-lexicographically smallest member (I < X < Y < Z, plain string order).
+unbiased. The classes come from the Galois-field construction (Wootters &
+Fields 1989; Bandyopadhyay et al., quant-ph/0103162): with Paulis written as
+(x, z) bit masks, class 0 is pure Z {(0, z)}, class 1 pure X {(x, 0)}, and the
+rest are {(x, C^i x)} for i = 1 .. 2^n - 1, where C is a symmetric GF(2)
+matrix whose powers and 0 form GF(2^n). One generator C per n, in
+_FIELD_GENERATORS, fixes the partition, and that table alone decides which n
+have a full set. Basis 0 is therefore the computational basis and basis 1 the
+transversal-Hadamard basis. Each class is sorted by letter string, and
+classes 2 and up are ordered by their lexicographically smallest member
+(I < X < Y < Z, plain string order).
 
 State order inside a basis: the class generators are its greedy
 lexicographically-first independent subset, reversed so the lex-largest
@@ -23,10 +28,14 @@ from math import comb
 
 import numpy as np
 
-from .paulis import PauliString, _masks_commute, _pauli_action
+from .paulis import PauliString, _pauli_action
 from .states import MAX_QUBITS, StateVector
 
-MAX_MUB_QUBITS = 3
+# Row masks of one symmetric GF(2) matrix C per K, row r on bit K - 1 - r like
+# qubit r + 1. {0} and the powers of C form GF(2^K) as symmetric matrices, and
+# a K appears here exactly when its full MUB set can be built.
+_FIELD_GENERATORS = {1: (0b1,), 2: (0b11, 0b10), 3: (0b111, 0b110, 0b100)}
+MAX_MUB_QUBITS = max(_FIELD_GENERATORS)
 # Largest register a sweep takes. Sweeps never build a 2^n state vector; they
 # place a subset's qubits with int64 bit masks, qubit q on bit n - q.
 MAX_SWEEP_QUBITS = 62
@@ -96,11 +105,8 @@ class PartialMubSpec:
     state_index: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_SWEEP_QUBITS:
-            raise ValueError(f"register size must be in [1, {MAX_SWEEP_QUBITS}], got {self.n}")
         k = len(self.subset)
-        if not 1 <= k <= MAX_MUB_QUBITS:
-            raise ValueError(f"subset size must be in [1, {MAX_MUB_QUBITS}], got {k}")
+        _check_sweep_size(self.n, k)
         if list(self.subset) != sorted(set(self.subset)):
             raise ValueError(f"subset must be strictly increasing, got {self.subset}")
         if self.subset[0] < 1 or self.subset[-1] > self.n:
@@ -122,68 +128,30 @@ class PartialMubSpec:
 # --- Pauli-class partition ---------------------------------------------------
 
 
-def _span(gens: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    out = {(0, 0)}
-    for g in gens:
-        out |= {(a[0] ^ g[0], a[1] ^ g[1]) for a in out}
-    return out
-
-
 def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Partition the non-identity Paulis into 2^n + 1 commuting classes.
 
-    Returns mask pairs sorted lexicographically (by letter string) inside each
-    class; classes[0] is pure Z, classes[1] pure X, the rest found lex-minimal.
+    Returns (x_mask, z_mask) pairs sorted by letter string inside each class:
+    classes[0] is pure Z, classes[1] pure X, and the rest are {(x, C^i x)} for
+    i = 1 .. 2^n - 1, ordered by their smallest member.
     """
-    strings = sorted("".join(t) for t in itertools.product("IXYZ", repeat=n))
-    strings.remove("I" * n)
-    masks = [(PauliString(s).x_mask, PauliString(s).z_mask) for s in strings]
-    order = {m: i for i, m in enumerate(masks)}
+    rows = _FIELD_GENERATORS[n]
+    xs = range(1, 2**n)
 
-    def by_order(cls):
-        return tuple(sorted(cls, key=order.get))
+    def letters(mask_pair):
+        return PauliString.from_masks(n, *mask_pair).letters
 
-    z_class = by_order(m for m in masks if m[0] == 0)
-    x_class = by_order(m for m in masks if m[1] == 0)
-    classes: list[tuple[tuple[int, int], ...]] = [z_class, x_class]
-    uncovered = set(masks) - set(z_class) - set(x_class)
+    def times_c(v):
+        return sum(((row & v).bit_count() & 1) << (n - 1 - r) for r, row in enumerate(rows))
 
-    def candidates(p):
-        # n-dim commuting subspaces through p with every nonzero element uncovered;
-        # pairwise-commuting generators span a commuting set (the form is bilinear)
-        found = set()
-
-        def extend(gens, span):
-            if len(gens) == n:
-                found.add(by_order(e for e in span if e != (0, 0)))
-                return
-            for q in sorted(uncovered, key=order.get):
-                if q in span or not all(_masks_commute(q, g) for g in gens):
-                    continue
-                grown = span | {(a[0] ^ q[0], a[1] ^ q[1]) for a in span}
-                if all(e == (0, 0) or e in uncovered for e in grown):
-                    extend(gens + [q], grown)
-
-        extend([p], _span([p]))
-        return sorted(found, key=lambda cls: [order[e] for e in cls])
-
-    def cover() -> bool:
-        if not uncovered:
-            return True
-        p = min(uncovered, key=order.get)
-        for cls in candidates(p):
-            classes.append(cls)
-            uncovered.difference_update(cls)
-            if cover():
-                return True
-            uncovered.update(cls)
-            classes.pop()
-        return False
-
-    if not cover():
-        raise RuntimeError(f"no commuting-class partition found for n={n}")
-    ordered = classes[:2] + sorted(classes[2:], key=lambda cls: min(order[e] for e in cls))
-    return ordered
+    field = []
+    images = list(xs)
+    for _ in range(2**n - 1):
+        images = [times_c(z) for z in images]
+        field.append(tuple(sorted(zip(xs, images), key=letters)))
+    z_class = tuple(sorted(((0, z) for z in xs), key=letters))
+    x_class = tuple(sorted(((x, 0) for x in xs), key=letters))
+    return [z_class, x_class] + sorted(field, key=lambda cls: letters(cls[0]))
 
 
 def _class_generators(cls, n: int) -> list[tuple[int, int]]:
@@ -228,8 +196,8 @@ _CACHE: dict[int, MubSet] = {}
 
 
 def build_full_mub_set(n: int) -> MubSet:
-    """All 2^n + 1 mutually unbiased bases for n in {1, 2, 3}."""
-    if n not in (1, 2, 3):
+    """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS."""
+    if n not in _FIELD_GENERATORS:
         raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
     if n not in _CACHE:
         bases = []

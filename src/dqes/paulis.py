@@ -65,7 +65,8 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError(f"string lengths differ: {self.n} vs {other.n}")
-        return _masks_commute((self.x_mask, self.z_mask), (other.x_mask, other.z_mask))
+        anti = (self.x_mask & other.z_mask).bit_count() + (other.x_mask & self.z_mask).bit_count()
+        return anti % 2 == 0
 
     @staticmethod
     def from_masks(n: int, x_mask: int, z_mask: int) -> "PauliString":
@@ -75,11 +76,6 @@ class PauliString:
             xa, za = bool(x_mask & bit), bool(z_mask & bit)
             out.append("Y" if xa and za else "X" if xa else "Z" if za else "I")
         return PauliString("".join(out))
-
-
-def _masks_commute(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """Whether the Paulis with (x_mask, z_mask) pairs p and q commute."""
-    return (bin(p[0] & q[1]).count("1") + bin(q[0] & p[1]).count("1")) % 2 == 0
 
 
 def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +122,6 @@ class Observable:
     def from_strings(n: int, pairs) -> "Observable":
         """Build from (coeff, letters) pairs."""
         return Observable(n, tuple((c, PauliString(s)) for c, s in pairs))
-
-    def norm_bound(self) -> float:
-        """sum |coeff|, an upper bound on the spectral norm."""
-        return float(sum(abs(c) for c, _ in self.terms))
 
 
 def compile_observable(obs: Observable):

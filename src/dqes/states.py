@@ -86,20 +86,7 @@ class Gate:
 
 # Fixed 2x2 matrices; rotation angles follow the exp(-i theta A / 2) convention.
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-
-
-def hadamard(target: int) -> Gate:
-    return Gate(target=target, matrix=_H)
-
-
-def pauli_x_gate(target: int) -> Gate:
-    return Gate(target=target, matrix=_X)
-
-
-def s_dagger(target: int) -> Gate:
-    return Gate(target=target, matrix=_SDG)
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -187,13 +174,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Combined register with a's qubits first (more significant)."""
-    if a.n + b.n > MAX_QUBITS:
-        raise ValueError(f"combined register of {a.n + b.n} qubits exceeds the cap of {MAX_QUBITS}")
-    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
 
 
 def bloch_coordinates(state: StateVector) -> tuple[float, float, float]:

@@ -10,7 +10,6 @@ Initialization strategies:
 - ParameterFitInit: solve for parameters that prepare the MUB state from
   |0...0> and start there; falls back to ShiftedMubInit semantics when the
   state is outside the ansatz family (recorded on the result).
-- RawParamsInit: start from explicit parameters on |0...0>.
 - RandomStateInit: a seeded Haar-random input state, optimizer at zero.
 """
 
@@ -46,14 +45,6 @@ class ParameterFitInit:
 
 
 @dataclass(frozen=True)
-class RawParamsInit:
-    params: tuple[float, ...]
-
-    def label(self) -> str:
-        return "params"
-
-
-@dataclass(frozen=True)
 class RandomStateInit:
     seed: int
 
@@ -61,7 +52,7 @@ class RandomStateInit:
         return f"random{self.seed}"
 
 
-InitStrategy = ShiftedMubInit | ParameterFitInit | RawParamsInit | RandomStateInit
+InitStrategy = ShiftedMubInit | ParameterFitInit | RandomStateInit
 
 
 @dataclass(frozen=True)
@@ -172,8 +163,6 @@ def _resolve_init(init: InitStrategy, spec: AnsatzSpec):
             return zero_state(spec.n), np.asarray(fit.params, dtype=float), False
         # outside the ansatz family: fall back to the shifted form
         return target, zeros, True
-    if isinstance(init, RawParamsInit):
-        return zero_state(spec.n), np.asarray(init.params, dtype=float), False
     if isinstance(init, RandomStateInit):
         return random_state(spec.n, init.seed), zeros, False
     raise TypeError(f"unknown initialization strategy {type(init).__name__}")

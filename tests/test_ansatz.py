@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dqes.ansatz import AnsatzSpec, as_parameter_vector, build_ansatz, prepare_state, shift_mub_set, shift_state
+from dqes.ansatz import AnsatzSpec, as_parameter_vector, build_ansatz, prepare_state, shift_mub_set
 from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.states import basis_state, bloch_coordinates, random_state, zero_state
 
@@ -96,9 +96,9 @@ def test_prepare_state_checks_register_size():
 def test_shift_preserves_norm_and_zero_shift_is_identity():
     spec = AnsatzSpec(n=2, rotation_axes=("Y", "Z"))
     psi = random_state(2, seed=5)
-    assert np.array_equal(shift_state(psi, spec, np.zeros(8)).amps, psi.amps)
+    assert np.array_equal(prepare_state(spec, np.zeros(8), psi).amps, psi.amps)
     rng = np.random.default_rng(3)
-    shifted = shift_state(psi, spec, rng.uniform(-1, 1, 8))
+    shifted = prepare_state(spec, rng.uniform(-1, 1, 8), psi)
     assert abs(np.sum(np.abs(shifted.amps) ** 2) - 1.0) < 1e-12
 
 

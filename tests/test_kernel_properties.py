@@ -10,8 +10,12 @@ from dqes.paulis import (Observable, compile_observable, decode_observable, enco
                          expectation_sampled, load_observable, observable_matrix, pauli_apply,
                          save_observable)
 from dqes.problems import GraphSpec, decode_graph, encode_graph, load_graph, save_graph
-from dqes.states import StateVector, apply_gate, hadamard, random_state, s_dagger
+from dqes.states import Gate, StateVector, apply_gate, random_state
 from dqes.vqe import vqe_cost
+
+# Basis-change matrices of the sampled-expectation reference, as in dqes.states.
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 
@@ -87,9 +91,10 @@ def reference_sampled(obs, state, shots, seed):
         rotated = state
         for q, letter in enumerate(pauli.letters, start=1):
             if letter == "X":
-                rotated = apply_gate(rotated, hadamard(q))
+                rotated = apply_gate(rotated, Gate(target=q, matrix=H))
             elif letter == "Y":
-                rotated = apply_gate(apply_gate(rotated, s_dagger(q)), hadamard(q))
+                rotated = apply_gate(apply_gate(rotated, Gate(target=q, matrix=SDG)),
+                                     Gate(target=q, matrix=H))
         probs = np.abs(rotated.amps) ** 2
         outcomes = rng.choice(state.dim, size=shots, p=probs / probs.sum())
         parity = np.bitwise_count(outcomes & (pauli.x_mask | pauli.z_mask)).astype(np.int64) & 1

@@ -1,5 +1,6 @@
 """MUB construction, certification, and partial-state realization."""
 
+import hashlib
 import itertools
 import json
 
@@ -229,3 +230,39 @@ def test_zero_state_is_every_basis_zero_member():
     for n in (1, 2, 3):
         mubs = build_full_mub_set(n)
         assert states_equal(mubs.state(0, 0), zero_state(n))
+
+
+# Frozen oracle for the field construction: the full class letter lists and the
+# sha256 of the JSON export of every supported K, pinned from the backtracking
+# class search that the construction replaced.
+FROZEN_CLASSES = {
+    1: [["Z"], ["X"], ["Y"]],
+    2: [["IZ", "ZI", "ZZ"], ["IX", "XI", "XX"], ["IY", "YI", "YY"],
+        ["XY", "YZ", "ZX"], ["XZ", "YX", "ZY"]],
+    3: [["IIZ", "IZI", "IZZ", "ZII", "ZIZ", "ZZI", "ZZZ"],
+        ["IIX", "IXI", "IXX", "XII", "XIX", "XXI", "XXX"],
+        ["IIY", "IYI", "IYY", "YII", "YIY", "YYI", "YYY"],
+        ["IXY", "XYX", "XZZ", "YYZ", "YZX", "ZIY", "ZXI"],
+        ["IXZ", "XYY", "XZX", "YIZ", "YXI", "ZYX", "ZZY"],
+        ["IYX", "XXZ", "XZY", "YXY", "YZZ", "ZIX", "ZYI"],
+        ["IYZ", "XIZ", "XYI", "YXX", "YZY", "ZXY", "ZZX"],
+        ["IZX", "XXY", "XYZ", "YIX", "YZI", "ZXZ", "ZYY"],
+        ["IZY", "XIY", "XZI", "YXZ", "YYX", "ZXX", "ZYZ"]],
+}
+FROZEN_EXPORT_SHA256 = {
+    1: "27c913bfffd5fb15d570f6a15ce4349111f28b7c32b07f47a69183097f4d52d2",
+    2: "6fa19eb58b99f23a295680752c30ea789065ffd4ff3ae3d058c87b24d73bd634",
+    3: "1905efa83604f283a7b78a174dc84fbd22c297f0e950b955667024cb9ab2dfca",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_frozen_classes(k):
+    mubs = build_full_mub_set(k)
+    assert [[p.letters for p in cls] for cls in mubs.classes] == FROZEN_CLASSES[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_frozen_export_bytes(k):
+    text = encode_mub_set(build_full_mub_set(k))
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_EXPORT_SHA256[k]

@@ -87,11 +87,6 @@ def test_observable_validation():
         Observable.from_strings(2, [(1.0, "X")])
 
 
-def test_norm_bound():
-    obs = Observable.from_strings(1, [(0.5, "X"), (-2.0, "Z")])
-    assert abs(obs.norm_bound() - 2.5) < 1e-15
-
-
 def test_expectation_on_eigenstates():
     z = Observable.from_strings(1, [(1.0, "Z")])
     x = Observable.from_strings(1, [(1.0, "X")])

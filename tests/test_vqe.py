@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dqes.ansatz import AnsatzSpec, shift_state
+from dqes.ansatz import AnsatzSpec, prepare_state
 from dqes.landscape import run_full_dqes
 from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig
@@ -13,7 +13,6 @@ from dqes.states import StateVector, inner_product, random_state, zero_state
 from dqes.vqe import (
     ParameterFitInit,
     RandomStateInit,
-    RawParamsInit,
     ShiftedMubInit,
     fit_parameters_to_state,
     run_vqe,
@@ -76,7 +75,7 @@ def test_shifted_init_with_explicit_theta0():
     spec = full_spec(1, 1)
     result = run_vqe(H2, H2_SPEC, ShiftedMubInit(spec=spec, theta0=theta0))
     state = realize_partial_state(spec)
-    shifted = shift_state(state, H2_SPEC, np.array(theta0))
+    shifted = prepare_state(H2_SPEC, np.array(theta0), state)
     assert abs(result.initial_energy - expectation_exact(H2, shifted)) < 1e-12
     assert result.trace.entries[0].params == theta0
 
@@ -134,15 +133,6 @@ def test_fit_validation():
         fit_parameters_to_state(spec, zero_state(1))
     with pytest.raises(ValueError, match="at least one start"):
         fit_parameters_to_state(spec, zero_state(2), starts=0)
-
-
-def test_raw_params_init():
-    params = (0.5, 0.25, -0.75, 0.0)
-    result = run_vqe(H2, H2_SPEC, RawParamsInit(params=params))
-    assert result.label == "params"
-    assert result.trace.entries[0].params == params
-    cost = vqe_cost(H2, H2_SPEC, zero_state(2))
-    assert result.initial_energy == cost(np.array(params))
 
 
 def test_random_state_init_is_seeded():
