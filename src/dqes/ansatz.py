@@ -15,9 +15,10 @@ layers + 1 rotation layers in total.
 
 build_ansatz and apply_gate are the reference: one validated Gate and one
 validated StateVector per step. compile_ansatz is the kernel every caller
-runs: each CX chain (and the whole V(0)^dagger prefix) becomes one gather
-index, and each rotation is the same 2x2 product on raw amplitudes, so its
-output equals the reference bit for bit.
+runs, on a stack of parameter vectors at once: each CX chain (and the whole
+V(0)^dagger prefix) becomes one gather index, and each rotation is the same
+2x2 product on raw amplitudes, stacked over the rows, so every row equals the
+reference bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import MubSet
-from .states import (MAX_QUBITS, Gate, StateVector, _cnot_source, _rotate, _ry_matrix,
-                     _rz_matrix, cnot, ry, rz)
+from .states import MAX_QUBITS, Gate, StateVector, _cnot_source, _rotate, cnot, ry, rz
 
 _ALLOWED_AXES = (("Y",), ("Y", "Z"))
 
@@ -63,9 +63,18 @@ def as_parameter_vector(spec: AnsatzSpec, params) -> np.ndarray:
     if vec.shape != (spec.parameter_count,):
         raise ValueError(
             f"ansatz takes {spec.parameter_count} parameters, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    return as_parameter_rows(spec, vec[None])[0]
+
+
+def as_parameter_rows(spec: AnsatzSpec, params) -> np.ndarray:
+    """A (B, P) stack of parameter vectors, each row checked as as_parameter_vector does."""
+    rows = np.asarray(params, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != spec.parameter_count:
+        raise ValueError(
+            f"ansatz takes rows of {spec.parameter_count} parameters, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
         raise ValueError("parameters must be finite")
-    return vec
+    return rows
 
 
 def build_ansatz(spec: AnsatzSpec, params) -> tuple[Gate, ...]:
@@ -97,28 +106,42 @@ def _cx_chain_source(n: int, controls) -> np.ndarray:
 
 
 def compile_ansatz(spec: AnsatzSpec):
-    """Function (theta, amps) -> U(theta) amps on raw amplitude arrays.
+    """Function (thetas, amps) -> the (B, 2^n) stack whose row i is U(thetas[i]) amps.
 
-    theta must already be a parameter vector of the spec and amps a 2^n array;
-    neither is checked. The result equals build_ansatz plus apply_gate bit for
-    bit: gathers only move amplitudes, and each rotation is the product
-    apply_gate forms.
+    thetas must be a (B, P) stack of parameter vectors of the spec and amps one
+    2^n array; neither is checked. Every row equals build_ansatz plus
+    apply_gate bit for bit: gathers only move amplitudes, the B * P rotation
+    matrices hold the values _ry_matrix and _rz_matrix give, and each rotation
+    is the product apply_gate forms, stacked over the rows.
     """
     n, layers = spec.n, spec.layers
     prefix = _cx_chain_source(n, [q for _ in range(layers) for q in range(n - 1, 0, -1)])
     chain = _cx_chain_source(n, range(1, n))
-    matrices = [_ry_matrix if axis == "Y" else _rz_matrix for axis in spec.rotation_axes]
+    axes = len(spec.rotation_axes)
 
-    def circuit(theta: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        psi = amps[prefix]
+    def circuit(thetas: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        # matrices[k] is the (B, 2, 2) stack of parameter k's rotations
+        matrices = np.zeros((spec.parameter_count, len(thetas), 2, 2), dtype=complex)
+        for offset, axis in enumerate(spec.rotation_axes):
+            block, angles = matrices[offset::axes], thetas.T[offset::axes]
+            if axis == "Y":
+                c, s = np.cos(angles / 2), np.sin(angles / 2)
+                block[..., 0, 0] = block[..., 1, 1] = c
+                block[..., 0, 1] = -s
+                block[..., 1, 0] = s
+            else:
+                block[..., 0, 0] = np.exp(-1j * angles / 2)
+                block[..., 1, 1] = np.exp(1j * angles / 2)
+        # one input row; the first rotation broadcasts it against the B matrices
+        psi = amps[prefix][None]
         k = 0
         for layer in range(layers + 1):
             for q in range(1, n + 1):
-                for matrix in matrices:
-                    psi = _rotate(psi, n, q, matrix(theta[k]))
+                for _ in range(axes):
+                    psi = _rotate(psi, n, q, matrices[k])
                     k += 1
             if layer < layers:
-                psi = psi[chain]
+                psi = psi[:, chain]
         return psi
 
     return circuit
@@ -129,7 +152,7 @@ def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector
     if initial.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
     vec = as_parameter_vector(spec, params)
-    return StateVector(spec.n, compile_ansatz(spec)(vec, initial.amps))
+    return StateVector(spec.n, compile_ansatz(spec)(vec[None], initial.amps)[0])
 
 
 def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
@@ -140,6 +163,7 @@ def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     vec = as_parameter_vector(spec, theta0)
     shifted = []
     for basis in mubs.bases:
-        cols = [circuit(vec, StateVector(mubs.n, basis[:, j]).amps) for j in range(2**mubs.n)]
+        cols = [circuit(vec[None], StateVector(mubs.n, basis[:, j]).amps)[0]
+                for j in range(2**mubs.n)]
         shifted.append(np.column_stack(cols))
     return MubSet(n=mubs.n, bases=tuple(shifted))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import problems
 from ._version import __version__
-from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz
+from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
                         run_full_dqes, run_partial_dqes)
 from .manifest import RunManifest, file_sha256, sidecar_path, write_sidecar, write_text_atomic
@@ -201,10 +201,11 @@ def _trace_csv(result: VqeResult) -> str:
 def _bloch_csv(result: VqeResult) -> str:
     # single-qubit runs only: Bloch vector of the state at each evaluation
     spec = result.ansatz
-    circuit = compile_ansatz(spec)
+    entries = result.trace.entries
+    thetas = as_parameter_rows(spec, [entry.params for entry in entries])
+    states = compile_ansatz(spec)(thetas, result.initial_state.amps)
     lines = ["eval,x,y,z"]
-    for entry in result.trace.entries:
-        amps = circuit(as_parameter_vector(spec, entry.params), result.initial_state.amps)
+    for entry, amps in zip(entries, states):
         x, y, z = bloch_coordinates(StateVector(spec.n, amps))
         lines.append(f"{entry.index},{x:.12g},{y:.12g},{z:.12g}")
     return "\n".join(lines) + "\n"

@@ -125,32 +125,39 @@ class Observable:
 
 
 def compile_observable(obs: Observable):
-    """Function amps -> <psi|H|psi> on a raw 2^n amplitude array (not checked).
+    """Function rows -> <psi|H|psi> of each row of a (B, 2^n) amplitude stack.
 
-    Each term's (src, phase) is built once; the terms are added one at a time
-    in canonical order, each as coeff * <psi|P psi>, as pauli_apply would give
-    them. Raises ValueError when the sum has an imaginary residue above 1e-10.
+    The rows are not checked. Each term's (src, phase) is built once and each
+    term's phase * rows[:, src] is gathered once per call; every row then adds
+    the terms one at a time in canonical order, each as coeff * <psi|P psi>,
+    as pauli_apply would give them. Every row handed to np.vdot is unit-stride:
+    BLAS sums a strided vector in another order, which moves the last bits.
+    Raises ValueError when a row's sum has an imaginary residue above 1e-10.
     """
     dim = 2**obs.n
     terms = [(coeff, *_pauli_action(dim, pauli.x_mask, pauli.z_mask))
              for coeff, pauli in obs.terms]
 
-    def expectation(amps: np.ndarray) -> float:
-        total = 0.0 + 0.0j
+    def energies(rows: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(rows)
+        totals = [0.0 + 0.0j] * len(rows)
         for coeff, src, phase in terms:
-            total += coeff * np.vdot(amps, phase * amps[src])
-        if abs(total.imag) > 1e-10:
-            raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-        return float(total.real)
+            moved = phase * np.take(rows, src, axis=1)
+            for i, (row, moved_row) in enumerate(zip(rows, moved)):
+                totals[i] += coeff * np.vdot(row, moved_row)
+        for total in totals:
+            if abs(total.imag) > 1e-10:
+                raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
+        return np.array([total.real for total in totals])
 
-    return expectation
+    return energies
 
 
 def expectation_exact(obs: Observable, state: StateVector) -> float:
     """<psi|H|psi> by direct Pauli application, exact up to float arithmetic."""
     if obs.n != state.n:
         raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
-    return compile_observable(obs)(state.amps)
+    return float(compile_observable(obs)(state.amps[None])[0])
 
 
 def expectation_sampled(obs: Observable, state: StateVector, shots: int,
@@ -173,13 +180,13 @@ def expectation_sampled(obs: Observable, state: StateVector, shots: int,
         if pauli.is_identity:
             total += coeff
             continue
-        rotated = state.amps
+        rotated = state.amps[None]
         for q, letter in enumerate(pauli.letters, start=1):
             if letter == "Y":
                 rotated = _rotate(rotated, state.n, q, _SDG)
             if letter in "XY":
                 rotated = _rotate(rotated, state.n, q, _H)
-        probs = np.abs(rotated) ** 2
+        probs = np.abs(rotated[0]) ** 2
         probs = probs / probs.sum()
         outcomes = rng.choice(state.dim, size=shots, p=probs)
         support = pauli.x_mask | pauli.z_mask

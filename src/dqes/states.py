@@ -147,15 +147,19 @@ def _apply_single(amps: np.ndarray, n: int, target: int, matrix: np.ndarray) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def _rotate(amps: np.ndarray, n: int, target: int, matrix: np.ndarray) -> np.ndarray:
-    """A 2x2 matrix on qubit target of raw amplitudes, without validation.
+def _rotate(rows: np.ndarray, n: int, target: int, matrices: np.ndarray) -> np.ndarray:
+    """2x2 matrices on qubit target of a (B, 2^n) stack of raw amplitudes.
 
-    This is the product np.tensordot forms inside _apply_single, called
-    directly, so the result is bit for bit the same as apply_gate's.
+    matrices is one (2, 2) matrix or a (B, 2, 2) stack, one per row; a 1-row
+    stack meets B matrices as np.matmul broadcasts, giving B rows. Nothing is
+    validated. Each row's product is the one np.tensordot forms inside
+    _apply_single, stacked by np.matmul, so every result row equals
+    apply_gate's bit for bit.
     """
     a, b = 2 ** (target - 1), 2 ** (n - target)
-    psi = np.dot(matrix, amps.reshape(a, 2, b).transpose(1, 0, 2).reshape(2, -1))
-    return psi.reshape(2, a, b).transpose(1, 0, 2).reshape(-1)
+    psi = np.matmul(matrices, rows.reshape(-1, a, 2, b).transpose(0, 2, 1, 3)
+                    .reshape(len(rows), 2, -1))
+    return psi.reshape(-1, 2, a, b).transpose(0, 2, 1, 3).reshape(len(psi), -1)
 
 
 def _cnot_source(n: int, control: int, target: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz, prepare_state
+from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
 from .landscape import score_spec
 from .mub import PartialMubSpec, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
@@ -83,9 +83,10 @@ class VqeResult:
 
 
 def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
-    """Callable theta -> <psi(theta)|H|psi(theta)> with psi = U(theta) initial.
+    """Callable thetas -> the energies <psi(theta)|H|psi(theta)>, psi = U(theta) initial,
+    of each row theta of a (B, P) parameter stack.
 
-    The circuit and the observable are compiled once; each call equals
+    The circuit and the observable are compiled once; each value equals
     expectation_exact(obs, prepare_state(spec, theta, initial)) bit for bit.
     """
     if obs.n != spec.n:
@@ -95,8 +96,8 @@ def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
     circuit = compile_ansatz(spec)
     energy = compile_observable(obs)
 
-    def cost(theta) -> float:
-        return energy(circuit(as_parameter_vector(spec, theta), initial.amps))
+    def cost(thetas) -> np.ndarray:
+        return energy(circuit(as_parameter_rows(spec, thetas), initial.amps))
 
     return cost
 
@@ -123,9 +124,9 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
     conj_target = np.conj(target.amps)
     circuit = compile_ansatz(spec)
 
-    def infidelity(theta) -> float:
-        psi = circuit(as_parameter_vector(spec, theta), zero)
-        return 1.0 - abs(np.dot(conj_target, psi)) ** 2
+    def infidelity(thetas) -> list:
+        psis = circuit(as_parameter_rows(spec, thetas), zero)
+        return [1.0 - abs(np.dot(conj_target, psi)) ** 2 for psi in psis]
 
     best_value = np.inf
     best_params: tuple[float, ...] = ()

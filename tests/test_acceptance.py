@@ -181,7 +181,7 @@ def test_criterion_9_property_suites(tmp_path):
 
         # optimizer probes: evaluations 2..dim+1 offset one coordinate by rho_init
         theta0 = np.array([0.5, -0.25, 1.0, 0.0])
-        trace = minimize(lambda x: float(np.sum(np.square(x - 1.0))), theta0,
+        trace = minimize(lambda xs: np.sum(np.square(xs - 1.0), axis=1), theta0,
                          OptimizerConfig(rho_init=0.5))
         for j in range(4):
             expected = theta0.copy()

@@ -1,6 +1,11 @@
 """End-to-end command-line behaviour: outputs, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +258,60 @@ def test_vqe_traces_are_deterministic(tmp_path):
         run_cli("vqe", "--fixture", "HeH+_100", "--init", "top-2", "--out", str(out))
     for name in ("trace_b0s1q1-2.csv", "trace_b0s0q1-2.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 of the data files (not the sidecars) of `dqes vqe ... --out DIR`; any
+# change to the kernel, the optimizer or the writers that moves a bit fails here
+VQE_OUTPUT_PINS = {
+    ("--fixture", "xy1", "--init", "top-2"): {
+        "trace_b1s1q1.csv": "d59112dd035ea3d18c49a10f22007139af5bbb86c1d6f3994b768dc212af4883",
+        "trace_b2s1q1.csv": "efa7603e173e1605207da38d2a18dd203f910dffa9e228eb124c1a6cd4763497",
+        "bloch_b1s1q1.csv": "f9cc13e34d97b2acc04d3a4a42f6079eb2efa78cfac61ac60696ededc1e681d1",
+        "bloch_b2s1q1.csv": "6757024434b836d6a9f3c636bfb0cd7c06e6a61d0f15d88cd8e46bf8740cdb6a",
+        "summary.json": "68f46e6c456534ac3f01c23875149f8a7f52427655fa03672c824aed60b0cd0a",
+    },
+    ("--fixture", "H2_075", "--strategy", "fit", "--init", "top-1,random-1"): {
+        "trace_fit-b0s1q1-2.csv": "ecfb61a4689630003b0e04bad7f2a9861739f7c8f674f2636904dc73a086e1d2",
+        "trace_random0.csv": "b58c93c8b8dd7f650e5138d5b115ad70342c6efcb0d647e5df59130de9cf6683",
+        "summary.json": "eb9d083bdb5254d4e8c7374f9b082b7bb79e06231a16601c7f71905ed6ff0057",
+    },
+    # 43 evaluations cut the last 6-probe stencil after 4 probes
+    ("--fixture", "ising_fig8", "--init", "top-1", "--max-evals", "43"): {
+        "trace_b0s2q1-2-3.csv": "1ae83b466afb504853afc0758b189760ba1f027c7b1e0fe1ab6554a9091a798d",
+        "summary.json": "790f3ae148c8463c966de174ee2655c91c01cb71187e63bc378c70f65daf621b",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(VQE_OUTPUT_PINS), ids=lambda argv: argv[1])
+def test_vqe_outputs_match_their_frozen_hashes(tmp_path, argv):
+    out = tmp_path / "vqe"
+    assert run_cli("vqe", *argv, "--out", str(out)) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == sorted(VQE_OUTPUT_PINS[argv])
+    for name, digest in VQE_OUTPUT_PINS[argv].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
+    for flag, field in (("--rho-init", "rho_init"), ("--tol", "tol"),
+                        ("--threshold", "threshold")):
+        for bad in ("nan", "inf"):
+            out = tmp_path / "v"
+            assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-1", flag, bad,
+                           "--out", str(out)) == 1
+            assert f"{field} must be finite, got {bad}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "dqes", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: dqes")
 
 
 def test_problem_gen_roundtrip_into_landscape(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Property tests: the compiled circuit and observable against the gate-by-gate
-and term-by-term reference paths, and the file codec round trips."""
+"""Property tests: the compiled circuit and observable, on one row and on stacks
+of rows, against the gate-by-gate and term-by-term reference paths, and the
+file codec round trips."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -58,15 +59,16 @@ def reference_expectation(obs, state):
 def test_compiled_circuit_equals_the_gate_sequence(case):
     spec, theta, state = case
     circuit = compile_ansatz(spec)
-    assert np.array_equal(circuit(theta, state.amps), reference_prepare(spec, theta, state))
-    assert np.array_equal(circuit(np.zeros(spec.parameter_count), state.amps), state.amps)
+    assert np.array_equal(circuit(theta[None], state.amps)[0],
+                          reference_prepare(spec, theta, state))
+    assert np.array_equal(circuit(np.zeros((1, spec.parameter_count)), state.amps)[0], state.amps)
 
 
 @settings(max_examples=60, deadline=None)
 @given(obs=observables(), seed=st.integers(0, 2**32 - 1))
 def test_compiled_observable_equals_the_term_sum(obs, seed):
     state = random_state(obs.n, seed)
-    value = compile_observable(obs)(state.amps)
+    value = compile_observable(obs)(state.amps[None])[0]
     assert value == reference_expectation(obs, state)
     dense = float(np.vdot(state.amps, observable_matrix(obs) @ state.amps).real)
     assert abs(value - dense) <= 1e-12
@@ -78,7 +80,58 @@ def test_vqe_cost_equals_the_reference_composition(case, data):
     spec, theta, state = case
     obs = data.draw(observables(n=spec.n))
     expected = reference_expectation(obs, StateVector(spec.n, reference_prepare(spec, theta, state)))
-    assert vqe_cost(obs, spec, state)(theta) == expected
+    assert vqe_cost(obs, spec, state)(theta[None])[0] == expected
+
+
+@st.composite
+def stacks(draw, max_n=6):
+    """(spec, a (B, P) parameter stack with B in 1..19, input state)."""
+    n = draw(st.integers(1, max_n))
+    spec = AnsatzSpec(n=n, layers=draw(st.integers(1, 3)),
+                      rotation_axes=draw(st.sampled_from([("Y",), ("Y", "Z")])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (draw(st.integers(1, 19)), spec.parameter_count))
+    return spec, thetas, random_state(n, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks())
+def test_stacked_circuit_rows_equal_the_gate_sequence(case):
+    spec, thetas, state = case
+    circuit = compile_ansatz(spec)
+    rows = circuit(thetas, state.amps)
+    assert rows.shape == (len(thetas), state.dim)
+    for theta, row in zip(thetas, rows):
+        assert np.array_equal(row, reference_prepare(spec, theta, state))
+    for row in circuit(np.zeros_like(thetas), state.amps):
+        assert np.array_equal(row, state.amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obs=observables(max_n=8), count=st.integers(1, 19), seed=st.integers(0, 2**32 - 1))
+def test_stacked_energies_equal_the_term_sums(obs, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([random_state(obs.n, seed + i).amps for i in range(count)])
+    # fancy indexing on axis 1 returns a stack whose rows are not unit-stride
+    shuffled = rows[:, rng.permutation(2**obs.n)]
+    energies = compile_observable(obs)
+    for stack in (rows, shuffled):
+        values = energies(stack)
+        assert values.shape == (count,)
+        for value, row in zip(values, stack):
+            assert value == reference_expectation(obs, StateVector(obs.n, row))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=stacks(max_n=4), data=st.data())
+def test_stacked_vqe_cost_equals_the_reference_composition(case, data):
+    spec, thetas, state = case
+    obs = data.draw(observables(n=spec.n))
+    values = vqe_cost(obs, spec, state)(thetas)
+    assert values.shape == (len(thetas),)
+    for theta, value in zip(thetas, values):
+        prepared = StateVector(spec.n, reference_prepare(spec, theta, state))
+        assert value == reference_expectation(obs, prepared)
 
 
 def reference_sampled(obs, state, shots, seed):

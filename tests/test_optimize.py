@@ -1,4 +1,4 @@
-"""Derivative-free descent: probe pattern, terminations, and determinism."""
+"""Derivative-free descent: probe pattern, batch contract, terminations, and determinism."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from dqes.optimize import OptimizationTrace, OptimizerConfig, TraceEntry, minimi
 
 def quadratic(center):
     center = np.asarray(center, dtype=float)
-    return lambda x: float(np.sum((np.asarray(x) - center) ** 2))
+    return lambda xs: np.sum((np.asarray(xs) - center) ** 2, axis=1)
 
 
 def test_probe_pattern_is_single_coordinate_offsets():
@@ -25,9 +25,9 @@ def test_probe_pattern_is_single_coordinate_offsets():
 def test_known_cost_at_theta0_is_evaluation_one():
     calls = []
 
-    def cost(x):
-        calls.append(tuple(x))
-        return quadratic([1.0, 1.0])(x)
+    def cost(xs):
+        calls.extend(tuple(x) for x in xs)
+        return quadratic([1.0, 1.0])(xs)
 
     trace = minimize(cost, np.zeros(2), OptimizerConfig(max_evals=10), cost0=123.0)
     assert trace.entries[0].params == (0.0, 0.0)
@@ -51,7 +51,7 @@ def test_converges_on_a_quadratic_bowl():
 
 
 def test_converges_on_a_nonsmooth_valley():
-    trace = minimize(lambda x: float(np.sum(np.abs(x))), np.array([3.3, -1.7]))
+    trace = minimize(lambda xs: np.sum(np.abs(xs), axis=1), np.array([3.3, -1.7]))
     assert trace.termination == "converged"
     assert trace.final_energy < 1e-4
 
@@ -99,7 +99,7 @@ def test_empty_start_rejected():
 
 def test_non_finite_cost_rejected():
     with pytest.raises(ValueError, match="non-finite value"):
-        minimize(lambda x: float("nan"), np.zeros(2))
+        minimize(lambda xs: np.full(len(xs), np.nan), np.zeros(2))
 
 
 def test_config_validation():
@@ -109,6 +109,76 @@ def test_config_validation():
         OptimizerConfig(tol=-1.0)
     with pytest.raises(ValueError, match="max_evals"):
         OptimizerConfig(max_evals=1)
+
+
+def test_config_rejects_non_finite_settings():
+    for field in ("rho_init", "tol", "threshold"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                OptimizerConfig(**{field: bad})
+    assert OptimizerConfig(threshold=None).threshold is None
+
+
+def recording(cost):
+    """(cost that logs the row count of each call, the log)."""
+    rows = []
+
+    def logged(xs):
+        rows.append(len(xs))
+        return cost(xs)
+
+    return logged, rows
+
+
+def test_stencils_arrive_as_one_batch():
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    trace = minimize(cost, np.zeros(3))
+    # evaluation 1, the first stencil, then at least one line step
+    assert rows[:3] == [1, 3, 1]
+    assert set(rows) == {1, 3}
+    assert sum(rows) == trace.evaluations
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    trace = minimize(cost, np.zeros(3), cost0=14.0)
+    assert rows[:2] == [3, 1]
+    assert sum(rows) == trace.evaluations - 1
+
+
+def test_budget_cuts_the_last_stencil_to_the_rows_left():
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    full = minimize(cost, np.zeros(3), OptimizerConfig(tol=1e-300, max_evals=500))
+    # the second stencil starts after this many evaluations; stop 2 rows into it
+    before = sum(rows[:rows.index(3, 2)])
+    budget = before + 2
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    trace = minimize(cost, np.zeros(3), OptimizerConfig(tol=1e-300, max_evals=budget))
+    assert rows[-1] == 2
+    assert sum(rows) == budget
+    assert trace.termination == "max-evals"
+    assert trace.evaluations == budget
+    assert trace.entries == full.entries[:budget]
+
+
+def first_stencil_reads(values):
+    """Cost 0 at the origin and values[j] where coordinate j is the first nonzero one."""
+    return lambda xs: np.array([values[np.flatnonzero(x)[0]] if x.any() else 0.0 for x in xs])
+
+
+def test_threshold_inside_a_stencil_discards_the_rest_of_the_batch():
+    cost, rows = recording(first_stencil_reads([0.5, -0.5, -1.0, 0.5]))
+    trace = minimize(cost, np.zeros(4), OptimizerConfig(rho_init=0.5, threshold=-0.4))
+    assert rows == [1, 4]
+    assert trace.termination == "threshold"
+    # crossing at probe 2 keeps evaluations 1 .. 3
+    assert [e.energy for e in trace.entries] == [0.0, 0.5, -0.5]
+
+
+def test_non_finite_row_after_the_threshold_row_is_never_read():
+    cost = first_stencil_reads([0.5, -0.5, float("nan"), 0.5])
+    trace = minimize(cost, np.zeros(4), OptimizerConfig(rho_init=0.5, threshold=-0.4))
+    assert trace.termination == "threshold"
+    assert trace.evaluations == 3
+    with pytest.raises(ValueError, match="non-finite value"):
+        minimize(cost, np.zeros(4), OptimizerConfig(rho_init=0.5, threshold=-0.6))
 
 
 def test_trace_properties_on_a_synthetic_trace():

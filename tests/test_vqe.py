@@ -31,7 +31,7 @@ def full_spec(basis: int, state: int, n: int = 2) -> PartialMubSpec:
 def test_cost_at_zero_matches_the_input_state_energy():
     psi = random_state(2, seed=6)
     cost = vqe_cost(H2, H2_SPEC, psi)
-    assert cost(np.zeros(4)) == expectation_exact(H2, psi)
+    assert cost(np.zeros((1, 4)))[0] == expectation_exact(H2, psi)
 
 
 def test_cost_checks_register_sizes():
