@@ -15,10 +15,11 @@ layers + 1 rotation layers in total.
 
 build_ansatz and apply_gate are the reference: one validated Gate and one
 validated StateVector per step. compile_ansatz is the kernel every caller
-runs, on a stack of parameter vectors at once: each CX chain (and the whole
-V(0)^dagger prefix) becomes one gather index, and each rotation is the same
-2x2 product on raw amplitudes, stacked over the rows, so every row equals the
-reference bit for bit.
+runs, on a stack of parameter vectors at once: each rotation is the same 2x2
+product on raw amplitudes, stacked over the rows, and everything between two
+rotations (a change of target qubit, a CX chain, the V(0)^dagger prefix) is
+folded into one precomputed gather, so every row equals the reference bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import MubSet
-from .states import MAX_QUBITS, Gate, StateVector, _cnot_source, _rotate, cnot, ry, rz
+from .states import MAX_QUBITS, Gate, StateVector, _cnot_source, _layout, cnot, ry, rz
 
 _ALLOWED_AXES = (("Y",), ("Y", "Z"))
 
@@ -113,11 +114,30 @@ def compile_ansatz(spec: AnsatzSpec):
     apply_gate bit for bit: gathers only move amplitudes, the B * P rotation
     matrices hold the values _ry_matrix and _rz_matrix give, and each rotation
     is the product apply_gate forms, stacked over the rows.
+
+    Each rotation's product is left in its qubit's _layout order. One gather
+    per rotation, built here, takes the last product to the next operand: it
+    undoes the last layout, runs any CX chain (or the V(0)^dagger prefix) in
+    between, and lays the state out for the next qubit. A gather that would
+    keep every amplitude in place is skipped, and one more restores the order.
     """
     n, layers = spec.n, spec.layers
-    prefix = _cx_chain_source(n, [q for _ in range(layers) for q in range(n - 1, 0, -1)])
-    chain = _cx_chain_source(n, range(1, n))
     axes = len(spec.rotation_axes)
+    identity = np.arange(2**n)
+    chain = _cx_chain_source(n, range(1, n))
+    # source maps the state to the flat array at hand: state[i] = flat[source[i]]
+    source = _cx_chain_source(n, [q for _ in range(layers) for q in range(n - 1, 0, -1)])
+    gathers = []
+    for layer in range(layers + 1):
+        for q in range(1, n + 1):
+            layout = _layout(n, q)
+            for _ in range(axes):
+                gather = source[layout]
+                gathers.append(None if np.array_equal(gather, identity) else gather)
+                source = np.argsort(layout)  # the product sits in layout order
+        if layer < layers:
+            source = source[chain]
+    restore = None if np.array_equal(source, identity) else source
 
     def circuit(thetas: np.ndarray, amps: np.ndarray) -> np.ndarray:
         # matrices[k] is the (B, 2, 2) stack of parameter k's rotations
@@ -133,16 +153,12 @@ def compile_ansatz(spec: AnsatzSpec):
                 block[..., 0, 0] = np.exp(-1j * angles / 2)
                 block[..., 1, 1] = np.exp(1j * angles / 2)
         # one input row; the first rotation broadcasts it against the B matrices
-        psi = amps[prefix][None]
-        k = 0
-        for layer in range(layers + 1):
-            for q in range(1, n + 1):
-                for _ in range(axes):
-                    psi = _rotate(psi, n, q, matrices[k])
-                    k += 1
-            if layer < layers:
-                psi = psi[:, chain]
-        return psi
+        flat = np.ascontiguousarray(amps)[None]
+        for matrix, gather in zip(matrices, gathers):
+            if gather is not None:
+                flat = flat.take(gather, axis=1)
+            flat = np.matmul(matrix, flat.reshape(len(flat), 2, -1)).reshape(len(matrix), -1)
+        return flat if restore is None else flat.take(restore, axis=1)
 
     return circuit
 

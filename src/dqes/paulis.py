@@ -127,28 +127,33 @@ class Observable:
 def compile_observable(obs: Observable):
     """Function rows -> <psi|H|psi> of each row of a (B, 2^n) amplitude stack.
 
-    The rows are not checked. Each term's (src, phase) is built once and each
-    term's phase * rows[:, src] is gathered once per call; every row then adds
-    the terms one at a time in canonical order, each as coeff * <psi|P psi>,
-    as pauli_apply would give them. Every row handed to np.vdot is unit-stride:
-    BLAS sums a strided vector in another order, which moves the last bits.
+    The rows are not checked. Each term's (src, phase) is built once; a call
+    forms each term's phase * rows[:, src] once (a diagonal term moves nothing
+    and skips the gather) and adds coeff * <psi|P psi> to every row's total in
+    canonical order, as pauli_apply would give them. np.vecdot sums each row
+    as np.vdot does, but only over unit-stride rows: BLAS sums a strided vector
+    in another order, which moves the last bits.
     Raises ValueError when a row's sum has an imaginary residue above 1e-10.
     """
     dim = 2**obs.n
-    terms = [(coeff, *_pauli_action(dim, pauli.x_mask, pauli.z_mask))
-             for coeff, pauli in obs.terms]
+    terms = []
+    for coeff, pauli in obs.terms:
+        src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
+        terms.append((coeff, src if pauli.x_mask else None, phase))
 
     def energies(rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows)
-        totals = [0.0 + 0.0j] * len(rows)
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        totals = np.zeros(len(rows), dtype=complex)
+        moved = np.empty_like(rows)
         for coeff, src, phase in terms:
-            moved = phase * np.take(rows, src, axis=1)
-            for i, (row, moved_row) in enumerate(zip(rows, moved)):
-                totals[i] += coeff * np.vdot(row, moved_row)
-        for total in totals:
-            if abs(total.imag) > 1e-10:
-                raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-        return np.array([total.real for total in totals])
+            if src is not None:
+                rows.take(src, axis=1, out=moved)
+            np.multiply(phase, rows if src is None else moved, out=moved)
+            totals = totals + coeff * np.vecdot(rows, moved)
+        residue = np.flatnonzero(np.abs(totals.imag) > 1e-10)
+        if residue.size:
+            raise ValueError(f"expectation has imaginary residue {totals.imag[residue[0]]:.3e}")
+        return totals.real.copy()
 
     return energies
 

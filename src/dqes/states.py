@@ -147,19 +147,32 @@ def _apply_single(amps: np.ndarray, n: int, target: int, matrix: np.ndarray) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
+def _layout(n: int, target: int) -> np.ndarray:
+    """Gather index that lays a 2^n state out as the (2, 2^(n-1)) operand of a
+    2x2 matrix on qubit target: row j of the operand holds the amplitudes whose
+    target bit is j, in index order, so operand.flat[p] = amps[layout[p]].
+
+    It is the order np.tensordot moves qubit target into inside _apply_single,
+    so one gather hands np.matmul the operand apply_gate multiplies.
+    """
+    a, b = 2 ** (target - 1), 2 ** (n - target)
+    return np.arange(2**n).reshape(a, 2, b).transpose(1, 0, 2).reshape(-1)
+
+
 def _rotate(rows: np.ndarray, n: int, target: int, matrices: np.ndarray) -> np.ndarray:
     """2x2 matrices on qubit target of a (B, 2^n) stack of raw amplitudes.
 
     matrices is one (2, 2) matrix or a (B, 2, 2) stack, one per row; a 1-row
     stack meets B matrices as np.matmul broadcasts, giving B rows. Nothing is
     validated. Each row's product is the one np.tensordot forms inside
-    _apply_single, stacked by np.matmul, so every result row equals
-    apply_gate's bit for bit.
+    _apply_single, stacked by np.matmul on the _layout operand, so every
+    result row equals apply_gate's bit for bit.
     """
-    a, b = 2 ** (target - 1), 2 ** (n - target)
-    psi = np.matmul(matrices, rows.reshape(-1, a, 2, b).transpose(0, 2, 1, 3)
-                    .reshape(len(rows), 2, -1))
-    return psi.reshape(-1, 2, a, b).transpose(0, 2, 1, 3).reshape(len(psi), -1)
+    layout = _layout(n, target)
+    psi = np.matmul(matrices, np.take(rows, layout, axis=1).reshape(len(rows), 2, -1))
+    out = np.empty((len(psi), 2**n), dtype=complex)
+    out[:, layout] = psi.reshape(len(psi), -1)
+    return out
 
 
 def _cnot_source(n: int, control: int, target: int) -> np.ndarray:

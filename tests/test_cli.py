@@ -293,6 +293,28 @@ def test_vqe_outputs_match_their_frozen_hashes(tmp_path, argv):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# a 10-qubit, two-layer YZ run: the pins above are all at n <= 3 and one layer
+# deep in CX chains; summary.json names the observable by its file stem
+ISING10_PINS = {
+    "trace_b0s7q2-4-7.csv": "7f3e9346ee8de255222df97b7b3d1faeaf2b1cd6f54da05c8a8372a799ecc0e3",
+    "trace_random0.csv": "69243b1487a81db84c602776314c1edb014fa53dd5e81587545b26b30e7e0dbd",
+    "summary.json": "9b3271853d09f649a09923d80e49a7af3ae660bc6f98e661b56fa2bced9a70c7",
+}
+
+
+def test_vqe_ten_qubit_two_layer_outputs_match_their_frozen_hashes(tmp_path):
+    observable, out = tmp_path / "ising10.json", tmp_path / "vqe"
+    assert run_cli("problem", "gen", "ising", "--n", "10", "--czz", "0.61436456",
+                   "--cx", "0.32435029", "--out", str(observable)) == 0
+    assert run_cli("vqe", "--observable", str(observable), "--k", "3",
+                   "--init", "top-1,random-1", "--layers", "2", "--axes", "YZ",
+                   "--max-evals", "200", "--out", str(out)) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == sorted(ISING10_PINS)
+    for name, digest in ISING10_PINS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
     for flag, field in (("--rho-init", "rho_init"), ("--tol", "tol"),
                         ("--threshold", "threshold")):

@@ -122,6 +122,54 @@ def test_stacked_energies_equal_the_term_sums(obs, count, seed):
             assert value == reference_expectation(obs, StateVector(obs.n, row))
 
 
+# The suites above stop at n <= 6 for circuits and n <= 8 for energies; these
+# fixed-seed cases reach the sizes where a gather composed across CX chains,
+# or a BLAS sum over long rows, has the most room to go wrong.
+def test_large_stacked_circuit_rows_equal_the_gate_sequence():
+    rng = np.random.default_rng(10)
+    for n in (10, 12):
+        spec = AnsatzSpec(n=n, layers=2, rotation_axes=("Y", "Z"))
+        circuit = compile_ansatz(spec)
+        state = random_state(n, seed=n)
+        for count in (1, 24):
+            thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (count, spec.parameter_count))
+            rows = circuit(thetas, state.amps)
+            assert rows.shape == (count, state.dim)
+            for theta, row in zip(thetas, rows):
+                assert np.array_equal(row, reference_prepare(spec, theta, state)), (n, count)
+
+
+def test_large_stacked_energies_equal_the_term_sums():
+    n = 10
+    rng = np.random.default_rng(40)
+    # every fourth term is diagonal (I and Z only), which takes no gather
+    alphabets = ["IZ", "IXYZ", "IXYZ", "IXYZ"]
+    pairs = [(float(rng.uniform(-2, 2)), "".join(rng.choice(list(alphabets[t % 4]), n)))
+             for t in range(40)]
+    obs = Observable.from_strings(n, pairs)
+    energies = compile_observable(obs)
+    for count in (1, 24):
+        rows = np.stack([random_state(n, seed=count + i).amps for i in range(count)])
+        shuffled = rows[:, rng.permutation(2**n)]
+        for stack in (rows, shuffled):
+            values = energies(stack)
+            assert values.shape == (count,)
+            for value, row in zip(values, stack):
+                assert value == reference_expectation(obs, StateVector(n, row))
+
+
+def test_vecdot_sums_complex_rows_as_vdot_does():
+    # compile_observable relies on this: np.vecdot over a stack gives each row
+    # the sum np.vdot gives it; a numpy or BLAS upgrade that reroutes
+    # either call fails here rather than as a bare hash mismatch in the pins
+    rng = np.random.default_rng(2024)
+    for dim in [2**k for k in range(1, 13)] + [3, 5, 17, 100, 1000]:
+        for count in range(1, 17):
+            a, b = rng.standard_normal((2, count, dim)) + 1j * rng.standard_normal((2, count, dim))
+            expected = [np.vdot(x, y) for x, y in zip(a, b)]
+            assert np.array_equal(np.vecdot(a, b), expected), (dim, count)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=stacks(max_n=4), data=st.data())
 def test_stacked_vqe_cost_equals_the_reference_composition(case, data):

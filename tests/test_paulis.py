@@ -6,6 +6,7 @@ import pytest
 from dqes.paulis import (
     Observable,
     PauliString,
+    compile_observable,
     decode_observable,
     encode_observable,
     expectation_exact,
@@ -121,6 +122,17 @@ def test_expectation_is_linear():
         psi = random_state(2, seed=seed + int(rng.integers(100)))
         total = expectation_exact(a, psi) + expectation_exact(b, psi)
         assert abs(expectation_exact(combined, psi) - total) < 1e-12
+
+
+def test_compiled_observable_rejects_an_imaginary_residue():
+    # the rows are not checked, so an unnormalized row scales the rounding error
+    # of the imaginary parts of XY's terms until it passes the 1e-10 tolerance
+    energies = compile_observable(Observable.from_strings(2, [(1.0, "XY"), (0.5, "ZZ")]))
+    psi = random_state(2, seed=3).amps
+    values = energies(np.stack([psi, 1e4 * psi]))
+    assert values[1] == pytest.approx(1e8 * values[0])
+    with pytest.raises(ValueError, match=r"expectation has imaginary residue 5\.129e-02$"):
+        energies(np.stack([psi, 1e8 * psi]))
 
 
 def test_expectation_qubit_mismatch():
