@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.argv = ["dqes", *argv]
     try:
+        if getattr(args, "seed", 0) < 0:
+            # numpy would reject it only once a run is under way, after --out exists
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,10 +4,13 @@ Exhaustive cost evaluation over discretized state sets.
 A full sweep scores every state of the complete MUB set (n <= MAX_MUB_QUBITS).
 A partial sweep scores every K-qubit MUB state tensored with |0> on the
 remaining qubits, over all K-subsets, which scales to larger registers; the
-full sweep is its K = n case. Both read Pauli expectations from a per-K
-stabilizer table instead of building 2^n state vectors. Records are produced
-in a fixed enumeration order (subset lex, then basis, then state), so reports
-and their CSV exports are deterministic.
+full sweep is its K = n case. Neither builds a 2^n state vector: each
+non-identity K-qubit Pauli lies in one commuting class of build_full_mub_set(K),
+so on a subset a term is +-1 on the states of that class's basis and 0 on the
+rest, and the sweep adds it to that one basis. The dense table of every Pauli
+on every state is the tests' oracle (tests/test_landscape.py). Records are
+produced in a fixed enumeration order (subset lex, then basis, then state), so
+reports and their CSV exports are deterministic.
 
 A report stores a sweep as columns: the K-subsets as one int array and the
 energies as one float64 array in enumeration order. Readers work on the
@@ -16,12 +19,12 @@ columns; a LandscapeRecord is built only for a record a caller asks for.
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .mub import MAX_MUB_QUBITS, MubSet, PartialMubSpec, _check_sweep_size, build_full_mub_set
-from .paulis import Observable, PauliString, observable_hash, observable_matrix
+from .mub import MAX_MUB_QUBITS, PartialMubSpec, _check_sweep_size, build_full_mub_set
+from .paulis import Observable, _pauli_action, observable_hash
 
 
 @dataclass(frozen=True)
@@ -108,83 +111,66 @@ class BasisStats:
     variance: float
 
 
-# --- stabilizer-table kernel ----------------------------------------------------
+# --- class-sign kernel --------------------------------------------------------
 #
-# Every MUB state is a stabilizer state, so each K-qubit Pauli expectation on
-# it is exactly 0 or +-1. A sweep reads these from a table instead of building
-# 2^n vectors. Row b * 2^K + s of the table is state s of basis b; column
-# (x << K) | z is the Pauli with K-qubit symplectic masks x and z.
+# A non-identity K-qubit Pauli is exactly 0 on every basis but the one of its
+# class, since the bases are mutually unbiased. Skipping those zeros keeps
+# every bit: energies start at +0.0 and x + +-0.0 == x. Local column
+# (x << K) | z names the Pauli with K-qubit symplectic masks x and z.
 
 
-def stabilizer_table(mubs: MubSet) -> np.ndarray:
-    """<psi|P|psi> for every state of the set and every K-qubit Pauli P.
+@cache
+def _class_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, signs) by local column: basis[c] is the basis whose class holds the
+    Pauli of column c, and signs[c] its +-1 values on that basis's 2^K states.
+    Column 0, the identity, is in no class and its row is unused.
 
-    Raises ValueError unless every value lies within 1e-9 of 0 or +-1, as it
-    does for the Pauli-class construction; the table holds the rounded values.
+    Raises ValueError naming the Pauli unless each value lies within 1e-9 of +-1.
     """
-    k = mubs.n
-    states = np.concatenate(mubs.bases, axis=1)  # column b * 2^K + s
-    table = np.empty((states.shape[1], 4**k), dtype=complex)
-    for letters in itertools.product("IXYZ", repeat=k):
-        pauli = PauliString("".join(letters))
-        matrix = observable_matrix(Observable(k, ((1.0, pauli),)))
-        table[:, (pauli.x_mask << k) | pauli.z_mask] = np.einsum(
-            "ir,ij,jr->r", states.conj(), matrix, states)
-    rounded = np.rint(table.real)
-    worst = float(np.max(np.abs(table - rounded)))
-    if worst > 1e-9:
-        raise ValueError(
-            f"MUB set on {k} qubits is not a stabilizer set: a Pauli expectation lies "
-            f"{worst:.3e} from 0 or +-1")
-    rounded.flags.writeable = False
-    return rounded
+    mubs = build_full_mub_set(k)
+    basis = np.zeros(4**k, dtype=np.intp)
+    signs = np.zeros((4**k, 2**k))
+    for b, (cls, states) in enumerate(zip(mubs.classes, mubs.bases)):
+        for pauli in cls:
+            src, phase = _pauli_action(2**k, pauli.x_mask, pauli.z_mask)
+            values = np.sum(states.conj() * phase[:, None] * states[src], axis=0)
+            sign = np.where(values.real < 0, -1.0, 1.0)
+            worst = float(np.max(np.abs(values - sign)))
+            if worst > 1e-9:
+                raise ValueError(f"Pauli {pauli.letters} lies {worst:.3e} from +-1 on a state "
+                                 f"of basis {b}, the basis of its class")
+            column = (pauli.x_mask << k) | pauli.z_mask
+            basis[column], signs[column] = b, sign
+    basis.flags.writeable = signs.flags.writeable = False
+    return basis, signs
 
 
-_TABLES: dict[int, np.ndarray] = {}
+def _subset_energies(obs: Observable, subsets: np.ndarray) -> np.ndarray:
+    """Energies of every MUB state on every subset, shape (subsets, 2^K + 1, 2^K).
 
-
-def _table(k: int) -> np.ndarray:
-    """The table of build_full_mub_set(k), built on first use."""
-    if k not in _TABLES:
-        _TABLES[k] = stabilizer_table(build_full_mub_set(k))
-    return _TABLES[k]
-
-
-def _term_columns(obs: Observable, subsets: np.ndarray) -> np.ndarray:
-    """Table column of each term's letters on each subset, shape (subsets, terms).
-
-    A term with an X or Y letter off a subset gets column 4^K, the zero column
-    of the padded table: its expectation on |0> there is 0. Z letters off the
-    subset act on |0> and contribute +1, so only the subset's letters count.
-    Qubit q sits on bit n - q of a term's masks; subset position p becomes
-    local bit K - 1 - p, as in the K-letter string of the subset's letters.
+    On a subset a term whose letters there are all I adds its coefficient to
+    every state, one with an X or Y off the subset adds 0 (its qubits there are
+    |0>), and any other adds coefficient times its signs to the one basis of
+    its class; Z letters off the subset give +1. Terms are added one at a time
+    in canonical order with elementwise arithmetic, so one state's energy comes
+    out bit for bit the same whatever else is scored with it. Qubit q sits on
+    bit n - q of a term's masks; subset position p becomes local bit K - 1 - p,
+    as in the K-letter string of the subset's letters.
     """
     k = subsets.shape[1]
+    basis, signs = _class_signs(k)
     shifts = obs.n - subsets  # (subsets, K): bit of each subset qubit
     on_subset = np.bitwise_or.reduce(np.int64(1) << shifts, axis=1)
     local_bits = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
-    cols = np.empty((len(subsets), len(obs.terms)), dtype=np.intp)
-    for t, (_, pauli) in enumerate(obs.terms):
+    energies = np.zeros((len(subsets), 2**k + 1, 2**k))
+    for coeff, pauli in obs.terms:
         x = ((np.int64(pauli.x_mask) >> shifts) & 1) @ local_bits
         z = ((np.int64(pauli.z_mask) >> shifts) & 1) @ local_bits
-        off_xy = (np.int64(pauli.x_mask) & ~on_subset) != 0
-        cols[:, t] = np.where(off_xy, 4**k, (x << k) | z)
-    return cols
-
-
-def _subset_energies(obs: Observable, table: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Energies of every table row on every subset, shape (len(subsets), rows).
-
-    Terms are added one at a time in canonical order with elementwise
-    arithmetic, so one row comes out bit for bit the same whatever else is
-    scored with it.
-    """
-    # row c of padded is table column c; row 4^K is the zero column of off-subset X/Y terms
-    padded = np.vstack([table.T, np.zeros((1, table.shape[0]))])
-    cols = _term_columns(obs, subsets)
-    energies = np.zeros((len(subsets), table.shape[0]))
-    for t, (coeff, _) in enumerate(obs.terms):
-        energies += coeff * padded[cols[:, t]]
+        kept = (np.int64(pauli.x_mask) & ~on_subset) == 0  # no X or Y off the subset
+        column = (x << k) | z
+        energies[kept & (column == 0)] += coeff
+        rows = np.flatnonzero(kept & (column != 0))
+        energies[rows, basis[column[rows]]] += coeff * signs[column[rows]]
     return energies
 
 
@@ -192,8 +178,8 @@ def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
     """The energy a sweep gives the state of spec, from the same kernel."""
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but spec is on {spec.n}")
-    energies = _subset_energies(obs, _table(spec.k), np.array([spec.subset], dtype=np.int64))
-    return float(energies[0, spec.basis_index * 2**spec.k + spec.state_index])
+    energies = _subset_energies(obs, np.array([spec.subset], dtype=np.int64))
+    return float(energies[0, spec.basis_index, spec.state_index])
 
 
 def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
@@ -201,8 +187,7 @@ def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
     _check_sweep_size(obs.n, k)
     subsets = np.array(list(itertools.combinations(range(1, obs.n + 1), k)),
                        dtype=np.int64)
-    # rows run basis, then state, so the flattened energies run subset, basis, state
-    energies = _subset_energies(obs, _table(k), subsets).ravel()
+    energies = _subset_energies(obs, subsets).ravel()
     return LandscapeReport(
         observable_name=name,
         observable_hash=observable_hash(obs),

@@ -24,6 +24,7 @@ first nonzero amplitude is real positive.
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -192,22 +193,18 @@ def _joint_eigenbasis(gens: list[tuple[int, int]], n: int) -> np.ndarray:
     return cols
 
 
-_CACHE: dict[int, MubSet] = {}
-
-
+@cache
 def build_full_mub_set(n: int) -> MubSet:
-    """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS."""
+    """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS, built once per n."""
     if n not in _FIELD_GENERATORS:
         raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
-    if n not in _CACHE:
-        bases = []
-        letter_classes = []
-        for cls in _partition_classes(n):
-            gens = _class_generators(cls, n)
-            bases.append(_joint_eigenbasis(gens, n))
-            letter_classes.append(tuple(PauliString.from_masks(n, x, z) for x, z in cls))
-        _CACHE[n] = MubSet(n=n, bases=tuple(bases), classes=tuple(letter_classes))
-    return _CACHE[n]
+    bases = []
+    letter_classes = []
+    for cls in _partition_classes(n):
+        gens = _class_generators(cls, n)
+        bases.append(_joint_eigenbasis(gens, n))
+        letter_classes.append(tuple(PauliString.from_masks(n, x, z) for x, z in cls))
+    return MubSet(n=n, bases=tuple(bases), classes=tuple(letter_classes))
 
 
 def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifest import write_text_atomic
-from .states import _H, _SDG, StateVector, _rotate
+from .states import _H, _SDG, Gate, StateVector, apply_gate
 
 _LETTERS = frozenset("IXYZ")
 
@@ -185,13 +185,13 @@ def expectation_sampled(obs: Observable, state: StateVector, shots: int,
         if pauli.is_identity:
             total += coeff
             continue
-        rotated = state.amps[None]
+        rotated = state
         for q, letter in enumerate(pauli.letters, start=1):
             if letter == "Y":
-                rotated = _rotate(rotated, state.n, q, _SDG)
+                rotated = apply_gate(rotated, Gate(target=q, matrix=_SDG))
             if letter in "XY":
-                rotated = _rotate(rotated, state.n, q, _H)
-        probs = np.abs(rotated[0]) ** 2
+                rotated = apply_gate(rotated, Gate(target=q, matrix=_H))
+        probs = np.abs(rotated.amps) ** 2
         probs = probs / probs.sum()
         outcomes = rng.choice(state.dim, size=shots, p=probs)
         support = pauli.x_mask | pauli.z_mask

@@ -6,8 +6,8 @@ Conventions used across the package:
   of the basis-state label, so |q1 q2 ... qn> has amplitude index
   sum_k q_k * 2**(n-k). Qubit q therefore lives on bit position n - q.
 - States are immutable after construction and always normalized.
-- The register is capped at 12 qubits; exhaustive sweeps and dense algebra
-  above that are out of scope.
+- A state vector is capped at 12 qubits. Sweeps never build one, so they go
+  further (mub.MAX_SWEEP_QUBITS); dense algebra above 12 qubits is out of scope.
 """
 
 from dataclasses import dataclass
@@ -157,22 +157,6 @@ def _layout(n: int, target: int) -> np.ndarray:
     """
     a, b = 2 ** (target - 1), 2 ** (n - target)
     return np.arange(2**n).reshape(a, 2, b).transpose(1, 0, 2).reshape(-1)
-
-
-def _rotate(rows: np.ndarray, n: int, target: int, matrices: np.ndarray) -> np.ndarray:
-    """2x2 matrices on qubit target of a (B, 2^n) stack of raw amplitudes.
-
-    matrices is one (2, 2) matrix or a (B, 2, 2) stack, one per row; a 1-row
-    stack meets B matrices as np.matmul broadcasts, giving B rows. Nothing is
-    validated. Each row's product is the one np.tensordot forms inside
-    _apply_single, stacked by np.matmul on the _layout operand, so every
-    result row equals apply_gate's bit for bit.
-    """
-    layout = _layout(n, target)
-    psi = np.matmul(matrices, np.take(rows, layout, axis=1).reshape(len(rows), 2, -1))
-    out = np.empty((len(psi), 2**n), dtype=complex)
-    out[:, layout] = psi.reshape(len(psi), -1)
-    return out
 
 
 def _cnot_source(n: int, control: int, target: int) -> np.ndarray:

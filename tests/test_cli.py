@@ -315,6 +315,52 @@ def test_vqe_ten_qubit_two_layer_outputs_match_their_frozen_hashes(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of each `dqes landscape` data file, keyed by (`problem gen` argv, landscape
+# argv); a generated observable is written first and read back with --observable
+LANDSCAPE_OUTPUT_PINS = {
+    ((), ("--fixture", "H2_075", "--full")): {
+        "sweep.csv": "cf952c795a95ee1f47ff74bcde4c4998f08dbb925d2cb1ae3382f5d04f5d2aa7",
+    },
+    ((), ("--fixture", "HeH+_100", "--full")): {
+        "sweep.csv": "0c9fa27e2f4d9fa92ce6eb3a94e720076a3ad37a01ae596e7006d6e656838a05",
+    },
+    ((), ("--fixture", "xy1", "--full")): {
+        "sweep.csv": "c76207bb162d77e2fbc1834a721afe7a8920785ff73095e237d1521f96ec9ebb",
+    },
+    ((), ("--fixture", "ising_fig7", "--full")): {
+        "sweep.csv": "b6825a6b3221598c2a95ca49b999498ce8a8e8cf085de4a84ba6dbb4e5e31f68",
+    },
+    ((), ("--fixture", "ising_fig8", "--full", "--plot")): {
+        "sweep.csv": "061625912dfde263775ecfee6bb63e01ab1919f4dd3d517ba524d8cd9aa750df",
+        "sweep.svg": "234512f399b8a9a34e9ebb5b4d566a6ef1a5034ba624b67f08beac6e42c8c97a",
+    },
+    (("ising", "--n", "10", "--czz", "0.61436456", "--cx", "0.32435029"), ("--k", "3")): {
+        "sweep.csv": "d490eb165e5ab75c191d1930dde2663e34d925f63dedce714c4735494e6395d6",
+    },
+    (("maxcut", "--nodes", "8", "--seed", "42"), ("--k", "2")): {
+        "sweep.csv": "b2902f1a906136a8a2a3dcd74769ff66351fac3749115a11720d940863b1147c",
+    },
+}
+
+
+@pytest.mark.parametrize("gen, argv", list(LANDSCAPE_OUTPUT_PINS),
+                         ids=[gen[0] if gen else argv[1] for gen, argv in LANDSCAPE_OUTPUT_PINS])
+def test_landscape_outputs_match_their_frozen_hashes(tmp_path, gen, argv):
+    pins, out = LANDSCAPE_OUTPUT_PINS[gen, argv], tmp_path / "out"
+    if gen:
+        # maxcut's --out is a prefix that gains .json; ising's is the file itself
+        target = tmp_path / ("obs" if gen[0] == "maxcut" else "obs.json")
+        assert run_cli("problem", "gen", *gen, "--out", str(target)) == 0
+        argv = ("--observable", str(tmp_path / "obs.json"), *argv)
+    if "--plot" in argv:
+        argv = (*argv, str(out / "sweep.svg"))
+    assert run_cli("landscape", *argv, "--out", str(out / "sweep.csv")) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == sorted(pins)
+    for name, digest in pins.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
     for flag, field in (("--rho-init", "rho_init"), ("--tol", "tol"),
                         ("--threshold", "threshold")):
@@ -324,6 +370,18 @@ def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
                            "--out", str(out)) == 1
             assert f"{field} must be finite, got {bad}" in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--fixture", "H2_075", "--init", "random-1", "--seed", "-1"),
+    ("vqe", "--fixture", "H2_075", "--strategy", "fit", "--init", "top-1", "--seed", "-3"),
+    ("problem", "gen", "maxcut", "--nodes", "3", "--seed", "-2"),
+], ids=["vqe-random", "vqe-fit", "maxcut"])
+def test_negative_seeds_are_rejected_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o1"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert f"--seed must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_module_entry_point_runs_the_cli():

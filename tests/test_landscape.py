@@ -1,15 +1,20 @@
 """Exhaustive sweeps: record enumeration, frozen energies, stats, CSV export."""
 
+import itertools
 import json
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqes.ansatz import AnsatzSpec, shift_mub_set
 from dqes.landscape import (
     BasisStats,
     LandscapeRecord,
     LandscapeReport,
+    _class_signs,
     basis_statistics,
     export_csv,
     landscape_csv_text,
@@ -17,12 +22,12 @@ from dqes.landscape import (
     run_full_dqes,
     run_partial_dqes,
     score_spec,
-    stabilizer_table,
 )
 from dqes.manifest import file_sha256
-from dqes.mub import (PartialMubSpec, build_full_mub_set, enumerate_partial_specs,
+from dqes.mub import (MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs,
                       realize_partial_state)
-from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
+from dqes.paulis import (Observable, PauliString, expectation_exact, observable_hash,
+                         observable_matrix)
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
@@ -148,6 +153,58 @@ def test_full_sweep_size_guard():
         run_full_dqes(obs)
 
 
+# --- the dense oracle of the class-sign kernel ---------------------------------
+#
+# Row b * 2^K + s of the table is state s of basis b; column (x << K) | z is the
+# Pauli with K-qubit symplectic masks x and z.
+
+
+def stabilizer_table(mubs: MubSet) -> np.ndarray:
+    """<psi|P|psi> for every state of the set and every K-qubit Pauli P.
+
+    Raises ValueError unless every value lies within 1e-9 of 0 or +-1, as it
+    does for the Pauli-class construction; the table holds the rounded values.
+    """
+    k = mubs.n
+    states = np.concatenate(mubs.bases, axis=1)  # column b * 2^K + s
+    table = np.empty((states.shape[1], 4**k), dtype=complex)
+    for letters in itertools.product("IXYZ", repeat=k):
+        pauli = PauliString("".join(letters))
+        matrix = observable_matrix(Observable(k, ((1.0, pauli),)))
+        table[:, (pauli.x_mask << k) | pauli.z_mask] = np.einsum(
+            "ir,ij,jr->r", states.conj(), matrix, states)
+    rounded = np.rint(table.real)
+    worst = float(np.max(np.abs(table - rounded)))
+    if worst > 1e-9:
+        raise ValueError(
+            f"MUB set on {k} qubits is not a stabilizer set: a Pauli expectation lies "
+            f"{worst:.3e} from 0 or +-1")
+    rounded.flags.writeable = False
+    return rounded
+
+
+@cache
+def dense_table(k):
+    return stabilizer_table(build_full_mub_set(k))
+
+
+def table_energies(obs, k):
+    """Every record's energy from the dense table: on each subset a term adds its
+    coefficient times the table column of its subset letters, all 2^K + 1 bases
+    at once, and nothing when it has an X or Y off the subset."""
+    table = dense_table(k)
+    out = []
+    for subset in itertools.combinations(range(1, obs.n + 1), k):
+        energies = np.zeros(table.shape[0])
+        for coeff, pauli in obs.terms:
+            if any(pauli.letters[q - 1] in "XY" for q in range(1, obs.n + 1) if q not in subset):
+                continue
+            local = PauliString("".join(pauli.letters[q - 1] for q in subset))
+            energies += coeff * table[:, (local.x_mask << k) | local.z_mask]
+        out.append(energies)
+    return np.concatenate(out)
+
+
 def test_stabilizer_table_holds_exact_pauli_expectations():
     for k in (1, 2, 3):
         mubs = build_full_mub_set(k)
@@ -167,6 +224,53 @@ def test_stabilizer_table_rejects_non_stabilizer_sets():
     shifted = shift_mub_set(build_full_mub_set(2), spec, np.full(spec.parameter_count, 0.3))
     with pytest.raises(ValueError, match="not a stabilizer set"):
         stabilizer_table(shifted)
+
+
+def test_class_signs_put_each_pauli_on_the_one_basis_of_its_class():
+    for k in (1, 2, 3):
+        basis, signs = _class_signs(k)
+        columns = np.arange(1, 4**k)
+        assert np.array_equal(np.bincount(basis[columns], minlength=2**k + 1),
+                              np.full(2**k + 1, 2**k - 1))
+        assert np.all(np.abs(signs[columns]) == 1.0)
+        # the dense table is nonzero on that basis alone, where it holds the signs
+        blocks = dense_table(k).T.reshape(4**k, 2**k + 1, 2**k)
+        for c in columns:
+            assert np.flatnonzero(np.any(blocks[c] != 0.0, axis=1)).tolist() == [basis[c]]
+            assert np.array_equal(blocks[c, basis[c]], signs[c])
+
+
+def test_class_signs_reject_a_basis_its_class_does_not_stabilize(monkeypatch):
+    spec = AnsatzSpec(n=2)
+    mubs = build_full_mub_set(2)
+    shifted = shift_mub_set(mubs, spec, np.full(spec.parameter_count, 0.3))
+    relabelled = MubSet(n=2, bases=shifted.bases, classes=mubs.classes)
+    monkeypatch.setattr("dqes.landscape.build_full_mub_set", lambda k: relabelled)
+    with pytest.raises(ValueError, match=f"Pauli {mubs.classes[0][0].letters} lies"):
+        _class_signs.__wrapped__(2)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(observable, K) with n <= 8 whose terms take every branch of the kernel:
+    on subset 1..K, a Y on qubit n lies off the subset and a Z there leaves the
+    term all I on it, whenever n > K."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(3, n)))
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    sparse = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=3).map(
+        lambda on: "".join(on.get(q, "I") for q in range(n)))
+    letters = sparse | st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(coeffs, letters), min_size=1, max_size=10))
+    pairs += [(draw(coeffs), "I" * (n - 1) + letter) for letter in "YZ"]
+    return Observable.from_strings(n, pairs), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_class_sign_sweep_equals_dense_table_scoring(case):
+    obs, k = case
+    assert np.array_equal(run_partial_dqes(obs, k).energies, table_energies(obs, k))
 
 
 def test_score_spec_reproduces_each_record_bit_for_bit():
