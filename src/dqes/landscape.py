@@ -216,34 +216,25 @@ def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[
     """Min/max/mean/variance of energies grouped by basis (optionally by subset too).
 
     Variance is the population variance over the group. Each group's energies
-    are summed in enumeration order with Python's sum, so the figures do not
-    depend on numpy's summation order.
+    are folded strictly left to right, in enumeration order, by
+    np.add.accumulate, so the figures depend neither on numpy's pairwise
+    summation nor on the Python version.
     """
     if not len(report.energies):
         raise ValueError("report has no records")
-    grid = report.energies.reshape(len(report.subsets), 2**report.k + 1, 2**report.k)
+    bases = 2**report.k + 1
+    groups = report.energies.reshape(len(report.subsets), bases, -1).transpose(1, 0, 2)
     if per_subset:
-        groups = [(tuple(subset), b, grid[s, b])
-                  for b in range(grid.shape[1])
-                  for s, subset in enumerate(report.subsets.tolist())]
+        subsets = [tuple(subset) for subset in report.subsets.tolist()]
     else:
-        groups = [(None, b, grid[:, b]) for b in range(grid.shape[1])]
-    stats = []
-    for subset, basis, values in groups:
-        energies = values.ravel().tolist()
-        count = len(energies)
-        mean = sum(energies) / count
-        var = sum((e - mean) ** 2 for e in energies) / count
-        stats.append(BasisStats(
-            basis_index=basis,
-            subset=subset,
-            count=count,
-            min_energy=min(energies),
-            max_energy=max(energies),
-            mean_energy=mean,
-            variance=var,
-        ))
-    return stats
+        groups, subsets = groups.reshape(bases, 1, -1), [None]
+    count = groups.shape[-1]
+    means = np.add.accumulate(groups, axis=-1)[..., -1] / count
+    variances = np.add.accumulate((groups - means[..., None]) ** 2, axis=-1)[..., -1] / count
+    figures = zip(groups.min(axis=-1).ravel().tolist(), groups.max(axis=-1).ravel().tolist(),
+                  means.ravel().tolist(), variances.ravel().tolist())
+    return [BasisStats(basis, subset, count, *figure)
+            for (basis, subset), figure in zip(itertools.product(range(bases), subsets), figures)]
 
 
 def rank_initial_states(report: LandscapeReport, k: int) -> list[LandscapeRecord]:

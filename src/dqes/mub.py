@@ -210,8 +210,8 @@ def build_full_mub_set(n: int) -> MubSet:
 def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:
     """Check every within-basis pair for orthonormality and every cross-basis
     pair for |<psi|phi>| = 1/sqrt(d), reporting worst-case deviations."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     d = 2**mubs.n
     target = 1.0 / np.sqrt(d)
     eye = np.eye(d)

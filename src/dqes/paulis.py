@@ -107,13 +107,14 @@ class Observable:
             raise ValueError(f"observable needs at least one qubit, got n={self.n}")
         merged: dict[str, float] = {}
         for coeff, pauli in self.terms:
-            coeff = float(coeff)
-            if not np.isfinite(coeff):
-                raise ValueError(f"coefficient must be finite, got {coeff!r}")
             if pauli.n != self.n:
                 raise ValueError(
                     f"term {pauli.letters!r} has {pauli.n} letters, observable is on {self.n} qubits")
-            merged[pauli.letters] = merged.get(pauli.letters, 0.0) + coeff
+            merged[pauli.letters] = merged.get(pauli.letters, 0.0) + float(coeff)
+        for letters, coeff in merged.items():  # a non-finite term leaves its sum non-finite
+            if not np.isfinite(coeff):
+                raise ValueError(
+                    f"coefficient of {letters!r} must be finite, got {coeff!r} (the sum of its terms)")
         canon = tuple(
             (c, PauliString(s)) for s, c in sorted(merged.items()) if c != 0.0)
         object.__setattr__(self, "terms", canon)
@@ -204,20 +205,14 @@ def expectation_sampled(obs: Observable, state: StateVector, shots: int,
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:
-    """Dense 2^n x 2^n Hermitian matrix of the observable."""
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
+    """Dense 2^n x 2^n Hermitian matrix of the observable, scattered from each
+    term's (src, phase): P[b, src[b]] = phase[b], added in canonical order."""
     dim = 2**obs.n
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for coeff, pauli in obs.terms:
-        m = mats[pauli.letters[0]]
-        for c in pauli.letters[1:]:
-            m = np.kron(m, mats[c])
-        out += coeff * m
+        src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
+        out[rows, src] += coeff * phase
     return out
 
 

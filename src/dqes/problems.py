@@ -234,11 +234,12 @@ def decode_graph(text: str) -> GraphSpec:
         if not line:
             continue
         if line.startswith("#"):
-            tokens = line[1:].split()
-            if len(tokens) >= 2 and tokens[0] == "seed":
-                seed = int(tokens[1])
-                if len(tokens) >= 4 and tokens[2] == "edge-prob":
-                    edge_prob = float(tokens[3])
+            tokens = line[1:].split()  # the settings line encode_graph writes, or free text
+            if len(tokens) in (2, 4) and tokens[0] == "seed" and tokens[2:3] in ([], ["edge-prob"]):
+                try:
+                    seed, edge_prob = int(tokens[1]), float(tokens[3]) if len(tokens) == 4 else None
+                except ValueError:
+                    pass
             continue
         tokens = line.split()
         if node_count is None:

@@ -27,6 +27,14 @@ def test_mub_verify_passes(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_mub_verify_rejects_a_non_finite_tolerance(capsys, tol):
+    assert run_cli("mub", "verify", "2", "--tol", tol) == 1
+    captured = capsys.readouterr()
+    assert f"tolerance must be positive and finite, got {tol}" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_mub_verify_rejects_large_registers():
     with pytest.raises(SystemExit) as info:
         run_cli("mub", "verify", "4")
@@ -54,6 +62,16 @@ def test_landscape_full_sweep_output(tmp_path, capsys):
     assert lines[0] == "index,subset,basis,state,energy"
     assert lines[1] == "0,1-2,0,0,-1.06658017"
     assert lines[2] == "1,1-2,0,1,-1.82172107"
+
+
+def test_landscape_rejects_terms_that_merge_to_infinity(tmp_path, capsys):
+    obs = tmp_path / "big.json"
+    obs.write_text('{"n": 1, "terms": [{"coeff": 1e308, "pauli": "Z"}, '
+                   '{"coeff": 1e308, "pauli": "Z"}]}')
+    out = tmp_path / "big.csv"
+    assert run_cli("landscape", "--observable", str(obs), "--full", "--out", str(out)) == 1
+    assert "big.json: coefficient of 'Z' must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_landscape_partial_sweep_cardinality(tmp_path, capsys):

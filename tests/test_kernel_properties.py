@@ -1,8 +1,9 @@
 """Property tests: the compiled circuit and observable, on one row and on stacks
-of rows, against the gate-by-gate and term-by-term reference paths, and the
-file codec round trips."""
+of rows, against the gate-by-gate and term-by-term reference paths, the dense
+observable matrix against the Kronecker oracle, and the file codec round trips."""
 
 import numpy as np
+from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,8 +71,25 @@ def test_compiled_observable_equals_the_term_sum(obs, seed):
     state = random_state(obs.n, seed)
     value = compile_observable(obs)(state.amps[None])[0]
     assert value == reference_expectation(obs, state)
-    dense = float(np.vdot(state.amps, observable_matrix(obs) @ state.amps).real)
+    dense = float(np.vdot(state.amps, kron_matrix(obs) @ state.amps).real)
     assert abs(value - dense) <= 1e-12
+
+
+@st.composite
+def merging_observables(draw):
+    """Observables whose terms repeat a few strings, so that duplicates merge, with
+    coefficients of either sign down to subnormal magnitudes."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    coeffs = st.floats(-1e2, 1e2, allow_nan=False) | st.sampled_from([1e-3, -1e-3, 5e-324, -2e-300])
+    pairs = draw(st.lists(st.tuples(coeffs, st.sampled_from(pool)), min_size=1, max_size=12))
+    return Observable.from_strings(n, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(obs=merging_observables())
+def test_scattered_matrix_equals_the_kron_oracle_bytes(obs):
+    assert observable_matrix(obs).tobytes() == kron_matrix(obs).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

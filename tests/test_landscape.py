@@ -6,6 +6,7 @@ from functools import cache
 
 import numpy as np
 import pytest
+from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,7 @@ from dqes.landscape import (
 from dqes.manifest import file_sha256
 from dqes.mub import (MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs,
                       realize_partial_state)
-from dqes.paulis import (Observable, PauliString, expectation_exact, observable_hash,
-                         observable_matrix)
+from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
@@ -170,7 +170,7 @@ def stabilizer_table(mubs: MubSet) -> np.ndarray:
     table = np.empty((states.shape[1], 4**k), dtype=complex)
     for letters in itertools.product("IXYZ", repeat=k):
         pauli = PauliString("".join(letters))
-        matrix = observable_matrix(Observable(k, ((1.0, pauli),)))
+        matrix = kron_matrix(Observable(k, ((1.0, pauli),)))
         table[:, (pauli.x_mask << k) | pauli.z_mask] = np.einsum(
             "ir,ij,jr->r", states.conj(), matrix, states)
     rounded = np.rint(table.real)
@@ -383,6 +383,14 @@ def oracle_records(obs, k):
             for i, spec in enumerate(enumerate_partial_specs(obs.n, k))]
 
 
+def fold(values):
+    """Left-to-right float sum; sum() is compensated from Python 3.12 on."""
+    total = 0.0
+    for e in values:
+        total += e
+    return total
+
+
 def oracle_statistics(records, per_subset):
     groups = {}
     for rec in records:
@@ -391,8 +399,8 @@ def oracle_statistics(records, per_subset):
     stats = []
     for subset, basis in sorted(groups, key=lambda g: (g[1], g[0] or ())):
         energies = groups[(subset, basis)]
-        mean = sum(energies) / len(energies)
-        var = sum((e - mean) ** 2 for e in energies) / len(energies)
+        mean = fold(energies) / len(energies)
+        var = fold((e - mean) ** 2 for e in energies) / len(energies)
         stats.append(BasisStats(basis, subset, len(energies), min(energies), max(energies),
                                 mean, var))
     return stats

@@ -112,6 +112,9 @@ def test_mub_set_validation():
         mubs.state(0, 2)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         verify_mub_set(mubs, tol=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {bad}"):
+            verify_mub_set(mubs, tol=bad)
 
 
 def test_basis_matrices_are_read_only():

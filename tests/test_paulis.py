@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracle import kron_matrix
 
 from dqes.paulis import (
     Observable,
@@ -62,7 +63,7 @@ def test_pauli_apply_matches_dense_matrix():
         for s in letters:
             p = PauliString(s)
             psi = random_state(n, seed=int(rng.integers(1_000_000)))
-            dense = observable_matrix(Observable.from_strings(n, [(1.0, s)]))
+            dense = kron_matrix(Observable.from_strings(n, [(1.0, s)]))
             assert np.allclose(pauli_apply(p, psi).amps, dense @ psi.amps, atol=1e-12)
 
 
@@ -88,6 +89,13 @@ def test_observable_validation():
         Observable.from_strings(2, [(1.0, "X")])
 
 
+def test_merged_coefficients_must_stay_finite():
+    # each coefficient is finite, but the two Z terms merge into inf
+    with pytest.raises(ValueError, match=r"coefficient of 'Z' must be finite, got inf \(the sum"):
+        Observable.from_strings(1, [(1e308, "X"), (1e308, "Z"), (1e308, "Z")])
+    assert Observable.from_strings(1, [(1e308, "Z"), (-1e308, "Z")]).terms == ()
+
+
 def test_expectation_on_eigenstates():
     z = Observable.from_strings(1, [(1.0, "Z")])
     x = Observable.from_strings(1, [(1.0, "X")])
@@ -109,7 +117,7 @@ def test_expectation_matches_dense_sandwich():
                      for _ in range(6)]
             obs = Observable.from_strings(n, pairs)
             psi = random_state(n, seed=100 * n + trial)
-            dense = float(np.real(np.vdot(psi.amps, observable_matrix(obs) @ psi.amps)))
+            dense = float(np.real(np.vdot(psi.amps, kron_matrix(obs) @ psi.amps)))
             assert abs(expectation_exact(obs, psi) - dense) < 1e-10
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from dense_oracle import kron_matrix
 
 from dqes.paulis import Observable, expectation_exact
 from dqes.problems import (
+    FIXTURES,
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
     GraphSpec,
@@ -195,6 +197,13 @@ def test_exact_spectrum_fields():
     assert abs(expectation_exact(obs, result.ground_state) - result.ground_energy) < 1e-10
 
 
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "maxcut8"])
+def test_exact_spectrum_equals_eigh_of_the_kron_oracle(name):
+    obs = (maxcut_hamiltonian(random_graph(8, 0.5, seed=42)) if name == "maxcut8"
+           else fixture(name))
+    assert np.array_equal(exact_spectrum(obs).eigenvalues, np.linalg.eigh(kron_matrix(obs))[0])
+
+
 def test_exact_spectrum_size_cap():
     obs = Observable.from_strings(11, [(1.0, "Z" * 11)])
     with pytest.raises(ValueError, match="limited to n <= 10"):
@@ -228,6 +237,14 @@ def test_graph_decode_errors_name_the_line():
         decode_graph("nodes 3\na b\n")
     with pytest.raises(ValueError, match="missing 'nodes <N>' line"):
         decode_graph("# only a comment\n")
+
+
+def test_graph_free_text_comments_stay_comments():
+    text = ("# seed of this graph: hand drawn\n# seed 7 is the next one\n"
+            "# seed 4 edge-prob high\nnodes 3\n0 1\n")
+    assert decode_graph(text) == GraphSpec(node_count=3, edges=((0, 1),))
+    settings = decode_graph("# seed 4 edge-prob 0.25\n# a note\nnodes 3\n0 1\n")
+    assert (settings.seed, settings.edge_prob) == (4, 0.25)
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -4,6 +4,7 @@ contract of shifted MUB starts."""
 
 import numpy as np
 import pytest
+from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from dqes.ansatz import AnsatzSpec
 from dqes.landscape import rank_initial_states, run_full_dqes, run_partial_dqes, score_spec
 from dqes.mub import build_full_mub_set, realize_partial_state
 from dqes.optimize import OptimizerConfig
-from dqes.paulis import Observable, expectation_exact, observable_matrix
+from dqes.paulis import Observable, expectation_exact
 from dqes.problems import ISING_STRONG_ZZ, ISING_WEAK_ZZ, transverse_field_ising
 from dqes.vqe import ShiftedMubInit, run_vqe
 
@@ -67,7 +68,7 @@ def reduced_energy(obs, spec):
     if not terms:
         return 0.0
     psi = build_full_mub_set(spec.k).bases[spec.basis_index][:, spec.state_index]
-    matrix = observable_matrix(Observable.from_strings(spec.k, terms))
+    matrix = kron_matrix(Observable.from_strings(spec.k, terms))
     return float(np.vdot(psi, matrix @ psi).real)
 
 
