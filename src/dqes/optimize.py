@@ -7,13 +7,23 @@ an improvement.
 Evaluation schedule, relied on by callers: evaluation 1 is theta0 itself and
 evaluations 2 .. dim+1 probe theta0 with coordinate j-1 offset by +rho_init.
 A caller that already knows the cost at theta0 passes it in as evaluation 1.
-The cost sees a (B, dim) stack of points per call: each stencil is one stack,
-so a caller can evaluate its dim probes as one batch. Every evaluated row
-lands in the trace, in order; the reported final energy is the trace minimum,
-so reporting is monotone even though the walk is not.
+Every evaluated row lands in the trace, in order; the reported final energy
+is the trace minimum, so reporting is monotone even though the walk is not.
+
+The descent is an ask/tell generator, the interface of pycma (Hansen, "The
+CMA Evolution Strategy: A Tutorial", arXiv:1604.00772) and Optuna (Akiba et
+al., KDD 2019): `descent` yields each (B, dim) batch of points it wants
+evaluated (evaluation 1, a stencil cut to the budget, or a line-search step),
+is sent their B values, and returns the OptimizationTrace. `minimize` is the
+driver for one cost: it evaluates each batch with one cost call. A caller
+with several descents can instead join their batches into one call and split
+the values back, as the parameter fit does with its starts; since each row's
+value depends on that row alone, every trace comes out as `minimize` gives it.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +64,9 @@ class OptimizationTrace:
     def evaluations(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def best_entry(self) -> TraceEntry:
+        # computed once: final_energy and best_params both read it
         return min(self.entries, key=lambda e: e.energy)
 
     @property
@@ -70,6 +81,89 @@ class OptimizationTrace:
 class _Stop(Exception):
     def __init__(self, reason: str):
         self.reason = reason
+
+
+def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None = None):
+    """Generator form of `minimize`: yields each (B, dim) batch of points, is
+    sent their B cost values, and returns the OptimizationTrace.
+
+    The batches are those `minimize` passes to its cost, in the same order,
+    and the trace is the one it returns. The arguments are checked at the
+    first `next`.
+    """
+    if config is None:
+        config = OptimizerConfig()
+    x = np.array(theta0, dtype=float).reshape(-1)
+    dim = len(x)
+    if dim == 0:
+        raise ValueError("theta0 must have at least one parameter")
+    if config.max_evals < dim + 2:
+        raise ValueError(
+            f"max_evals must be at least dim + 2 = {dim + 2}, got {config.max_evals}")
+    threshold = config.threshold
+    entries: list[TraceEntry] = []
+
+    def record(points: np.ndarray, values: np.ndarray) -> None:
+        # rows are recorded in order; a threshold row ends the trace there
+        for k, (point, value) in enumerate(zip(points.tolist(), values.tolist())):
+            if not math.isfinite(value):
+                raise ValueError(f"cost returned a non-finite value {value!r} at {points[k]!r}")
+            entries.append(TraceEntry(index=len(entries) + 1, params=tuple(point),
+                                      energy=value))
+            if threshold is not None and value <= threshold:
+                raise _Stop("threshold")
+
+    def evaluate(points: np.ndarray):
+        # rows past the budget are dropped before they are asked for
+        points = points[:config.max_evals - len(entries)]
+        if len(points) == 0:
+            raise _Stop("max-evals")
+        values = np.asarray((yield points), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"cost returned shape {values.shape} for {len(points)} points")
+        record(points, values)
+        return values
+
+    termination = "converged"
+    try:
+        if cost0 is None:
+            fx = (yield from evaluate(x[None]))[0]
+        else:
+            fx = float(cost0)
+            record(x[None], np.array([fx]))
+        rho = config.rho_init
+        while rho >= config.tol:
+            # forward-difference stencil; the very first pass is the documented
+            # probe pattern at rho_init
+            probes = np.repeat(x[None], dim, axis=0)
+            probes.flat[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
+            stencil = yield from evaluate(probes)
+            if len(stencil) < dim:
+                raise _Stop("max-evals")
+            gradient = (stencil - fx) / rho
+            norm = float(np.linalg.norm(gradient))
+            moved = False
+            if norm > 0:
+                direction = -gradient / norm
+                while True:
+                    candidate = x + rho * direction
+                    fc = (yield from evaluate(candidate[None]))[0]
+                    if fc < fx - 1e-15 * (1 + abs(fx)):
+                        x, fx = candidate, fc
+                        moved = True
+                    else:
+                        break
+            if not moved:
+                j_best = int(np.argmin(stencil))
+                if stencil[j_best] < fx - 1e-15 * (1 + abs(fx)):
+                    best = x.copy()
+                    best[j_best] += rho
+                    x, fx = best, stencil[j_best]
+                else:
+                    rho /= 2
+    except _Stop as stop:
+        termination = stop.reason
+    return OptimizationTrace(entries=tuple(entries), termination=termination)
 
 
 def minimize(cost, theta0, config: OptimizerConfig | None = None,
@@ -87,75 +181,10 @@ def minimize(cost, theta0, config: OptimizerConfig | None = None,
     are recorded in order, and a threshold crossed mid-stencil ends the trace
     at the crossing row and discards the rest of the batch.
     """
-    if config is None:
-        config = OptimizerConfig()
-    x = np.array(theta0, dtype=float).reshape(-1)
-    dim = len(x)
-    if dim == 0:
-        raise ValueError("theta0 must have at least one parameter")
-    if config.max_evals < dim + 2:
-        raise ValueError(
-            f"max_evals must be at least dim + 2 = {dim + 2}, got {config.max_evals}")
-    entries: list[TraceEntry] = []
-
-    def record(point: np.ndarray, value: float) -> None:
-        if not np.isfinite(value):
-            raise ValueError(f"cost returned a non-finite value {value!r} at {point!r}")
-        entries.append(TraceEntry(index=len(entries) + 1,
-                                  params=tuple(point.tolist()),
-                                  energy=value))
-        if config.threshold is not None and value <= config.threshold:
-            raise _Stop("threshold")
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        # rows past the budget are dropped before cost sees them
-        points = points[:config.max_evals - len(entries)]
-        if len(points) == 0:
-            raise _Stop("max-evals")
-        values = np.asarray(cost(points), dtype=float)
-        if values.shape != (len(points),):
-            raise ValueError(f"cost returned shape {values.shape} for {len(points)} points")
-        for point, value in zip(points, values):
-            record(point, float(value))
-        return values
-
-    termination = "converged"
+    steps = descent(theta0, config, cost0)
     try:
-        if cost0 is None:
-            fx = evaluate(x[None])[0]
-        else:
-            fx = float(cost0)
-            record(x, fx)
-        rho = config.rho_init
-        while rho >= config.tol:
-            # forward-difference stencil; the very first pass is the documented
-            # probe pattern at rho_init
-            probes = np.tile(x, (dim, 1))
-            probes[np.arange(dim), np.arange(dim)] += rho
-            stencil = evaluate(probes)
-            if len(stencil) < dim:
-                raise _Stop("max-evals")
-            gradient = (stencil - fx) / rho
-            norm = float(np.linalg.norm(gradient))
-            moved = False
-            if norm > 0:
-                direction = -gradient / norm
-                while True:
-                    candidate = x + rho * direction
-                    fc = evaluate(candidate[None])[0]
-                    if fc < fx - 1e-15 * (1 + abs(fx)):
-                        x, fx = candidate, fc
-                        moved = True
-                    else:
-                        break
-            if not moved:
-                j_best = int(np.argmin(stencil))
-                if stencil[j_best] < fx - 1e-15 * (1 + abs(fx)):
-                    best = x.copy()
-                    best[j_best] += rho
-                    x, fx = best, stencil[j_best]
-                else:
-                    rho /= 2
-    except _Stop as stop:
-        termination = stop.reason
-    return OptimizationTrace(entries=tuple(entries), termination=termination)
+        points = next(steps)
+        while True:
+            points = steps.send(cost(points))
+    except StopIteration as done:
+        return done.value

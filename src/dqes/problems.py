@@ -107,8 +107,7 @@ class GraphSpec:
     edge_prob: float | None = None
 
     def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError(f"graph needs at least 2 nodes, got {self.node_count}")
+        _check_graph_settings(self.node_count, self.seed, self.edge_prob)
         seen = set()
         norm = []
         for u, v in self.edges:
@@ -124,12 +123,21 @@ class GraphSpec:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
 
-def random_graph(node_count: int, edge_prob: float, seed: int) -> GraphSpec:
-    """Erdos-Renyi draw: each pair (u, v) in lex order gets an independent coin."""
+def _check_graph_settings(node_count: int, seed: int | None, edge_prob: float | None) -> None:
+    """Checks a graph's size and the generator settings it records, which a
+    GraphSpec and random_graph share."""
     if node_count < 2:
         raise ValueError(f"graph needs at least 2 nodes, got {node_count}")
-    if not 0.0 <= edge_prob <= 1.0:
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # a nan fails both comparisons
+    if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {edge_prob}")
+
+
+def random_graph(node_count: int, edge_prob: float, seed: int) -> GraphSpec:
+    """Erdos-Renyi draw: each pair (u, v) in lex order gets an independent coin."""
+    _check_graph_settings(node_count, seed, edge_prob)
     rng = np.random.default_rng(seed)
     edges = tuple((u, v) for u, v in combinations(range(node_count), 2)
                   if rng.random() < edge_prob)

@@ -20,7 +20,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
 from .landscape import score_spec
 from .mub import PartialMubSpec, realize_partial_state
-from .optimize import OptimizationTrace, OptimizerConfig, minimize
+from .optimize import OptimizationTrace, OptimizerConfig, descent, minimize
 from .paulis import Observable, compile_observable
 from .states import StateVector, random_state, zero_state
 
@@ -109,9 +109,39 @@ _REACHABLE_INFIDELITY = 1e-9
 _FIT_CONFIG = OptimizerConfig(rho_init=0.5, tol=1e-10, max_evals=4000, threshold=1e-16)
 
 
+def _infidelities(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1 - |<target|row>|^2 for each row of a (B, 2^n) stack.
+
+    Each value equals 1.0 - abs(np.dot(np.conj(target), row)) ** 2 bit for bit.
+    The squares are Python's float ** 2 (libm pow) of the scalar abs: numpy's
+    ** 2 on an array is np.square, and it and np.abs move the last bits.
+    """
+    return np.array([1.0 - abs(z) ** 2 for z in np.vecdot(target, rows).tolist()])
+
+
+# Fit starts in flight at once. Their asks share one circuit call, which at
+# small n costs little more for 4 rows than for 1; more starts in flight run
+# more starts past the one that reaches _FIT_DONE, whose work is thrown away.
+_FIT_WIDTH = 4
+
+# A start whose best infidelity reaches this is the last start the search uses.
+_FIT_DONE = 1e-14
+
+
 def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int = 32,
                             seed: int = 0) -> FitResult:
     """Multi-start search for parameters with U(theta)|0...0> = target up to phase.
+
+    Start i descends from theta0 drawn uniformly from [-pi, pi)^P by
+    default_rng([seed, i]). The rule is sequential: run starts 0, 1, ... in
+    order, keep the lowest infidelity, and stop after the first start that
+    reaches 1e-14. The search runs up to _FIT_WIDTH starts in lockstep, by
+    start index: each round joins the points every start in flight asks for
+    (optimize.descent) into one circuit call and sends each start its own
+    values. When start j finishes at or below 1e-14, the starts after j are
+    closed and none is begun, while the starts before j run to their end;
+    the sequential rule is then replayed over the finished traces, so the
+    result is the one the sequential loop gives.
 
     Reachable iff the best fidelity is at least 1 - 1e-9; the verdict carries
     the best parameters and fidelity found either way.
@@ -121,25 +151,48 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
     zero = zero_state(spec.n).amps
-    conj_target = np.conj(target.amps)
     circuit = compile_ansatz(spec)
 
-    def infidelity(thetas) -> list:
-        psis = circuit(as_parameter_rows(spec, thetas), zero)
-        return [1.0 - abs(np.dot(conj_target, psi)) ** 2 for psi in psis]
+    def infidelity(thetas) -> np.ndarray:
+        return _infidelities(target.amps, circuit(as_parameter_rows(spec, thetas), zero))
+
+    traces: dict[int, OptimizationTrace] = {}
+    flight: dict[int, tuple] = {}  # start index -> (its descent, the points it asks for)
+    begun, limit = 0, starts
+    while flight or begun < limit:
+        while len(flight) < _FIT_WIDTH and begun < limit:
+            rng = np.random.default_rng([seed, begun])
+            steps = descent(rng.uniform(-np.pi, np.pi, spec.parameter_count), _FIT_CONFIG)
+            flight[begun] = steps, next(steps)
+            begun += 1
+        asked = list(flight.items())
+        values = infidelity(np.concatenate([points for _, (_, points) in asked]))
+        offset = 0
+        for index, (steps, points) in asked:
+            told = values[offset:offset + len(points)]
+            offset += len(points)
+            if index >= limit:
+                continue  # closed this round
+            try:
+                flight[index] = steps, steps.send(told)
+            except StopIteration as done:
+                del flight[index]
+                traces[index] = done.value
+                if done.value.final_energy <= _FIT_DONE:
+                    limit = index + 1
+                    for later in [i for i in flight if i > index]:
+                        flight.pop(later)[0].close()
 
     best_value = np.inf
     best_params: tuple[float, ...] = ()
     used = 0
-    for start in range(starts):
-        rng = np.random.default_rng([seed, start])
-        theta0 = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        trace = minimize(infidelity, theta0, _FIT_CONFIG)
+    for start in range(limit):
+        trace = traces[start]
         used = start + 1
         if trace.final_energy < best_value:
             best_value = trace.final_energy
             best_params = trace.best_params
-        if best_value <= 1e-14:
+        if best_value <= _FIT_DONE:
             break
     fidelity = min(1.0, 1.0 - best_value)
     return FitResult(

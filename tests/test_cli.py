@@ -311,6 +311,25 @@ def test_vqe_outputs_match_their_frozen_hashes(tmp_path, argv):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# three fits of 2, 1 and 4 starts; the H2_075 pin above fits with one start only
+MULTI_START_FIT_PINS = {
+    "trace_fit-b0s1q1-2.csv": "ecfb61a4689630003b0e04bad7f2a9861739f7c8f674f2636904dc73a086e1d2",
+    "trace_fit-b1s1q1-2.csv": "dd594e5d01b0a2b95cf6cd3f0269b3d824dac97c6f5e6ee04e2b5dba9338dd24",
+    "trace_fit-b1s2q1-2.csv": "c129d280543bed045e537d21c26d039ce492391175fae84dd179c5dbe02d2149",
+    "summary.json": "afc0e274460e1950662a57fbe2150031e3e8d72a14686d03dc4d3efe3250770d",
+}
+
+
+def test_vqe_multi_start_fit_outputs_match_their_frozen_hashes(tmp_path):
+    out = tmp_path / "vqe"
+    assert run_cli("vqe", "--fixture", "H2_075", "--strategy", "fit", "--init", "top-3",
+                   "--out", str(out)) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == sorted(MULTI_START_FIT_PINS)
+    for name, digest in MULTI_START_FIT_PINS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 # a 10-qubit, two-layer YZ run: the pins above are all at n <= 3 and one layer
 # deep in CX chains; summary.json names the observable by its file stem
 ISING10_PINS = {

@@ -13,7 +13,7 @@ from dqes.paulis import (Observable, compile_observable, decode_observable, enco
                          save_observable)
 from dqes.problems import GraphSpec, decode_graph, encode_graph, load_graph, save_graph
 from dqes.states import Gate, StateVector, apply_gate, random_state
-from dqes.vqe import vqe_cost
+from dqes.vqe import _infidelities, vqe_cost
 
 # Basis-change matrices of the sampled-expectation reference, as in dqes.states.
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -257,3 +257,18 @@ def test_graph_file_round_trip(graph, tmp_path_factory):
     path = tmp_path_factory.mktemp("graph") / "g.graph.txt"
     save_graph(graph, path)
     assert load_graph(path) == graph
+
+
+def test_fit_overlaps_equal_the_per_row_form():
+    # the fit's infidelities, one np.vecdot per call, against the per-row
+    # np.dot they replaced; a rewrite to np.abs or numpy's ** 2 fails here
+    rng = np.random.default_rng(2025)
+    for dim in (2, 4, 8, 16):
+        for count in range(1, 40):
+            parts = rng.standard_normal((2, count + 1, dim))
+            states = parts[0] + 1j * parts[1]
+            states /= np.linalg.norm(states, axis=1)[:, None]
+            target, rows = states[0], states[1:]
+            expected = [1.0 - abs(np.dot(np.conj(target), row)) ** 2 for row in rows]
+            assert _infidelities(target, rows).tolist() == expected, (dim, count)
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dqes.optimize import OptimizationTrace, OptimizerConfig, TraceEntry, minimize
+from dqes.optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, minimize
 
 
 def quadratic(center):
@@ -201,3 +201,85 @@ def test_descent_never_reports_worse_than_start():
         theta0 = rng.uniform(-2, 2, size=4)
         trace = minimize(quadratic(center), theta0)
         assert trace.final_energy <= trace.entries[0].energy + 1e-15
+
+
+def joined(cost, descents):
+    """Drive descents in lockstep: each round evaluates every ask in one cost
+    call and sends each descent its own rows. (traces, row count of each call)."""
+    traces, asks, calls = {}, {}, []
+    for i, steps in enumerate(descents):
+        try:
+            asks[i] = steps, next(steps)
+        except StopIteration as done:
+            traces[i] = done.value
+    while asks:
+        batch = list(asks.items())
+        values = cost(np.concatenate([points for _, (_, points) in batch]))
+        calls.append(len(values))
+        offset = 0
+        for i, (steps, points) in batch:
+            told, offset = values[offset:offset + len(points)], offset + len(points)
+            try:
+                asks[i] = steps, steps.send(told)
+            except StopIteration as done:
+                del asks[i]
+                traces[i] = done.value
+    return [traces[i] for i in range(len(descents))], calls
+
+
+def test_descent_asks_for_the_batches_minimize_evaluates():
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    trace = minimize(cost, np.zeros(3), cost0=14.0)
+    traces, calls = joined(quadratic([1.0, -1.0, 2.0]), [descent(np.zeros(3), cost0=14.0)])
+    assert traces == [trace]
+    assert calls == rows
+
+
+def test_descent_cuts_a_stencil_to_the_budget_as_minimize_does():
+    config = OptimizerConfig(tol=1e-300, max_evals=10)
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    trace = minimize(cost, np.zeros(3), config)
+    assert rows[-1] < 3 and trace.termination == "max-evals"
+    traces, calls = joined(quadratic([1.0, -1.0, 2.0]), [descent(np.zeros(3), config)])
+    assert traces == [trace]
+    assert calls == rows
+
+
+def test_descent_stops_mid_stencil_at_the_threshold_as_minimize_does():
+    cost = first_stencil_reads([0.5, -0.5, -1.0, 0.5])
+    config = OptimizerConfig(rho_init=0.5, threshold=-0.4)
+    traces, calls = joined(cost, [descent(np.zeros(4), config)])
+    assert traces == [minimize(cost, np.zeros(4), config)]
+    assert calls == [1, 4]
+    # a threshold met by cost0 ends the descent before its first ask
+    traces, calls = joined(cost, [descent(np.zeros(4), config, cost0=-1.0)])
+    assert traces == [minimize(cost, np.zeros(4), config, cost0=-1.0)]
+    assert calls == [] and traces[0].termination == "threshold"
+
+
+def test_descents_of_unequal_lengths_share_each_call():
+    cost = quadratic([1.0, -1.0, 2.0])
+    rng = np.random.default_rng(7)
+    settings = [(rng.uniform(-2, 2, 3), config, cost0)
+                for config in (OptimizerConfig(max_evals=12, tol=1e-300), OptimizerConfig(),
+                               OptimizerConfig(rho_init=0.1, tol=1e-3),
+                               OptimizerConfig(threshold=0.5))
+                for cost0 in (None, 9.0)]
+    traces, calls = joined(cost, [descent(*s) for s in settings])
+    expected = [minimize(cost, *s) for s in settings]
+    assert traces == expected
+    lengths = [t.evaluations for t in expected]
+    assert len(set(lengths)) > 3
+    assert sum(calls) == sum(lengths) - sum(cost0 is not None for *_, cost0 in settings)
+    assert max(calls) > 3  # rows of several descents in one call
+
+
+def test_best_entry_is_computed_once_and_left_out_of_equality():
+    entries = (TraceEntry(index=1, params=(0.0,), energy=2.0),
+               TraceEntry(index=2, params=(1.0,), energy=1.0))
+    read = OptimizationTrace(entries=entries, termination="converged")
+    assert (read.final_energy, read.best_params) == (1.0, (1.0,))
+    assert vars(read)["best_entry"] is entries[1]  # kept from the first read
+    fresh = OptimizationTrace(entries=entries, termination="converged")
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+

@@ -146,6 +146,30 @@ def test_random_graph_density_extremes():
         random_graph(5, 1.5, seed=1)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": 1, "edge_prob": float("nan")}, r"edge probability must be in \[0, 1\], got nan"),
+    ({"seed": 1, "edge_prob": float("inf")}, r"edge probability must be in \[0, 1\], got inf"),
+    ({"seed": 1, "edge_prob": 7.0}, r"edge probability must be in \[0, 1\], got 7.0"),
+    ({"seed": 1, "edge_prob": -0.5}, r"edge probability must be in \[0, 1\], got -0.5"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": -1, "edge_prob": 0.5}, "seed must be a non-negative integer, got -1"),
+], ids=["nan", "inf", "above-1", "below-0", "negative-seed", "negative-seed-with-prob"])
+def test_graph_spec_rejects_bad_generator_settings(settings, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        GraphSpec(node_count=3, edges=((0, 1),), **settings)
+    # a graph file carrying these settings does not load
+    prob = f" edge-prob {settings['edge_prob']!r}" if "edge_prob" in settings else ""
+    path = tmp_path / "g.graph.txt"
+    path.write_text(f"# seed {settings['seed']}{prob}\nnodes 3\n0 1\n")
+    with pytest.raises(ValueError, match=message):
+        load_graph(path)
+
+
+def test_random_graph_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        random_graph(5, 0.5, seed=-2)
+
+
 def test_cut_value_counts_crossing_edges():
     # path 0-1-2; assignment bit for node 0 is the most significant
     graph = GraphSpec(node_count=3, edges=((0, 1), (1, 2)))

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dqes.ansatz import AnsatzSpec, prepare_state
+from dqes.ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
 from dqes.landscape import run_full_dqes
 from dqes.mub import PartialMubSpec, realize_partial_state
-from dqes.optimize import OptimizerConfig
+from dqes.optimize import OptimizerConfig, minimize
 from dqes.paulis import expectation_exact
 from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
 from dqes.states import StateVector, inner_product, random_state, zero_state
 from dqes.vqe import (
+    FitResult,
     ParameterFitInit,
     RandomStateInit,
     ShiftedMubInit,
@@ -113,6 +116,69 @@ def test_fit_reports_unreachable_targets():
     assert not fit.reachable
     assert abs(fit.fidelity - 0.5) < 1e-6
     assert fit.starts_used == 4
+
+
+def sequential_fit(spec, target, starts, seed):
+    """The fit as one start after another, each through minimize with a per-row
+    np.dot overlap: the oracle the lockstep fit must equal."""
+    zero = zero_state(spec.n).amps
+    conj_target = np.conj(target.amps)
+    circuit = compile_ansatz(spec)
+
+    def infidelity(thetas) -> list:
+        psis = circuit(as_parameter_rows(spec, thetas), zero)
+        return [1.0 - abs(np.dot(conj_target, psi)) ** 2 for psi in psis]
+
+    config = OptimizerConfig(rho_init=0.5, tol=1e-10, max_evals=4000, threshold=1e-16)
+    best_value = np.inf
+    best_params: tuple[float, ...] = ()
+    used = 0
+    for start in range(starts):
+        rng = np.random.default_rng([seed, start])
+        theta0 = rng.uniform(-np.pi, np.pi, spec.parameter_count)
+        trace = minimize(infidelity, theta0, config)
+        used = start + 1
+        if trace.final_energy < best_value:
+            best_value = trace.final_energy
+            best_params = trace.best_params
+        if best_value <= 1e-14:
+            break
+    return FitResult(reachable=best_value <= 1e-9, params=best_params,
+                     fidelity=min(1.0, 1.0 - best_value), starts_used=used)
+
+
+@st.composite
+def fit_cases(draw):
+    """(ansatz, target, starts, seed): a MUB state, which the ansatz may reach,
+    or a Haar-random state, which a Y-only ansatz cannot (its amplitudes are real)."""
+    n = draw(st.integers(1, 3))
+    spec = AnsatzSpec(n=n, rotation_axes=draw(st.sampled_from([("Y",), ("Y", "Z")])))
+    if draw(st.booleans()):
+        target = realize_partial_state(full_spec(draw(st.integers(0, 2**n)),
+                                                 draw(st.integers(0, 2**n - 1)), n=n))
+    else:
+        target = random_state(n, draw(st.integers(0, 2**32 - 1)))
+    return spec, target, draw(st.integers(1, 8)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=fit_cases())
+# reachable: start 3 of 8 reaches 1e-14, so starts 4..7 are closed or never begun
+@example(case=(AnsatzSpec(n=2), realize_partial_state(full_spec(1, 2)), 8, 0))
+# unreachable: every one of the 8 starts runs to its end
+@example(case=(AnsatzSpec(n=2), random_state(2, 5), 8, 1))
+def test_lockstep_fit_equals_the_sequential_fit(case):
+    spec, target, starts, seed = case
+    assert fit_parameters_to_state(spec, target, starts, seed) == \
+        sequential_fit(spec, target, starts, seed)
+
+
+def test_the_fit_examples_cover_both_outcomes():
+    # the explicit examples above: an early stop and a search that spends every start
+    early = fit_parameters_to_state(AnsatzSpec(n=2), realize_partial_state(full_spec(1, 2)), 8, 0)
+    assert early.reachable and early.starts_used == 4
+    spent = fit_parameters_to_state(AnsatzSpec(n=2), random_state(2, 5), 8, 1)
+    assert not spent.reachable and spent.starts_used == 8
 
 
 def test_fit_fallback_keeps_the_run_going():
