@@ -18,6 +18,7 @@ columns; a LandscapeRecord is built only for a record a caller asks for.
 """
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -252,24 +253,40 @@ def rank_initial_states(report: LandscapeReport, k: int) -> list[LandscapeRecord
 # across reruns, volatile metadata lives in the sidecar manifest.
 
 
-def landscape_csv_text(report: LandscapeReport) -> str:
+def _csv_chunks(report: LandscapeReport) -> Iterator[str]:
+    """The records CSV as chunks: the header, then one string per subset
+    holding that subset's (2^K + 1) * 2^K lines.
+
+    Each distinct energy is formatted once. Energies are told apart by their
+    float64 bits, not their values: -0.0 == 0.0, but they print as -0 and 0.
+    """
+    yield "index,subset,basis,state,energy\n"
+    bits, which = np.unique(report.energies.view(np.int64), return_inverse=True)
+    texts = [f"{energy:.12g}" for energy in bits.view(np.float64).tolist()]
     tails = [f"{b},{s}," for b in range(2**report.k + 1) for s in range(2**report.k)]
-    energies = report.energies.tolist()
-    lines = ["index,subset,basis,state,energy"]
-    index = 0
+    start = 0
     for subset in report.subsets.tolist():
         head = "-".join(map(str, subset))
-        for tail in tails:
-            lines.append(f"{index},{head},{tail}{energies[index]:.12g}")
-            index += 1
-    return "\n".join(lines) + "\n"
+        stop = start + len(tails)
+        yield "".join([f"{index},{head},{tail}{texts[w]}\n" for index, tail, w
+                       in zip(range(start, stop), tails, which[start:stop].tolist())])
+        start = stop
+
+
+def landscape_csv_text(report: LandscapeReport) -> str:
+    """The records CSV as one string: the joined _csv_chunks."""
+    return "".join(_csv_chunks(report))
 
 
 def export_csv(report: LandscapeReport, path, sidecar_fields: dict | None = None) -> None:
-    """Write the records CSV and its <path>.manifest.json sidecar."""
+    """Write the records CSV and its <path>.manifest.json sidecar.
+
+    The CSV streams to disk one subset at a time, so memory does not grow with
+    the size of its text; like every output it is written atomically.
+    """
     from .manifest import write_sidecar, write_text_atomic
 
-    write_text_atomic(path, landscape_csv_text(report))
+    write_text_atomic(path, _csv_chunks(report))
     fields = {
         "observable_name": report.observable_name,
         "observable_sha256": report.observable_hash,

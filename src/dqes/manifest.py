@@ -10,6 +10,7 @@ killed part-way leaves each file either absent, as it was, or complete.
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,16 +36,18 @@ class RunManifest:
         return fields
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_text_atomic(path, text: str | Iterable[str]) -> None:
     """Write text to a temp file next to path, then os.replace it into place.
 
-    On any error the temp file is removed and path is left as it was.
+    text is one str or an iterable of str chunks, written in order, so a large
+    file need not be held in memory whole. On any error, in the writing or in
+    producing a chunk, the temp file is removed and path is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .manifest import write_text_atomic
 from .mub import MAX_SWEEP_QUBITS
-from .paulis import Observable, observable_matrix
-from .states import StateVector
+from .paulis import Observable, _pauli_action, observable_matrix
+from .states import StateVector, basis_state
 
 # Two-qubit tapered molecular Hamiltonians at fixed geometry, coefficients in
 # Hartree. Keys are <molecule>_<separation in hundredths of an Angstrom>.
@@ -198,10 +198,31 @@ class ExactSpectrumResult:
         object.__setattr__(self, "eigenvalues", ev)
 
 
+# np.linalg.eigh (LAPACK zheevd) rescales a matrix whose largest entry lies
+# outside [2^-485, 2^485] before it diagonalizes, and that rescaling rounds.
+_EIGH_UNSCALED = (2.0**-485, 2.0**485)
+
+
 def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
-    """Full spectrum via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS)."""
+    """Full spectrum via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS).
+
+    An observable with no X or Y letter is diagonal. Unless eigh would rescale
+    it, its spectrum is read off the diagonal with no matrix built: eigh
+    returns exactly the stable-sorted diagonal, and the unit vector at the
+    first minimum as the ground state.
+    """
     if obs.n > MAX_EXACT_QUBITS:
         raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
+    if all(pauli.x_mask == 0 for _, pauli in obs.terms):
+        diagonal = _diagonal(obs)
+        largest = float(np.abs(diagonal).max())
+        if largest == 0.0 or _EIGH_UNSCALED[0] <= largest <= _EIGH_UNSCALED[1]:
+            order = np.argsort(diagonal, kind="stable")
+            return ExactSpectrumResult(
+                eigenvalues=diagonal[order],
+                ground_energy=float(diagonal[order[0]]),
+                ground_state=basis_state(obs.n, int(order[0])),
+            )
     matrix = observable_matrix(obs)
     eigenvalues, vectors = np.linalg.eigh(matrix)
     ground = vectors[:, 0]
@@ -213,6 +234,16 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
         ground_energy=float(eigenvalues[0]),
         ground_state=StateVector(obs.n, ground / np.linalg.norm(ground)),
     )
+
+
+def _diagonal(obs: Observable) -> np.ndarray:
+    """The diagonal of an observable with no X or Y letter: each term's signs
+    times its coefficient, added in canonical order as observable_matrix adds them."""
+    dim = 2**obs.n
+    diagonal = np.zeros(dim)
+    for coeff, pauli in obs.terms:
+        diagonal += coeff * _pauli_action(dim, 0, pauli.z_mask)[1].real
+    return diagonal
 
 
 # --- graph file codec --------------------------------------------------------

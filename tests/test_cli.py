@@ -331,7 +331,12 @@ def test_vqe_multi_start_fit_outputs_match_their_frozen_hashes(tmp_path):
 
 
 # a 10-qubit, two-layer YZ run: the pins above are all at n <= 3 and one layer
-# deep in CX chains; summary.json names the observable by its file stem
+# deep in CX chains; summary.json names the observable by its file stem.
+# summary.json holds at a fixed BLAS thread count only: its exact ground energy
+# comes from eigh of the dense 1024 x 1024 Ising matrix, whose last bits depend
+# on the thread count (OPENBLAS_NUM_THREADS=1 writes -6.055133243287062, two
+# threads ...061, and both gap_to_exact values move with it; the traces do not).
+# A diagonal observable, with no X or Y letter, calls no eigh.
 ISING10_PINS = {
     "trace_b0s7q2-4-7.csv": "7f3e9346ee8de255222df97b7b3d1faeaf2b1cd6f54da05c8a8372a799ecc0e3",
     "trace_random0.csv": "69243b1487a81db84c602776314c1edb014fa53dd5e81587545b26b30e7e0dbd",

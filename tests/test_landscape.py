@@ -443,6 +443,43 @@ def test_columnar_readers_match_the_per_spec_path(case):
     assert report.records is report.records
 
 
+def random_coefficient_report():
+    """A K = 3 sweep of random Pauli strings with Gaussian coefficients, whose
+    energies are nearly all distinct."""
+    rng = np.random.default_rng(11)
+    pairs = [(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=6)))
+             for _ in range(12)]
+    return run_partial_dqes(Observable.from_strings(6, pairs), 3)
+
+
+def special_energy_report():
+    """A hand-built report whose energies repeat 0.0, -0.0, a subnormal and
+    1e300 in both orders among ordinary values."""
+    specials = [0.0, -0.0, 5e-324, 1e300, -1e300, -0.0, 0.0, -2.5, 1 / 3, 5e-324]
+    energies = np.resize(specials, 3 * 20)
+    return LandscapeReport(observable_name="specials", observable_hash="0", n=3, k=2,
+                           kind="partial", subsets=[(1, 2), (1, 3), (2, 3)], energies=energies)
+
+
+@pytest.mark.parametrize("make_report", [random_coefficient_report, special_energy_report])
+def test_streamed_csv_matches_the_per_record_oracle(make_report, tmp_path):
+    report = make_report()
+    expected = oracle_csv(report.records)
+    assert landscape_csv_text(report) == expected
+    export_csv(report, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == expected.encode()
+
+
+def test_csv_tells_negative_zero_from_zero():
+    report = special_energy_report()
+    lines = landscape_csv_text(report).splitlines()
+    assert lines[1:3] == ["0,1-2,0,0,0", "1,1-2,0,1,-0"]
+    # a dedup keyed on the value merges -0.0 into 0.0 and prints one text for both
+    by_value = {energy: f"{energy:.12g}" for energy in report.energies.tolist()}
+    assert [by_value[e] for e in report.energies.tolist()] != \
+        [f"{e:.12g}" for e in report.energies.tolist()]
+
+
 def test_rankings_keep_enumeration_order_on_ties():
     # Max-Cut energies are integers, so most records tie with others
     report = run_partial_dqes(maxcut_hamiltonian(random_graph(8, 0.5, seed=42)), 3)

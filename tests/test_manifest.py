@@ -76,3 +76,27 @@ def test_interrupted_move_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="device gone"):
         write_text_atomic(tmp_path / "summary.json", "{}\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_chunk_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+
+    def chunks():
+        yield "index,energy\n"
+        yield "0,1.0\n" * 100_000
+        # the chunks so far sit in the temp file, not in the target
+        assert sorted(os.listdir(tmp_path)) == [f".out.csv.{os.getpid()}.tmp", "out.csv"]
+        raise RuntimeError("sweep failed")
+
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        write_text_atomic(path, chunks())
+    assert path.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_chunks_write_the_bytes_of_their_joined_text(tmp_path):
+    text = "index,energy\n" + "".join(f"{i},{i / 7:.12g}\n" for i in range(1000))
+    write_text_atomic(tmp_path / "whole.csv", text)
+    write_text_atomic(tmp_path / "chunks.csv", (text[i:i + 97] for i in range(0, len(text), 97)))
+    assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

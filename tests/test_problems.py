@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from dense_oracle import kron_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqes.paulis import Observable, expectation_exact
 from dqes.problems import (
@@ -221,11 +223,56 @@ def test_exact_spectrum_fields():
     assert abs(expectation_exact(obs, result.ground_state) - result.ground_energy) < 1e-10
 
 
+def assert_equals_eigh_of_the_kron_oracle(obs):
+    """exact_spectrum(obs) holds eigh's arrays bit for bit, sign bits included."""
+    eigenvalues, vectors = np.linalg.eigh(kron_matrix(obs))
+    ground = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    result = exact_spectrum(obs)
+    assert result.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert np.float64(result.ground_energy).tobytes() == eigenvalues[0].tobytes()
+    assert result.ground_state.amps.tobytes() == ground.tobytes()
+
+
 @pytest.mark.parametrize("name", [*sorted(FIXTURES), "maxcut8"])
 def test_exact_spectrum_equals_eigh_of_the_kron_oracle(name):
     obs = (maxcut_hamiltonian(random_graph(8, 0.5, seed=42)) if name == "maxcut8"
            else fixture(name))
-    assert np.array_equal(exact_spectrum(obs).eigenvalues, np.linalg.eigh(kron_matrix(obs))[0])
+    assert_equals_eigh_of_the_kron_oracle(obs)
+
+
+@st.composite
+def diagonal_observables(draw):
+    """Z-strings with small-integer coefficients (many tied levels), with
+    floats in [-2, 2], or with tiny ones (eigh rescales a matrix whose entries
+    all lie below 2^-485, about 1e-146), or a Max-Cut graph's unit ZZ terms."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["integer", "float", "tiny", "maxcut"]))
+    if kind == "maxcut" and n > 1:
+        graph = random_graph(n, draw(st.sampled_from([0.3, 0.6, 1.0])), draw(st.integers(0, 999)))
+        if graph.edges:
+            return maxcut_hamiltonian(graph)
+    bound = 1e-100 if kind == "tiny" else 2.0
+    coeffs = (st.integers(-3, 3).map(float) if kind == "integer"
+              else st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
+    letters = st.text(alphabet="IZ", min_size=n, max_size=n)
+    return Observable.from_strings(n, draw(st.lists(st.tuples(coeffs, letters), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(obs=diagonal_observables())
+def test_diagonal_spectrum_equals_eigh_of_the_kron_oracle(obs):
+    assert_equals_eigh_of_the_kron_oracle(obs)
+
+
+def test_diagonal_observables_call_no_eigh(monkeypatch):
+    def no_eigh(matrix):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    result = exact_spectrum(maxcut_hamiltonian(random_graph(10, 0.5, seed=42)))
+    assert result.eigenvalues.shape == (1024,)
+    with pytest.raises(AssertionError, match="eigh was called"):
+        exact_spectrum(molecule_fixture("H2_075"))
 
 
 def test_exact_spectrum_size_cap():
