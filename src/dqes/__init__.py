@@ -13,7 +13,7 @@ from .manifest import RunManifest, write_sidecar, write_text_atomic
 from .mub import (MubCertification, MubSet, PartialMubSpec, build_full_mub_set,
                   encode_mub_set, enumerate_partial_specs, realize_partial_state,
                   verify_mub_set)
-from .optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, minimize
+from .optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep, minimize
 from .paulis import (Observable, PauliString, compile_observable, decode_observable,
                      encode_observable, expectation_exact, expectation_sampled, load_observable,
                      observable_hash, observable_matrix, pauli_apply, save_observable)

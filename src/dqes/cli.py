@@ -288,6 +288,7 @@ def cmd_problem(args) -> int:
     seeds = {"seed": args.seed} if getattr(args, "seed", None) is not None else {}
     manifest = RunManifest(argv=tuple(args.argv), seeds=seeds)
     if args.kind == "maxcut":
+        problems.check_maxcut_nodes(args.nodes)
         graph = problems.random_graph(args.nodes, args.edge_prob, args.seed)
         obs = problems.maxcut_hamiltonian(graph)
         prefix = Path(args.out) if args.out else _out_dir() / f"maxcut{args.nodes}"

@@ -14,11 +14,10 @@ The descent is an ask/tell generator, the interface of pycma (Hansen, "The
 CMA Evolution Strategy: A Tutorial", arXiv:1604.00772) and Optuna (Akiba et
 al., KDD 2019): `descent` yields each (B, dim) batch of points it wants
 evaluated (evaluation 1, a stencil cut to the budget, or a line-search step),
-is sent their B values, and returns the OptimizationTrace. `minimize` is the
-driver for one cost: it evaluates each batch with one cost call. A caller
-with several descents can instead join their batches into one call and split
-the values back, as the parameter fit does with its starts; since each row's
-value depends on that row alone, every trace comes out as `minimize` gives it.
+is sent their B values, and returns the OptimizationTrace. `lockstep` drives
+descents, joining their batches into one cost call; each row's value depends
+on that row alone, so every trace is the one a lone descent gives, and
+`minimize` is `lockstep` over one descent.
 """
 
 import math
@@ -84,12 +83,9 @@ class _Stop(Exception):
 
 
 def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None = None):
-    """Generator form of `minimize`: yields each (B, dim) batch of points, is
-    sent their B cost values, and returns the OptimizationTrace.
-
-    The batches are those `minimize` passes to its cost, in the same order,
-    and the trace is the one it returns. The arguments are checked at the
-    first `next`.
+    """The ask/tell descent `minimize` runs: yields each (B, dim) batch of
+    points, is sent their B cost values, and returns the OptimizationTrace.
+    The arguments are checked when it is started with send(None).
     """
     if config is None:
         config = OptimizerConfig()
@@ -119,8 +115,6 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
         if len(points) == 0:
             raise _Stop("max-evals")
         values = np.asarray((yield points), dtype=float)
-        if values.shape != (len(points),):
-            raise ValueError(f"cost returned shape {values.shape} for {len(points)} points")
         record(points, values)
         return values
 
@@ -166,6 +160,58 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
     return OptimizationTrace(entries=tuple(entries), termination=termination)
 
 
+# Descents in flight at once: a small circuit costs little more for 4 rows than
+# for 1, and with `done` a wider flight runs more descents past the last one used.
+_WIDTH = 4
+
+
+def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrace]:
+    """Run descents (`descent` generators) over one cost; return their traces.
+
+    Descents begin in index order, up to _WIDTH in flight, each taken from the
+    iterable only when a slot frees. Each round joins every ask into one cost
+    call and sends each descent its own values. When descent j ends with
+    final_energy <= done, the later ones are dropped and the earlier ones run
+    to their end: the result is the traces of descents 0 .. j, or of all."""
+    pending = iter(descents)
+    traces: dict[int, OptimizationTrace] = {}
+    flight: dict[int, tuple] = {}  # index -> (its descent, the points it asks for)
+    begun, limit = 0, math.inf  # descents from index limit on are dropped
+
+    def tell(index: int, steps, values) -> None:
+        nonlocal limit
+        try:
+            flight[index] = steps, steps.send(values)
+        except StopIteration as end:
+            flight.pop(index, None)
+            traces[index] = end.value
+            if done is not None and end.value.final_energy <= done:
+                limit = index + 1
+                for later in [i for i in flight if i > index]:
+                    del flight[later]
+
+    while True:
+        while len(flight) < _WIDTH and begun < limit:
+            steps = next(pending, None)
+            if steps is None:
+                limit = begun
+            else:
+                begun += 1
+                tell(begun - 1, steps, None)  # send(None) starts a descent
+        if not flight:
+            return [traces[i] for i in range(limit)]
+        asked = list(flight.items())
+        rows = np.concatenate([points for _, (_, points) in asked])
+        values = np.asarray(cost(rows), dtype=float)
+        if values.shape != (len(rows),):
+            raise ValueError(f"cost returned shape {values.shape} for {len(rows)} points")
+        offset = 0
+        for index, (steps, points) in asked:
+            if index < limit:  # not dropped this round
+                tell(index, steps, values[offset:offset + len(points)])
+            offset += len(points)
+
+
 def minimize(cost, theta0, config: OptimizerConfig | None = None,
              cost0: float | None = None) -> OptimizationTrace:
     """Minimize a cost over R^dim starting from theta0.
@@ -181,10 +227,4 @@ def minimize(cost, theta0, config: OptimizerConfig | None = None,
     are recorded in order, and a threshold crossed mid-stencil ends the trace
     at the crossing row and discards the rest of the batch.
     """
-    steps = descent(theta0, config, cost0)
-    try:
-        points = next(steps)
-        while True:
-            points = steps.send(cost(points))
-    except StopIteration as done:
-        return done.value
+    return lockstep(cost, [descent(theta0, config, cost0)])[0]

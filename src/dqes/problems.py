@@ -164,11 +164,16 @@ def max_cut_brute_force(graph: GraphSpec) -> tuple[int, int]:
     return int(cuts[best]), best
 
 
+def check_maxcut_nodes(n: int) -> None:
+    """Refuses a Max-Cut register too large to sweep, before C(n, 2) coins are drawn."""
+    if n > MAX_SWEEP_QUBITS:
+        raise ValueError(f"graphs above {MAX_SWEEP_QUBITS} nodes are not supported, got {n}")
+
+
 def maxcut_hamiltonian(graph: GraphSpec) -> Observable:
     """sum over edges of Z_u Z_v; on a basis state this equals |E| - 2 * cut."""
     n = graph.node_count
-    if n > MAX_SWEEP_QUBITS:
-        raise ValueError(f"graphs above {MAX_SWEEP_QUBITS} nodes are not supported, got {n}")
+    check_maxcut_nodes(n)
     if not graph.edges:
         raise ValueError("graph has no edges, the Max-Cut observable would be empty")
     terms = []
@@ -227,8 +232,9 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     eigenvalues, vectors = np.linalg.eigh(matrix)
     ground = vectors[:, 0]
     residual = float(np.linalg.norm(matrix @ ground - eigenvalues[0] * ground))
-    if residual > 1e-8:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-8")
+    bound = 1e-8 * max(1.0, float(np.abs(eigenvalues).max()))  # scale-free: units pass
+    if residual > bound:
+        raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds {bound:.3g}")
     return ExactSpectrumResult(
         eigenvalues=eigenvalues,
         ground_energy=float(eigenvalues[0]),

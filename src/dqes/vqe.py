@@ -20,7 +20,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
 from .landscape import score_spec
 from .mub import PartialMubSpec, realize_partial_state
-from .optimize import OptimizationTrace, OptimizerConfig, descent, minimize
+from .optimize import OptimizationTrace, OptimizerConfig, descent, lockstep, minimize
 from .paulis import Observable, compile_observable
 from .states import StateVector, random_state, zero_state
 
@@ -119,11 +119,6 @@ def _infidelities(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([1.0 - abs(z) ** 2 for z in np.vecdot(target, rows).tolist()])
 
 
-# Fit starts in flight at once. Their asks share one circuit call, which at
-# small n costs little more for 4 rows than for 1; more starts in flight run
-# more starts past the one that reaches _FIT_DONE, whose work is thrown away.
-_FIT_WIDTH = 4
-
 # A start whose best infidelity reaches this is the last start the search uses.
 _FIT_DONE = 1e-14
 
@@ -135,13 +130,9 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
     Start i descends from theta0 drawn uniformly from [-pi, pi)^P by
     default_rng([seed, i]). The rule is sequential: run starts 0, 1, ... in
     order, keep the lowest infidelity, and stop after the first start that
-    reaches 1e-14. The search runs up to _FIT_WIDTH starts in lockstep, by
-    start index: each round joins the points every start in flight asks for
-    (optimize.descent) into one circuit call and sends each start its own
-    values. When start j finishes at or below 1e-14, the starts after j are
-    closed and none is begun, while the starts before j run to their end;
-    the sequential rule is then replayed over the finished traces, so the
-    result is the one the sequential loop gives.
+    reaches 1e-14. The starts run through optimize.lockstep with done=1e-14,
+    which returns traces 0 .. j of which only the last can reach 1e-14, so
+    their first minimum is the sequential loop's result.
 
     Reachable iff the best fidelity is at least 1 - 1e-9; the verdict carries
     the best parameters and fidelity found either way.
@@ -156,51 +147,12 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
     def infidelity(thetas) -> np.ndarray:
         return _infidelities(target.amps, circuit(as_parameter_rows(spec, thetas), zero))
 
-    traces: dict[int, OptimizationTrace] = {}
-    flight: dict[int, tuple] = {}  # start index -> (its descent, the points it asks for)
-    begun, limit = 0, starts
-    while flight or begun < limit:
-        while len(flight) < _FIT_WIDTH and begun < limit:
-            rng = np.random.default_rng([seed, begun])
-            steps = descent(rng.uniform(-np.pi, np.pi, spec.parameter_count), _FIT_CONFIG)
-            flight[begun] = steps, next(steps)
-            begun += 1
-        asked = list(flight.items())
-        values = infidelity(np.concatenate([points for _, (_, points) in asked]))
-        offset = 0
-        for index, (steps, points) in asked:
-            told = values[offset:offset + len(points)]
-            offset += len(points)
-            if index >= limit:
-                continue  # closed this round
-            try:
-                flight[index] = steps, steps.send(told)
-            except StopIteration as done:
-                del flight[index]
-                traces[index] = done.value
-                if done.value.final_energy <= _FIT_DONE:
-                    limit = index + 1
-                    for later in [i for i in flight if i > index]:
-                        flight.pop(later)[0].close()
-
-    best_value = np.inf
-    best_params: tuple[float, ...] = ()
-    used = 0
-    for start in range(limit):
-        trace = traces[start]
-        used = start + 1
-        if trace.final_energy < best_value:
-            best_value = trace.final_energy
-            best_params = trace.best_params
-        if best_value <= _FIT_DONE:
-            break
-    fidelity = min(1.0, 1.0 - best_value)
-    return FitResult(
-        reachable=best_value <= _REACHABLE_INFIDELITY,
-        params=best_params,
-        fidelity=fidelity,
-        starts_used=used,
-    )
+    descents = (descent(np.random.default_rng([seed, i]).uniform(
+        -np.pi, np.pi, spec.parameter_count), _FIT_CONFIG) for i in range(starts))
+    traces = lockstep(infidelity, descents, done=_FIT_DONE)
+    best = min(traces, key=lambda trace: trace.final_energy)
+    return FitResult(reachable=best.final_energy <= _REACHABLE_INFIDELITY, params=best.best_params,
+                     fidelity=min(1.0, 1.0 - best.final_energy), starts_used=len(traces))
 
 
 def _resolve_init(init: InitStrategy, spec: AnsatzSpec):

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqes import problems
 from dqes.cli import main
-from dqes.paulis import load_observable
+from dqes.paulis import Observable, load_observable, save_observable
 from dqes.problems import load_graph
 
 
@@ -210,6 +211,19 @@ def test_vqe_h2_top3(tmp_path, capsys):
         assert (out / f"trace_{run['label']}.csv").exists()
     header = (out / "trace_b0s1q1-2.csv").read_text().splitlines()[0]
     assert header == "eval,energy,theta_0,theta_1,theta_2,theta_3"
+
+
+def test_vqe_on_an_observable_in_small_units(tmp_path, capsys):
+    # H2 in units of 1e-8 Hartree: the eigensolver check scales with the spectrum
+    h2 = problems.fixture("H2_075")
+    small = tmp_path / "h2_small.json"
+    save_observable(Observable(h2.n, tuple((c * 1e8, p) for c, p in h2.terms)), small)
+    out = tmp_path / "vqe"
+    assert run_cli("vqe", "--observable", str(small), "--init", "top-1",
+                   "--max-evals", "50", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["exact_ground_energy"] + 1.8426866891e8) < 1e-9 * 1e8
 
 
 def test_vqe_single_qubit_writes_bloch_paths(tmp_path):
@@ -464,6 +478,17 @@ def test_problem_gen_validation_failure(tmp_path, capsys):
     assert run_cli("problem", "gen", "maxcut", "--nodes", "4", "--edge-prob", "1.5",
                    "--out", str(tmp_path / "g")) == 1
     assert "edge probability" in capsys.readouterr().err
+
+
+def test_problem_gen_rejects_oversized_maxcut_before_the_draw(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("random_graph was called")
+
+    monkeypatch.setattr(problems, "random_graph", no_draw)
+    assert run_cli("problem", "gen", "maxcut", "--nodes", "63",
+                   "--out", str(tmp_path / "g")) == 1
+    assert "graphs above 62 nodes are not supported, got 63" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_dir_environment_default(tmp_path, monkeypatch):

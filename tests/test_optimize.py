@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dqes.optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, minimize
+from dqes.optimize import (OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep,
+                           minimize)
 
 
 def quadratic(center):
@@ -100,6 +101,13 @@ def test_empty_start_rejected():
 def test_non_finite_cost_rejected():
     with pytest.raises(ValueError, match="non-finite value"):
         minimize(lambda xs: np.full(len(xs), np.nan), np.zeros(2))
+
+
+def test_cost_of_the_wrong_shape_rejected():
+    for wrong in (lambda xs: np.zeros(len(xs) + 1), lambda xs: 0.0,
+                  lambda xs: np.zeros((len(xs), 1))):
+        with pytest.raises(ValueError, match="cost returned shape"):
+            minimize(wrong, np.zeros(2))
 
 
 def test_config_validation():
@@ -272,6 +280,103 @@ def test_descents_of_unequal_lengths_share_each_call():
     assert len(set(lengths)) > 3
     assert sum(calls) == sum(lengths) - sum(cost0 is not None for *_, cost0 in settings)
     assert max(calls) > 3  # rows of several descents in one call
+
+
+def tagged(index, steps, log):
+    """steps, logging ("ask", index, rows) for each batch it asks for and
+    ("end", index) when it returns."""
+    values = None
+    while True:
+        try:
+            points = steps.send(values)
+        except StopIteration as end:
+            log.append(("end", index))
+            return end.value
+        log.append(("ask", index, len(points)))
+        values = yield points
+
+
+def logged_run(settings, done=None):
+    """lockstep over tagged descents of quadratic([1, -1, 2]), taken lazily.
+    (traces, the event log, the descents asking in each cost call)."""
+    log = []
+    cost = quadratic([1.0, -1.0, 2.0])
+
+    def logged_cost(xs):
+        log.append(("call", len(xs)))
+        return cost(xs)
+
+    def pulled():
+        for i, s in enumerate(settings):
+            log.append(("pull", i))
+            yield tagged(i, descent(*s), log)
+
+    traces = lockstep(logged_cost, pulled(), done=done)
+    calls, asking = [], []
+    for event in log:
+        if event[0] == "ask":
+            asking.append(event[1:])
+        elif event[0] == "call":
+            # the asks made since the previous call are this call's rows
+            assert sum(rows for _, rows in asking) == event[1]
+            calls.append([i for i, _ in asking])
+            asking = []
+    assert asking == []
+    return traces, log, calls
+
+
+def test_lockstep_gives_each_descent_its_minimize_trace():
+    rng = np.random.default_rng(3)
+    settings = [(rng.uniform(-2, 2, 3), config, cost0)
+                for config in (OptimizerConfig(max_evals=12, tol=1e-300), OptimizerConfig(),
+                               OptimizerConfig(rho_init=0.1, tol=1e-3),
+                               OptimizerConfig(threshold=0.5))
+                for cost0 in (None, 9.0)]
+    traces, log, calls = logged_run(settings)
+    assert traces == [minimize(quadratic([1.0, -1.0, 2.0]), *s) for s in settings]
+    assert max(len(asking) for asking in calls) == 4  # never more than the width
+    # a descent is taken only when fewer than 4 are in flight
+    live = 0
+    for event in log:
+        if event[0] == "pull":
+            assert live < 4
+            live += 1
+        elif event[0] == "end":
+            live -= 1
+
+
+def test_lockstep_up_to_its_width_is_the_joined_drive():
+    cost = first_stencil_reads([0.5, -0.5, -1.0, 0.5])
+    config = OptimizerConfig(rho_init=0.5, threshold=-0.4)
+    settings = [(np.zeros(4), OptimizerConfig()), (np.zeros(4), config, -1.0),
+                (np.zeros(4), config), (np.ones(4), OptimizerConfig(max_evals=9))]
+    expected, calls = joined(cost, [descent(*s) for s in settings])
+    logged, rows = recording(cost)
+    assert lockstep(logged, [descent(*s) for s in settings]) == expected
+    assert rows == calls
+    assert expected[1].evaluations == 1  # ended at its first ask
+
+
+def test_lockstep_stops_after_the_first_descent_at_done():
+    slow = OptimizerConfig(rho_init=0.01, max_evals=100)
+    settings = [(np.array([5.0, 5.0, 5.0]), slow),
+                (np.zeros(3), OptimizerConfig(threshold=10.0), 9.0),  # ends at its first ask
+                (np.array([2.0, -1.0, 2.0]), OptimizerConfig(threshold=0.5)),
+                *[(np.full(3, float(i)), OptimizerConfig()) for i in range(5)]]
+    traces, log, calls = logged_run(settings, done=0.5)
+    expected = [minimize(quadratic([1.0, -1.0, 2.0]), *s) for s in settings]
+    assert traces == expected[:3]
+    assert [t.final_energy <= 0.5 for t in expected[:4]] == [False, False, True, True]
+    # descent 0 runs on after descent 2 ends, and nothing after 2 asks again
+    end = log.index(("end", 2))
+    assert any(event[:2] == ("ask", 0) for event in log[end:])
+    assert not any(event[0] in ("ask", "pull") and event[1] > 2 for event in log[end:])
+    assert max(len(asking) for asking in calls) == 4
+    # a descent that meets done at its first ask ends the run with no call
+    cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
+    first = lockstep(cost, [descent(*s) for s in settings[1:]], done=9.0)
+    assert first == expected[1:2] and rows == []
+    assert lockstep(quadratic([0.0]), []) == []
 
 
 def test_best_entry_is_computed_once_and_left_out_of_equality():

@@ -12,6 +12,7 @@ from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
     GraphSpec,
+    check_maxcut_nodes,
     cut_value,
     decode_graph,
     encode_graph,
@@ -211,6 +212,9 @@ def test_maxcut_hamiltonian_rejects_degenerate_inputs():
     big = GraphSpec(node_count=63, edges=((0, 1),))
     with pytest.raises(ValueError, match="above 62 nodes"):
         maxcut_hamiltonian(big)
+    with pytest.raises(ValueError, match="above 62 nodes are not supported, got 63"):
+        check_maxcut_nodes(63)
+    check_maxcut_nodes(62)
 
 
 def test_exact_spectrum_fields():
@@ -273,6 +277,38 @@ def test_diagonal_observables_call_no_eigh(monkeypatch):
     assert result.eigenvalues.shape == (1024,)
     with pytest.raises(AssertionError, match="eigh was called"):
         exact_spectrum(molecule_fixture("H2_075"))
+
+
+def scaled(obs, factor):
+    return Observable(obs.n, tuple((coeff * factor, pauli) for coeff, pauli in obs.terms))
+
+
+@pytest.mark.parametrize("obs, factor", [
+    (molecule_fixture("H2_075"), 1e8),
+    (transverse_field_ising(8, 1.0, 0.7), 1e7),
+    (transverse_field_ising(10, 1.0, 0.7), 1e12),
+], ids=["H2x1e8", "ising8x1e7", "ising10x1e12"])
+def test_exact_spectrum_of_an_observable_in_small_units(obs, factor):
+    # the residual check scales with the spectrum, so units do not decide it
+    unscaled = exact_spectrum(obs)
+    result = exact_spectrum(scaled(obs, factor))
+    target = factor * unscaled.eigenvalues
+    assert np.max(np.abs(result.eigenvalues - target)) <= 1e-14 * np.abs(target).max()
+    assert abs(result.ground_energy - target[0]) <= 1e-14 * abs(target[0])
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e8])
+def test_exact_spectrum_rejects_a_wrong_eigenvector(monkeypatch, factor):
+    eigh = np.linalg.eigh
+
+    def skewed(matrix):
+        eigenvalues, vectors = eigh(matrix)
+        vectors[:, 0] = vectors[:, 0] + 1e-6 * vectors[:, 1]
+        return eigenvalues, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(RuntimeError, match="eigensolver residual"):
+        exact_spectrum(scaled(molecule_fixture("H2_075"), factor))
 
 
 def test_exact_spectrum_size_cap():
