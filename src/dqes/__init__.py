@@ -9,7 +9,7 @@ from .ansatz import AnsatzSpec, build_ansatz, compile_ansatz, prepare_state, shi
 from .landscape import (BasisStats, LandscapeRecord, LandscapeReport, basis_statistics,
                         export_csv, landscape_csv_text, rank_initial_states, run_full_dqes,
                         run_partial_dqes)
-from .manifest import RunManifest, write_sidecar, write_text_atomic
+from .manifest import RunManifest, write_output, write_sidecar, write_text_atomic
 from .mub import (MubCertification, MubSet, PartialMubSpec, build_full_mub_set,
                   encode_mub_set, enumerate_partial_specs, realize_partial_state,
                   verify_mub_set)

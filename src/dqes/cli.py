@@ -5,8 +5,10 @@ problem inputs.
 
 Data outputs (CSV, JSON, SVG) are deterministic for a fixed seed; every
 output file gets a <file>.manifest.json sidecar carrying argv, seeds, input
-hashes, the output hash, and a timestamp. DQES_OUTPUT_DIR sets the directory
-used when --out is omitted.
+hashes, the output hash, and a timestamp. Each command computes all of its
+outputs before it writes the first one, so a failed computation writes no
+file, and then writes each file and its sidecar through manifest.write_output.
+DQES_OUTPUT_DIR sets the directory used when --out is omitted.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -22,16 +24,17 @@ from ._version import __version__
 from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
                         run_full_dqes, run_partial_dqes)
-from .manifest import RunManifest, file_sha256, sidecar_path, write_sidecar, write_text_atomic
+from .manifest import RunManifest, file_sha256, sidecar_path, write_output
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
-from .paulis import Observable, load_observable, observable_hash, save_observable
+from .paulis import Observable, encode_observable, load_observable, observable_hash
 from .states import StateVector, bloch_coordinates
 from .svg import scatter_svg
 from .vqe import (ParameterFitInit, RandomStateInit, ShiftedMubInit, VqeResult, run_vqe)
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("DQES_OUTPUT_DIR", "."))
+def _out_path(args, default: str) -> Path:
+    """--out if given, else default inside DQES_OUTPUT_DIR (default: the working directory)."""
+    return Path(args.out) if args.out else Path(os.environ.get("DQES_OUTPUT_DIR", ".")) / default
 
 
 def _resolve_observable(args) -> tuple[Observable, str, dict]:
@@ -57,12 +60,9 @@ def cmd_mub(args) -> int:
         print(f"{'PASS' if cert.passed else 'FAIL'} (tol {cert.tolerance:g})")
         return 0 if cert.passed else 1
     # export
-    mubs = build_full_mub_set(args.n)
-    out = Path(args.out) if args.out else _out_dir() / f"mub{args.n}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out, encode_mub_set(mubs))
-    manifest = RunManifest(argv=tuple(args.argv))
-    write_sidecar(out, manifest.as_fields())
+    out = write_output(_out_path(args, f"mub{args.n}.json"),
+                       encode_mub_set(build_full_mub_set(args.n)),
+                       RunManifest(argv=tuple(args.argv)).as_fields())
     print(f"wrote {out}")
     return 0
 
@@ -77,23 +77,29 @@ def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> Land
     return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
 
 
-def _reject_plot_clash(out: Path, plot: Path) -> None:
-    # the CSV, the SVG and each one's sidecar must be four different files
-    o, p = out.resolve(), plot.resolve()
-    if p in (o, sidecar_path(o)) or o == sidecar_path(p):
+def _reject_clashes(args, out: Path) -> None:
+    # the input, the CSV, the SVG and each output's sidecar must all be different files
+    plot = Path(args.plot) if args.plot else None
+    if plot and (plot.resolve() in (out.resolve(), sidecar_path(out.resolve()))
+                 or out.resolve() == sidecar_path(plot.resolve())):
         raise ValueError(f"--plot {plot} and --out {out} would overwrite each other "
                          f"or each other's sidecar; give --plot a different path")
+    source = Path(args.observable).resolve() if args.observable else None
+    for flag, path in (("--out", out), ("--plot", plot)):
+        if path and source in (path.resolve(), sidecar_path(path.resolve())):
+            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
+                             f"{args.observable}; give {flag} a different path")
 
 
 def cmd_landscape(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
-    out = Path(args.out) if args.out else _out_dir() / "landscape.csv"
-    if args.plot:
-        _reject_plot_clash(out, Path(args.plot))
+    out = _out_path(args, "landscape.csv")
+    _reject_clashes(args, out)
     report = _sweep_report(obs, name, args.full, args.k)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes)
-    export_csv(report, out, sidecar_fields=manifest.as_fields())
+    svg = scatter_svg(report) if args.plot else None
+    fields = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes).as_fields()
+    export_csv(report, out, sidecar_fields=fields)
+    plot = write_output(args.plot, svg, fields) if args.plot else None
     print(f"observable: {name} (n={obs.n}, {len(obs.terms)} terms)")
     print(f"records: {len(report.energies)} ({report.kind} sweep, K={report.k})")
     best = report.min_record()
@@ -105,11 +111,7 @@ def cmd_landscape(args) -> int:
         print(f"{tag:>6} {st.count:>6} {st.min_energy:>14.8g} {st.max_energy:>14.8g} "
               f"{st.mean_energy:>14.8g} {st.variance:>12.6g}")
     print(f"wrote {out}")
-    if args.plot:
-        plot = Path(args.plot)
-        plot.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(plot, scatter_svg(report))
-        write_sidecar(plot, manifest.as_fields())
+    if plot:
         print(f"wrote {plot}")
     return 0
 
@@ -231,20 +233,13 @@ def cmd_vqe(args) -> int:
     if repeated:
         # each run writes trace_<label>.csv, so a repeated label would overwrite a trace
         raise ValueError(f"duplicate start label {', '.join(repeated)} in --init {args.init!r}")
-    out_dir = Path(args.out) if args.out else _out_dir() / "vqe"
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = [run_vqe(obs, spec, init, config) for init in inits]
-    manifest = RunManifest(argv=tuple(args.argv), seeds={"seed": args.seed},
-                           input_hashes=input_hashes)
-    runs_doc = []
+    exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
+    outputs, runs_doc = {}, []
     for result in results:
-        trace_path = out_dir / f"trace_{result.label}.csv"
-        write_text_atomic(trace_path, _trace_csv(result))
-        write_sidecar(trace_path, manifest.as_fields())
+        outputs[f"trace_{result.label}.csv"] = _trace_csv(result)
         if obs.n == 1:
-            bloch_path = out_dir / f"bloch_{result.label}.csv"
-            write_text_atomic(bloch_path, _bloch_csv(result))
-            write_sidecar(bloch_path, manifest.as_fields())
+            outputs[f"bloch_{result.label}.csv"] = _bloch_csv(result)
         entry = {
             "label": result.label,
             "init": type(result.init).__name__,
@@ -255,6 +250,8 @@ def cmd_vqe(args) -> int:
         }
         if result.used_fallback:
             entry["used_fallback"] = True
+        if exact is not None:
+            entry["gap_to_exact"] = result.final_energy - exact.ground_energy
         runs_doc.append(entry)
         print(f"{result.label}: initial {result.initial_energy:.8f} -> final "
               f"{result.final_energy:.8f} in {result.trace.evaluations} evals "
@@ -268,15 +265,15 @@ def cmd_vqe(args) -> int:
         "strategy": args.strategy,
         "runs": runs_doc,
     }
-    if obs.n <= problems.MAX_EXACT_QUBITS:
-        exact = problems.exact_spectrum(obs)
+    if exact is not None:
         summary["exact_ground_energy"] = exact.ground_energy
-        for entry in summary["runs"]:
-            entry["gap_to_exact"] = entry["final_energy"] - exact.ground_energy
         print(f"exact ground energy: {exact.ground_energy:.8f}")
-    summary_path = out_dir / "summary.json"
-    write_text_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
-    write_sidecar(summary_path, manifest.as_fields())
+    outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
+    out_dir = _out_path(args, "vqe")
+    fields = RunManifest(argv=tuple(args.argv), seeds={"seed": args.seed},
+                         input_hashes=input_hashes).as_fields()
+    for file_name, text in outputs.items():
+        write_output(out_dir / file_name, text, fields)
     print(f"wrote {out_dir}")
     return 0
 
@@ -286,33 +283,26 @@ def cmd_vqe(args) -> int:
 
 def cmd_problem(args) -> int:
     seeds = {"seed": args.seed} if getattr(args, "seed", None) is not None else {}
-    manifest = RunManifest(argv=tuple(args.argv), seeds=seeds)
+    fields = RunManifest(argv=tuple(args.argv), seeds=seeds).as_fields()
     if args.kind == "maxcut":
         problems.check_maxcut_nodes(args.nodes)
         graph = problems.random_graph(args.nodes, args.edge_prob, args.seed)
-        obs = problems.maxcut_hamiltonian(graph)
-        prefix = Path(args.out) if args.out else _out_dir() / f"maxcut{args.nodes}"
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        graph_path = Path(str(prefix) + ".graph.txt")
-        obs_path = Path(str(prefix) + ".json")
-        problems.save_graph(graph, graph_path)
-        write_sidecar(graph_path, manifest.as_fields())
-        save_observable(obs, obs_path)
-        write_sidecar(obs_path, manifest.as_fields())
+        texts = {".graph.txt": problems.encode_graph(graph),
+                 ".json": encode_observable(problems.maxcut_hamiltonian(graph))}
+        prefix = _out_path(args, f"maxcut{args.nodes}")
+        paths = [write_output(f"{prefix}{suffix}", text, fields) for suffix, text in texts.items()]
         print(f"graph: {graph.node_count} nodes, {len(graph.edges)} edges "
               f"(seed {args.seed}, edge prob {args.edge_prob})")
-        print(f"wrote {graph_path}")
-        print(f"wrote {obs_path}")
+        for path in paths:
+            print(f"wrote {path}")
         return 0
     if args.kind == "ising":
         obs = problems.transverse_field_ising(args.n, args.czz, args.cx)
-        out = Path(args.out) if args.out else _out_dir() / f"ising{args.n}.json"
+        out = _out_path(args, f"ising{args.n}.json")
     else:  # fixture
         obs = problems.fixture(args.name)
-        out = Path(args.out) if args.out else _out_dir() / f"{args.name}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_observable(obs, out)
-    write_sidecar(out, manifest.as_fields())
+        out = _out_path(args, f"{args.name}.json")
+    write_output(out, encode_observable(obs), fields)
     print(f"observable: n={obs.n}, {len(obs.terms)} terms")
     print(f"wrote {out}")
     return 0

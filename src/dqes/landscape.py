@@ -24,6 +24,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .manifest import write_output
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, _check_sweep_size, build_full_mub_set
 from .paulis import Observable, _pauli_action, observable_hash
 
@@ -282,19 +283,14 @@ def export_csv(report: LandscapeReport, path, sidecar_fields: dict | None = None
     """Write the records CSV and its <path>.manifest.json sidecar.
 
     The CSV streams to disk one subset at a time, so memory does not grow with
-    the size of its text; like every output it is written atomically.
+    the size of its text; like every output it goes through write_output.
     """
-    from .manifest import write_sidecar, write_text_atomic
-
-    write_text_atomic(path, _csv_chunks(report))
-    fields = {
+    write_output(path, _csv_chunks(report), {
         "observable_name": report.observable_name,
         "observable_sha256": report.observable_hash,
         "n": report.n,
         "k": report.k,
         "kind": report.kind,
         "record_count": len(report.energies),
-    }
-    if sidecar_fields:
-        fields.update(sidecar_fields)
-    write_sidecar(path, fields)
+        **(sidecar_fields or {}),
+    })

@@ -3,8 +3,9 @@ Run manifests: the volatile metadata (timestamps, argv, seeds, hashes) kept
 out of data files so those stay byte-identical across reruns. Each output
 file <f> gets a sidecar <f>.manifest.json, written after <f>.
 
-Every output file is written by write_text_atomic, so a run that fails or is
-killed part-way leaves each file either absent, as it was, or complete.
+Every output and its sidecar are written by write_output, through
+write_text_atomic, so a run that fails or is killed part-way leaves each file
+either absent, as it was, or complete.
 """
 
 import hashlib
@@ -75,4 +76,14 @@ def write_sidecar(data_path, fields: dict) -> Path:
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
     path = sidecar_path(data_path)
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def write_output(path, text: str | Iterable[str], fields: dict) -> Path:
+    """Make path's directory, write text to path atomically (one str or str
+    chunks), then write its sidecar holding fields; return path as a Path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(path, text)
+    write_sidecar(path, fields)
     return path

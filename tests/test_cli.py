@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqes import problems
+from dqes import cli, problems
 from dqes.cli import main
 from dqes.paulis import Observable, load_observable, save_observable
 from dqes.problems import load_graph
@@ -146,6 +146,29 @@ def test_landscape_plot_must_differ_from_out(tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
+def test_landscape_outputs_must_not_overwrite_the_observable(tmp_path, capsys, monkeypatch):
+    # neither output nor its sidecar may be the input, and the check comes before the sweep
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_full_dqes", no_sweep)
+    h2 = tmp_path / "h2.json"
+    sidecar_named = tmp_path / "h2.csv.manifest.json"
+    for path in (h2, sidecar_named):
+        save_observable(problems.fixture("H2_075"), path)
+    inputs = {path: path.read_bytes() for path in (h2, sidecar_named)}
+    for source, flag, path in ((h2, "--out", h2), (h2, "--plot", h2),
+                               (h2, "--out", tmp_path / "sub" / ".." / "h2.json"),
+                               (sidecar_named, "--out", tmp_path / "h2.csv"),
+                               (sidecar_named, "--plot", tmp_path / "h2.csv")):
+        other = "--plot" if flag == "--out" else "--out"
+        assert run_cli("landscape", "--observable", str(source), "--full", flag, str(path),
+                       other, str(tmp_path / "elsewhere" / "x")) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {path}" in err and f"--observable {source}" in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+
+
 def test_vqe_k_sets_the_ranking_sweep_at_any_n(tmp_path, capsys):
     out = tmp_path / "v"
     assert run_cli("vqe", "--fixture", "ising_fig8", "--k", "1", "--init", "top-2",
@@ -224,6 +247,18 @@ def test_vqe_on_an_observable_in_small_units(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["exact_ground_energy"] + 1.8426866891e8) < 1e-9 * 1e8
+
+
+def test_vqe_solver_failure_leaves_no_output(tmp_path, monkeypatch):
+    # every output is computed before the first is written; main lets the error through
+    def fail(obs):
+        raise RuntimeError("eigensolver failed")
+
+    monkeypatch.setattr(problems, "exact_spectrum", fail)
+    out = tmp_path / "D"
+    with pytest.raises(RuntimeError, match="eigensolver failed"):
+        run_cli("vqe", "--fixture", "H2_075", "--init", "top-2", "--out", str(out))
+    assert not out.exists()
 
 
 def test_vqe_single_qubit_writes_bloch_paths(tmp_path):

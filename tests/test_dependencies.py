@@ -1,4 +1,5 @@
-"""The package imports nothing at run time beyond the standard library and numpy."""
+"""The package imports nothing at run time beyond the standard library and
+numpy, and writes its outputs through one function."""
 
 import ast
 import sys
@@ -20,10 +21,29 @@ def absolute_imports(path: Path) -> set[str]:
     return names
 
 
+def calls_by_function(path: Path) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function or None, called name) for each call in a module."""
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                calls.append((owner, func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return calls
+
+
+MODULES = sorted(Path(dqes.__file__).parent.glob("*.py"))
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
-    modules = sorted(Path(dqes.__file__).parent.glob("*.py"))
-    assert len(modules) > 10
-    found = set().union(*(absolute_imports(path) for path in modules))
+    assert len(MODULES) > 10
+    found = set().union(*(absolute_imports(path) for path in MODULES))
     assert "numpy" in found
     assert found - set(sys.stdlib_module_names) <= ALLOWED
 
@@ -32,3 +52,22 @@ def test_the_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("import os\nfrom scipy.linalg import eigh\nfrom . import paulis\n")
     assert absolute_imports(module) == {"os", "scipy"}
+
+
+def test_sidecars_and_directories_are_made_only_by_write_output():
+    callers = {"write_sidecar": set(), "mkdir": set()}
+    for path in MODULES:
+        for owner, name in calls_by_function(path):
+            if name in callers:
+                callers[name].add(f"{path.stem}.{owner}")
+    assert callers == {"write_sidecar": {"manifest.write_output"},
+                       "mkdir": {"manifest.write_output"}}
+
+
+def test_the_guard_sees_calls_in_nested_functions(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("def outer():\n    def inner():\n        out.parent.mkdir()\n"
+                      "    write_sidecar(p, {})\n\nPath('.').mkdir()\n")
+    calls = calls_by_function(module)
+    assert ("inner", "mkdir") in calls and ("outer", "write_sidecar") in calls
+    assert (None, "mkdir") in calls

@@ -8,7 +8,8 @@ import pytest
 
 from dqes import manifest
 from dqes._version import __version__
-from dqes.manifest import RunManifest, file_sha256, write_sidecar, write_text_atomic
+from dqes.manifest import (RunManifest, file_sha256, write_output, write_sidecar,
+                           write_text_atomic)
 
 
 def test_file_sha256(tmp_path):
@@ -100,3 +101,29 @@ def test_chunks_write_the_bytes_of_their_joined_text(tmp_path):
     write_text_atomic(tmp_path / "whole.csv", text)
     write_text_atomic(tmp_path / "chunks.csv", (text[i:i + 97] for i in range(0, len(text), 97)))
     assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_output_creates_nested_directories(tmp_path):
+    path = write_output(str(tmp_path / "a" / "b" / "out.csv"), "index,energy\n", {})
+    assert path == tmp_path / "a" / "b" / "out.csv"
+    assert path.read_text() == "index,energy\n"
+    assert sorted(os.listdir(path.parent)) == ["out.csv", "out.csv.manifest.json"]
+
+
+def test_write_output_sidecar_hashes_the_data_file(tmp_path):
+    chunks = ["index,energy\n", "0,-1.0\n", "1,0.5\n"]
+    path = write_output(tmp_path / "out.csv", iter(chunks), {"seeds": {"seed": 3}})
+    doc = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert doc["output_sha256"] == hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert doc["output_sha256"] == file_sha256(path)
+    assert doc["seeds"] == {"seed": 3}
+
+
+def test_write_output_failing_chunk_writes_neither_file(tmp_path):
+    def chunks():
+        yield "index,energy\n"
+        raise RuntimeError("sweep failed")
+
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        write_output(tmp_path / "out.csv", chunks(), {})
+    assert os.listdir(tmp_path) == []
