@@ -77,6 +77,15 @@ def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> Land
     return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
 
 
+def _reject_input_overwrites(args, outputs) -> None:
+    """Refuse an output (flag, path) that is the --observable file or whose sidecar is."""
+    source = Path(args.observable).resolve() if args.observable else None
+    for flag, path in outputs:
+        if source in (path.resolve(), sidecar_path(path.resolve())):
+            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
+                             f"{args.observable}; give {flag} a different path")
+
+
 def _reject_clashes(args, out: Path) -> None:
     # the input, the CSV, the SVG and each output's sidecar must all be different files
     plot = Path(args.plot) if args.plot else None
@@ -84,11 +93,7 @@ def _reject_clashes(args, out: Path) -> None:
                  or out.resolve() == sidecar_path(plot.resolve())):
         raise ValueError(f"--plot {plot} and --out {out} would overwrite each other "
                          f"or each other's sidecar; give --plot a different path")
-    source = Path(args.observable).resolve() if args.observable else None
-    for flag, path in (("--out", out), ("--plot", plot)):
-        if path and source in (path.resolve(), sidecar_path(path.resolve())):
-            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
-                             f"{args.observable}; give {flag} a different path")
+    _reject_input_overwrites(args, [("--out", out)] + ([("--plot", plot)] if plot else []))
 
 
 def cmd_landscape(args) -> int:
@@ -191,6 +196,11 @@ def _make_mub_init(kind, spec: PartialMubSpec, args):
     return ShiftedMubInit(spec=spec)
 
 
+def _run_file_names(label: str, n: int) -> tuple[str, ...]:
+    """The files of one run: its trace and, on a single qubit, its Bloch path."""
+    return (f"trace_{label}.csv",) + ((f"bloch_{label}.csv",) if n == 1 else ())
+
+
 def _trace_csv(result: VqeResult) -> str:
     count = len(result.trace.entries[0].params)
     lines = ["eval,energy," + ",".join(f"theta_{i}" for i in range(count))]
@@ -223,6 +233,10 @@ def cmd_vqe(args) -> int:
         axes = "YZ" if obs.n == 1 else "Y"
     spec = AnsatzSpec(n=obs.n, layers=args.layers,
                       rotation_axes=("Y",) if axes == "Y" else ("Y", "Z"))
+    if args.max_evals < spec.parameter_count + 2:
+        # each run's first stencil needs the start and one probe per parameter
+        raise ValueError(f"--max-evals {args.max_evals}: must be at least the "
+                         f"{spec.parameter_count} parameters + 2 = {spec.parameter_count + 2}")
     config = OptimizerConfig(rho_init=args.rho_init, tol=args.tol,
                              max_evals=args.max_evals, threshold=args.threshold)
     inits = _build_inits(_parse_init_atoms(args.init), obs, name, args)
@@ -233,13 +247,17 @@ def cmd_vqe(args) -> int:
     if repeated:
         # each run writes trace_<label>.csv, so a repeated label would overwrite a trace
         raise ValueError(f"duplicate start label {', '.join(repeated)} in --init {args.init!r}")
+    out_dir = _out_path(args, "vqe")
+    file_names = [*(f for label in labels for f in _run_file_names(label, obs.n)), "summary.json"]
+    _reject_input_overwrites(args, [("--out", out_dir / f) for f in file_names])
     results = [run_vqe(obs, spec, init, config) for init in inits]
     exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
     outputs, runs_doc = {}, []
     for result in results:
-        outputs[f"trace_{result.label}.csv"] = _trace_csv(result)
-        if obs.n == 1:
-            outputs[f"bloch_{result.label}.csv"] = _bloch_csv(result)
+        # zip stops at the trace when the run has no Bloch path
+        for file_name, render in zip(_run_file_names(result.label, obs.n),
+                                     (_trace_csv, _bloch_csv)):
+            outputs[file_name] = render(result)
         entry = {
             "label": result.label,
             "init": type(result.init).__name__,
@@ -269,7 +287,6 @@ def cmd_vqe(args) -> int:
         summary["exact_ground_energy"] = exact.ground_energy
         print(f"exact ground energy: {exact.ground_energy:.8f}")
     outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
-    out_dir = _out_path(args, "vqe")
     fields = RunManifest(argv=tuple(args.argv), seeds={"seed": args.seed},
                          input_hashes=input_hashes).as_fields()
     for file_name, text in outputs.items():

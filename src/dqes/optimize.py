@@ -7,13 +7,23 @@ an improvement.
 Evaluation schedule, relied on by callers: evaluation 1 is theta0 itself and
 evaluations 2 .. dim+1 probe theta0 with coordinate j-1 offset by +rho_init.
 A caller that already knows the cost at theta0 passes it in as evaluation 1.
-Every evaluated row lands in the trace, in order; the reported final energy
-is the trace minimum, so reporting is monotone even though the walk is not.
+The trace holds the rows the descent takes, in order; the reported final
+energy is the trace minimum, so reporting is monotone even though the walk is
+not.
+
+The line search asks for several steps at once, as asynchronous parallel
+pattern search evaluates several trial points at once (Hough, Kolda &
+Torczon, SIAM J. Sci. Comput. 23(1), 2001): 2 steps, then twice as many as its
+last ask while every step is accepted. It records the accepted steps and the
+first rejected one, exactly the rows a one-step-per-call search would
+evaluate, and drops the rest of the ask unread. So the rows computed are the
+rows recorded plus those dropped steps, and the trace is the one-step
+search's trace provided each row's value depends on that row alone.
 
 The descent is an ask/tell generator, the interface of pycma (Hansen, "The
 CMA Evolution Strategy: A Tutorial", arXiv:1604.00772) and Optuna (Akiba et
 al., KDD 2019): `descent` yields each (B, dim) batch of points it wants
-evaluated (evaluation 1, a stencil cut to the budget, or a line-search step),
+evaluated (evaluation 1, a stencil or a line-search ask, cut to the budget),
 is sent their B values, and returns the OptimizationTrace. `lockstep` drives
 descents, joining their batches into one cost call; each row's value depends
 on that row alone, so every trace is the one a lone descent gives, and
@@ -109,19 +119,19 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
             if threshold is not None and value <= threshold:
                 raise _Stop("threshold")
 
-    def evaluate(points: np.ndarray):
+    def ask(points: np.ndarray):
         # rows past the budget are dropped before they are asked for
         points = points[:config.max_evals - len(entries)]
         if len(points) == 0:
             raise _Stop("max-evals")
-        values = np.asarray((yield points), dtype=float)
-        record(points, values)
-        return values
+        return points, np.asarray((yield points), dtype=float)
 
     termination = "converged"
     try:
         if cost0 is None:
-            fx = (yield from evaluate(x[None]))[0]
+            points, values = yield from ask(x[None])
+            record(points, values)
+            fx = values[0]
         else:
             fx = float(cost0)
             record(x[None], np.array([fx]))
@@ -131,22 +141,36 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
             # probe pattern at rho_init
             probes = np.repeat(x[None], dim, axis=0)
             probes.flat[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
-            stencil = yield from evaluate(probes)
+            probes, stencil = yield from ask(probes)
+            record(probes, stencil)
             if len(stencil) < dim:
                 raise _Stop("max-evals")
             gradient = (stencil - fx) / rho
             norm = float(np.linalg.norm(gradient))
             moved = False
             if norm > 0:
-                direction = -gradient / norm
+                step = rho * (-gradient / norm)
+                size = 2
                 while True:
-                    candidate = x + rho * direction
-                    fc = (yield from evaluate(candidate[None]))[0]
-                    if fc < fx - 1e-15 * (1 + abs(fx)):
-                        x, fx = candidate, fc
+                    # the next size steps at once: row i is row i-1 + step, the
+                    # point the one-step search would build
+                    rows = np.empty((size + 1, dim))
+                    rows[0], rows[1:] = x, step
+                    candidates, values = yield from ask(np.add.accumulate(rows, out=rows)[1:])
+                    taken = 0
+                    for fc in values.tolist():
+                        if not fc < fx - 1e-15 * (1 + abs(fx)):
+                            break
+                        fx = fc
+                        taken += 1
+                    # the accepted steps and the first rejected one; the rest is unread
+                    record(candidates[:taken + 1], values[:taken + 1])
+                    if taken:
+                        x = candidates[taken - 1]
                         moved = True
-                    else:
+                    if taken < len(candidates):
                         break
+                    size *= 2
             if not moved:
                 j_best = int(np.argmin(stencil))
                 if stencil[j_best] < fx - 1e-15 * (1 + abs(fx)):
@@ -172,7 +196,12 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
     iterable only when a slot frees. Each round joins every ask into one cost
     call and sends each descent its own values. When descent j ends with
     final_energy <= done, the later ones are dropped and the earlier ones run
-    to their end: the result is the traces of descents 0 .. j, or of all."""
+    to their end: the result is the traces of descents 0 .. j, or of all.
+
+    The traces are the ones each descent gives alone, with one step per
+    line-search call, only if cost gives each row a value that depends on that
+    row alone: the batches it is given vary in size and mix descents, and a
+    line search reads only a prefix of the steps it asked for."""
     pending = iter(descents)
     traces: dict[int, OptimizationTrace] = {}
     flight: dict[int, tuple] = {}  # index -> (its descent, the points it asks for)
@@ -217,14 +246,19 @@ def minimize(cost, theta0, config: OptimizerConfig | None = None,
     """Minimize a cost over R^dim starting from theta0.
 
     cost takes a (B, dim) array of points and returns their B values. Each
-    stencil is one call of up to dim rows; evaluation 1 and each line-search
-    step are 1-row calls. cost0, when given, is the known cost at theta0: it
-    becomes evaluation 1 and cost is not called there. Stops when the trust
-    radius shrinks below tol ("converged"), when a value reaches
-    config.threshold ("threshold"), or when max_evals evaluations (rows) have
-    been spent ("max-evals"). A stencil that would pass the budget is cut to
-    the rows left, so no row beyond max_evals is computed; the rows of a call
-    are recorded in order, and a threshold crossed mid-stencil ends the trace
-    at the crossing row and discards the rest of the batch.
+    stencil is one call of up to dim rows and evaluation 1 is a 1-row call. A
+    line search asks for 2 steps, then 4, 8, ... while every step is accepted;
+    it records the accepted steps and the first rejected one, and drops the
+    rest unread, so its trace is that of one step per call provided each row's
+    value depends on that row alone. cost0, when given, is the known cost at
+    theta0: it becomes evaluation 1 and cost is not called there. Stops when
+    the trust radius shrinks below tol ("converged"), when a value reaches
+    config.threshold ("threshold"), or when max_evals evaluations (recorded
+    rows) have been spent ("max-evals"). Each call is cut to the rows the
+    budget has left, max_evals minus the rows recorded, so no call asks for a
+    row the trace could not hold; the rows computed are the rows recorded plus
+    the dropped steps, and their total can pass max_evals. The rows of a call
+    are recorded in order, and a threshold crossed mid-call ends the trace at
+    the crossing row and discards the rest of the batch.
     """
     return lockstep(cost, [descent(theta0, config, cost0)])[0]

@@ -169,6 +169,49 @@ def test_landscape_outputs_must_not_overwrite_the_observable(tmp_path, capsys, m
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
+def test_vqe_outputs_must_not_overwrite_the_observable(tmp_path, capsys, monkeypatch):
+    # no run's file, the summary, nor any of their sidecars may be the input,
+    # and the check comes before the first run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_vqe", no_run)
+    out = tmp_path / "D"
+    out.mkdir()
+    for name, init in (("summary.json", "top-1"), ("trace_b0s1q1-2.csv", "top-1"),
+                       ("trace_random0.csv.manifest.json", "top-1,random-1"),
+                       ("summary.json.manifest.json", "random-1")):
+        source = out / name
+        save_observable(problems.fixture("H2_075"), source)
+        before = source.read_bytes()
+        assert run_cli("vqe", "--observable", str(source), "--init", init,
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--out" in err and f"--observable {source}" in err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert source.read_bytes() == before
+        source.unlink()
+
+
+def test_vqe_checks_max_evals_against_the_parameters_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_partial_dqes", "run_vqe"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "v"
+    for layers, evals, parameters in (("1", "5", 4), ("2", "7", 6)):
+        assert run_cli("vqe", "--fixture", "H2_075", "--strategy", "fit", "--init", "top-3",
+                       "--layers", layers, "--max-evals", evals, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"--max-evals {evals}" in err and f"+ 2 = {parameters + 2}" in err
+        assert not out.exists()
+    monkeypatch.undo()
+    assert run_cli("vqe", "--fixture", "H2_075", "--init", "random-1", "--max-evals", "6",
+                   "--out", str(out)) == 0
+
+
 def test_vqe_k_sets_the_ranking_sweep_at_any_n(tmp_path, capsys):
     out = tmp_path / "v"
     assert run_cli("vqe", "--fixture", "ising_fig8", "--k", "1", "--init", "top-2",

@@ -1,7 +1,12 @@
 """Derivative-free descent: probe pattern, batch contract, terminations, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from descent_oracle import one_step_minimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dqes.optimize import (OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep,
                            minimize)
@@ -34,7 +39,10 @@ def test_known_cost_at_theta0_is_evaluation_one():
     assert trace.entries[0].params == (0.0, 0.0)
     assert trace.entries[0].energy == 123.0
     assert (0.0, 0.0) not in calls
-    assert len(calls) == trace.evaluations - 1
+    # calls: stencil 2, line search 2 + 4, stencil 2, line search cut to 1 row; the
+    # 4-row ask's last two candidates come after its first rejected one and are dropped
+    assert len(calls) == 11
+    assert [e.params for e in trace.entries[1:]] == calls[:6] + calls[8:]
 
 
 def test_trace_indices_are_contiguous():
@@ -141,14 +149,15 @@ def recording(cost):
 def test_stencils_arrive_as_one_batch():
     cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
     trace = minimize(cost, np.zeros(3))
-    # evaluation 1, the first stencil, then at least one line step
-    assert rows[:3] == [1, 3, 1]
-    assert set(rows) == {1, 3}
-    assert sum(rows) == trace.evaluations
+    # evaluation 1, the first stencil, a line search asking 2 then 4 steps, then
+    # stencils each followed by a 2-step ask
+    assert rows == [1, 3, 2, 4] + [3, 2] * 50
+    # computed rows are the recorded ones plus the candidates after each first rejection
+    assert (sum(rows), trace.evaluations) == (260, 226)
     cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
     trace = minimize(cost, np.zeros(3), cost0=14.0)
-    assert rows[:2] == [3, 1]
-    assert sum(rows) == trace.evaluations - 1
+    assert rows == [3, 2, 4, 3, 2, 4] + [3, 2] * 63
+    assert (sum(rows), trace.evaluations - 1) == (333, 288)
 
 
 def test_budget_cuts_the_last_stencil_to_the_rows_left():
@@ -187,6 +196,37 @@ def test_non_finite_row_after_the_threshold_row_is_never_read():
     assert trace.evaluations == 3
     with pytest.raises(ValueError, match="non-finite value"):
         minimize(cost, np.zeros(4), OptimizerConfig(rho_init=0.5, threshold=-0.6))
+
+
+def test_a_candidate_after_the_first_rejected_one_is_never_read():
+    # the first line search asks for -0.5 and -1.0 at once; -0.5 is rejected,
+    # so the NaN at -1.0 is computed but neither recorded nor checked
+    computed = []
+
+    def cost(xs):
+        computed.extend(x for (x,) in xs.tolist())
+        return np.array([{-0.5: 2.0, -1.0: math.nan}.get(x, abs(x)) for (x,) in xs.tolist()])
+
+    trace = minimize(cost, np.zeros(1))
+    assert computed[:4] == [0.0, 0.5, -0.5, -1.0]
+    assert trace.termination == "converged"
+    assert (-1.0,) not in [e.params for e in trace.entries]
+    assert trace == one_step_minimize(cost, np.zeros(1))
+
+
+def test_a_non_finite_value_among_accepted_steps_raises_at_the_one_step_row():
+    # steps 1.0, 1.5 and 2.0 are accepted; the NaN at 2.5 sits inside the 4-row ask
+    def cost(xs):
+        return np.array([math.nan if x == 2.5 else -x for (x,) in xs.tolist()])
+
+    logged, rows = recording(cost)
+    with pytest.raises(ValueError, match="non-finite value") as batched:
+        minimize(logged, np.zeros(1))
+    assert rows == [1, 1, 2, 4]
+    with pytest.raises(ValueError, match="non-finite value") as one_step:
+        one_step_minimize(cost, np.zeros(1))
+    assert str(batched.value) == str(one_step.value)
+    assert "2.5" in str(batched.value)
 
 
 def test_trace_properties_on_a_synthetic_trace():
@@ -244,10 +284,11 @@ def test_descent_asks_for_the_batches_minimize_evaluates():
 
 
 def test_descent_cuts_a_stencil_to_the_budget_as_minimize_does():
-    config = OptimizerConfig(tol=1e-300, max_evals=10)
+    config = OptimizerConfig(tol=1e-300, max_evals=12)
     cost, rows = recording(quadratic([1.0, -1.0, 2.0]))
     trace = minimize(cost, np.zeros(3), config)
-    assert rows[-1] < 3 and trace.termination == "max-evals"
+    assert rows == [1, 3, 2, 4, 2] and trace.termination == "max-evals"
+    assert trace.evaluations == 12  # the line search kept all 6 of its rows
     traces, calls = joined(quadratic([1.0, -1.0, 2.0]), [descent(np.zeros(3), config)])
     assert traces == [trace]
     assert calls == rows
@@ -278,7 +319,17 @@ def test_descents_of_unequal_lengths_share_each_call():
     assert traces == expected
     lengths = [t.evaluations for t in expected]
     assert len(set(lengths)) > 3
-    assert sum(calls) == sum(lengths) - sum(cost0 is not None for *_, cost0 in settings)
+    # call i joins the i-th ask of every descent still running, each as it asks alone
+    alone = []
+    for s in settings:
+        logged, rows = recording(cost)
+        minimize(logged, *s)
+        alone.append(rows)
+    assert calls == [sum(rows[i] for rows in alone if i < len(rows))
+                     for i in range(max(map(len, alone)))]
+    # 854 rows computed: the 728 recorded and the candidates after each first rejection
+    assert sum(calls) == 854
+    assert sum(lengths) - sum(cost0 is not None for *_, cost0 in settings) == 728
     assert max(calls) > 3  # rows of several descents in one call
 
 
@@ -388,3 +439,68 @@ def test_best_entry_is_computed_once_and_left_out_of_equality():
     fresh = OptimizationTrace(entries=entries, termination="converged")
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
 
+
+
+def row_cost(center, wiggle):
+    """A bowl with ripples whose value on each row depends on that row alone:
+    a Python loop over the rows, never a BLAS product, whose last bits can
+    move with the number of rows."""
+    def cost(xs):
+        return np.array([sum((x - c) ** 2 + wiggle * math.sin(3 * x) for x, c in zip(row, center))
+                         for row in np.asarray(xs).tolist()])
+
+    return cost
+
+
+@st.composite
+def descent_runs(draw):
+    """((center, wiggle) of a row_cost, (theta0, config, cost0) of each descent, done)."""
+    dim = draw(st.integers(1, 6))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    center = tuple(draw(coords))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        config = OptimizerConfig(rho_init=draw(st.floats(0.05, 1.0)),
+                                 tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8])),
+                                 max_evals=draw(st.integers(dim + 2, 200)),
+                                 threshold=draw(st.none() | st.floats(-1.0, 2.0)))
+        runs.append((np.array(draw(coords)), config, draw(st.none() | st.floats(-1.0, 20.0))))
+    return (center, draw(st.sampled_from([0.0, 0.3]))), runs, draw(st.none() | st.floats(0.0, 1.0))
+
+
+# Descents of the bowl around (1, -1, 2) from 0 whose first line search asks for
+# 2 steps, then 4: the budget ends 2 rows into the 4-row ask, the threshold is
+# crossed at its second row, and a cost0 starts the third; all run joined.
+JOINED_EXAMPLE = (((1.0, -1.0, 2.0), 0.0),
+                  [(np.zeros(3), OptimizerConfig(tol=1e-300, max_evals=8), None),
+                   (np.zeros(3), OptimizerConfig(threshold=0.5), None),
+                   (np.zeros(3), OptimizerConfig(), 14.0)],
+                  None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=descent_runs())
+@example(case=JOINED_EXAMPLE)
+@example(case=(JOINED_EXAMPLE[0], JOINED_EXAMPLE[1][::-1], 0.5))
+def test_minimize_and_lockstep_equal_the_one_step_descent(case):
+    (center, wiggle), runs, done = case
+    cost = row_cost(center, wiggle)
+    expected = [one_step_minimize(cost, *run) for run in runs]
+    assert [minimize(cost, *run) for run in runs] == expected
+    # lockstep returns the traces up to the first that reaches done
+    last = next((j for j, trace in enumerate(expected)
+                 if done is not None and trace.final_energy <= done), len(runs) - 1)
+    assert lockstep(cost, [descent(*run) for run in runs], done=done) == expected[:last + 1]
+
+
+def test_the_joined_example_covers_each_case():
+    (center, wiggle), runs, _ = JOINED_EXAMPLE
+    schedules = []
+    for run in runs:
+        logged, rows = recording(row_cost(center, wiggle))
+        schedules.append((rows, minimize(logged, *run)))
+    (cut, cut_trace), (crossed, crossed_trace), (known, known_trace) = schedules
+    assert cut == [1, 3, 2, 2] and cut_trace.termination == "max-evals"
+    assert crossed == [1, 3, 2, 4] and crossed_trace.termination == "threshold"
+    assert crossed_trace.evaluations == 8  # 2 of the 4 rows are past the crossing
+    assert known[:3] == [3, 2, 4] and known_trace.entries[0].energy == 14.0

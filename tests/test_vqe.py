@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from descent_oracle import one_step_minimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dqes import vqe
 from dqes.ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
-from dqes.landscape import run_full_dqes
+from dqes.landscape import rank_initial_states, run_full_dqes
 from dqes.mub import PartialMubSpec, realize_partial_state
-from dqes.optimize import OptimizerConfig, minimize
+from dqes.optimize import OptimizerConfig
 from dqes.paulis import expectation_exact
 from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
 from dqes.states import StateVector, inner_product, random_state, zero_state
@@ -119,8 +121,8 @@ def test_fit_reports_unreachable_targets():
 
 
 def sequential_fit(spec, target, starts, seed):
-    """The fit as one start after another, each through minimize with a per-row
-    np.dot overlap: the oracle the lockstep fit must equal."""
+    """The fit as one start after another, each through the one-step descent with
+    a per-row np.dot overlap: the oracle the lockstep fit must equal."""
     zero = zero_state(spec.n).amps
     conj_target = np.conj(target.amps)
     circuit = compile_ansatz(spec)
@@ -136,7 +138,7 @@ def sequential_fit(spec, target, starts, seed):
     for start in range(starts):
         rng = np.random.default_rng([seed, start])
         theta0 = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        trace = minimize(infidelity, theta0, config)
+        trace = one_step_minimize(infidelity, theta0, config)
         used = start + 1
         if trace.final_energy < best_value:
             best_value = trace.final_energy
@@ -179,6 +181,29 @@ def test_the_fit_examples_cover_both_outcomes():
     assert early.reachable and early.starts_used == 4
     spent = fit_parameters_to_state(AnsatzSpec(n=2), random_state(2, 5), 8, 1)
     assert not spent.reachable and spent.starts_used == 8
+
+
+def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
+    # each line search asks for 2, 4, 8, ... steps in one call; one step per call,
+    # the same fits take 3,516 calls of 14,556 rows
+    calls = []
+
+    def counting(spec):
+        circuit = compile_ansatz(spec)
+
+        def counted(thetas, amps):
+            calls.append(len(thetas))
+            return circuit(thetas, amps)
+
+        return counted
+
+    monkeypatch.setattr(vqe, "compile_ansatz", counting)
+    targets = [realize_partial_state(rec.spec)
+               for rec in rank_initial_states(run_full_dqes(H2), 3)]
+    fits = [fit_parameters_to_state(H2_SPEC, target) for target in targets]
+    assert (len(calls), sum(calls)) == (2197, 15719)
+    assert [fit.starts_used for fit in fits] == [2, 1, 4]
+    assert fits == [sequential_fit(H2_SPEC, target, 32, 0) for target in targets]
 
 
 def test_fit_fallback_keeps_the_run_going():
