@@ -202,24 +202,24 @@ def _run_file_names(label: str, n: int) -> tuple[str, ...]:
 
 
 def _trace_csv(result: VqeResult) -> str:
-    count = len(result.trace.entries[0].params)
+    trace = result.trace
+    count = len(trace.params[0])
     lines = ["eval,energy," + ",".join(f"theta_{i}" for i in range(count))]
-    for entry in result.trace.entries:
-        params = ",".join(f"{p:.12g}" for p in entry.params)
-        lines.append(f"{entry.index},{entry.energy:.12g},{params}")
+    for index, (params, energy) in enumerate(zip(trace.params, trace.energies), 1):
+        row = ",".join(f"{p:.12g}" for p in params)
+        lines.append(f"{index},{energy:.12g},{row}")
     return "\n".join(lines) + "\n"
 
 
 def _bloch_csv(result: VqeResult) -> str:
     # single-qubit runs only: Bloch vector of the state at each evaluation
     spec = result.ansatz
-    entries = result.trace.entries
-    thetas = as_parameter_rows(spec, [entry.params for entry in entries])
+    thetas = as_parameter_rows(spec, result.trace.params)
     states = compile_ansatz(spec)(thetas, result.initial_state.amps)
     lines = ["eval,x,y,z"]
-    for entry, amps in zip(entries, states):
+    for index, amps in enumerate(states, 1):
         x, y, z = bloch_coordinates(StateVector(spec.n, amps))
-        lines.append(f"{entry.index},{x:.12g},{y:.12g},{z:.12g}")
+        lines.append(f"{index},{x:.12g},{y:.12g},{z:.12g}")
     return "\n".join(lines) + "\n"
 
 

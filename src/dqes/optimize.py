@@ -28,6 +28,13 @@ is sent their B values, and returns the OptimizationTrace. `lockstep` drives
 descents, joining their batches into one cost call; each row's value depends
 on that row alone, so every trace is the one a lone descent gives, and
 `minimize` is `lockstep` over one descent.
+
+A trace keeps its rows as two columns, `params` (per-row parameter tuples)
+and `energies` (floats), which `descent` extends one batch at a time.
+`evaluations`, `final_energy`, `best_params` and `best_entry` read the
+columns, and so do the fit, `run_vqe` and the CLI's trace and Bloch writers.
+`entries`, the TraceEntry rows, is built from the columns when first read,
+for callers that want row objects, such as the benchmark's checks.
 """
 
 import math
@@ -66,25 +73,42 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    entries: tuple[TraceEntry, ...]
+    """The rows a descent took, in order, as two columns: row i evaluated
+    params[i] and got energies[i]. Equality, hash and repr read the columns
+    and termination only."""
+
+    params: tuple[tuple[float, ...], ...]
+    energies: tuple[float, ...]
     termination: str  # "converged" | "max-evals" | "threshold"
+
+    @cached_property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        # built on first read: the descent and the fit never read them
+        return tuple(TraceEntry(index, params, energy) for index, (params, energy)
+                     in enumerate(zip(self.params, self.energies), 1))
 
     @property
     def evaluations(self) -> int:
-        return len(self.entries)
+        return len(self.energies)
+
+    @cached_property
+    def _best(self) -> int:
+        # the row of the first minimum, as min over entries gives; computed
+        # once: final_energy and best_params both read it
+        return self.energies.index(min(self.energies))
 
     @cached_property
     def best_entry(self) -> TraceEntry:
-        # computed once: final_energy and best_params both read it
-        return min(self.entries, key=lambda e: e.energy)
+        # the one row, built alone: reading it builds no entries
+        return TraceEntry(self._best + 1, self.params[self._best], self.energies[self._best])
 
     @property
     def final_energy(self) -> float:
-        return self.best_entry.energy
+        return self.energies[self._best]
 
     @property
     def best_params(self) -> tuple[float, ...]:
-        return self.best_entry.params
+        return self.params[self._best]
 
 
 class _Stop(Exception):
@@ -107,21 +131,26 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
         raise ValueError(
             f"max_evals must be at least dim + 2 = {dim + 2}, got {config.max_evals}")
     threshold = config.threshold
-    entries: list[TraceEntry] = []
+    params: list[tuple[float, ...]] = []  # the trace's columns
+    energies: list[float] = []
 
     def record(points: np.ndarray, values: np.ndarray) -> None:
-        # rows are recorded in order; a threshold row ends the trace there
-        for k, (point, value) in enumerate(zip(points.tolist(), values.tolist())):
+        # rows are checked in order; a threshold row ends the trace there
+        rows, row_values = points.tolist(), values.tolist()
+        for k, value in enumerate(row_values):
             if not math.isfinite(value):
                 raise ValueError(f"cost returned a non-finite value {value!r} at {points[k]!r}")
-            entries.append(TraceEntry(index=len(entries) + 1, params=tuple(point),
-                                      energy=value))
             if threshold is not None and value <= threshold:
+                del rows[k + 1:], row_values[k + 1:]
+                params.extend(map(tuple, rows))
+                energies.extend(row_values)
                 raise _Stop("threshold")
+        params.extend(map(tuple, rows))
+        energies.extend(row_values)
 
     def ask(points: np.ndarray):
         # rows past the budget are dropped before they are asked for
-        points = points[:config.max_evals - len(entries)]
+        points = points[:config.max_evals - len(energies)]
         if len(points) == 0:
             raise _Stop("max-evals")
         return points, np.asarray((yield points), dtype=float)
@@ -131,7 +160,7 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
         if cost0 is None:
             points, values = yield from ask(x[None])
             record(points, values)
-            fx = values[0]
+            fx = values.item(0)
         else:
             fx = float(cost0)
             record(x[None], np.array([fx]))
@@ -139,14 +168,15 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
         while rho >= config.tol:
             # forward-difference stencil; the very first pass is the documented
             # probe pattern at rho_init
-            probes = np.repeat(x[None], dim, axis=0)
-            probes.flat[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
+            probes = x[None].repeat(dim, axis=0)
+            probes.reshape(-1)[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
             probes, stencil = yield from ask(probes)
             record(probes, stencil)
             if len(stencil) < dim:
                 raise _Stop("max-evals")
             gradient = (stencil - fx) / rho
-            norm = float(np.linalg.norm(gradient))
+            # what np.linalg.norm computes for a real vector, bit for bit
+            norm = math.sqrt(gradient.dot(gradient))
             moved = False
             if norm > 0:
                 step = rho * (-gradient / norm)
@@ -172,16 +202,18 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
                         break
                     size *= 2
             if not moved:
-                j_best = int(np.argmin(stencil))
-                if stencil[j_best] < fx - 1e-15 * (1 + abs(fx)):
+                j_best = int(stencil.argmin())
+                value = stencil.item(j_best)
+                if value < fx - 1e-15 * (1 + abs(fx)):
                     best = x.copy()
                     best[j_best] += rho
-                    x, fx = best, stencil[j_best]
+                    x, fx = best, value
                 else:
                     rho /= 2
     except _Stop as stop:
         termination = stop.reason
-    return OptimizationTrace(entries=tuple(entries), termination=termination)
+    return OptimizationTrace(params=tuple(params), energies=tuple(energies),
+                             termination=termination)
 
 
 # Descents in flight at once: a small circuit costs little more for 4 rows than
@@ -201,7 +233,8 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
     The traces are the ones each descent gives alone, with one step per
     line-search call, only if cost gives each row a value that depends on that
     row alone: the batches it is given vary in size and mix descents, and a
-    line search reads only a prefix of the steps it asked for."""
+    line search reads only a prefix of the steps it asked for. A round with
+    one ask passes that descent's own array, so cost must not write to it."""
     pending = iter(descents)
     traces: dict[int, OptimizationTrace] = {}
     flight: dict[int, tuple] = {}  # index -> (its descent, the points it asks for)
@@ -230,7 +263,10 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
         if not flight:
             return [traces[i] for i in range(limit)]
         asked = list(flight.items())
-        rows = np.concatenate([points for _, (_, points) in asked])
+        if len(asked) == 1:
+            rows = asked[0][1][1]
+        else:
+            rows = np.concatenate([points for _, (_, points) in asked])
         values = np.asarray(cost(rows), dtype=float)
         if values.shape != (len(rows),):
             raise ValueError(f"cost returned shape {values.shape} for {len(rows)} points")

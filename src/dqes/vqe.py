@@ -79,7 +79,7 @@ class VqeResult:
 
     @property
     def initial_energy(self) -> float:
-        return self.trace.entries[0].energy
+        return self.trace.energies[0]
 
 
 def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
@@ -185,15 +185,14 @@ def run_vqe(obs: Observable, spec: AnsatzSpec, init: InitStrategy,
     if isinstance(init, ShiftedMubInit) and init.theta0 is None:
         known = score_spec(obs, init.spec)
     trace = minimize(cost, theta_start, config, cost0=known)
-    best = trace.best_entry
     return VqeResult(
         label=init.label(),
         init=init,
         ansatz=spec,
         trace=trace,
         initial_state=initial,
-        final_energy=best.energy,
-        final_params=best.params,
-        final_state=prepare_state(spec, best.params, initial),
+        final_energy=trace.final_energy,
+        final_params=trace.best_params,
+        final_state=prepare_state(spec, trace.best_params, initial),
         used_fallback=used_fallback,
     )

@@ -5,7 +5,9 @@ candidate x + rho * direction is evaluated alone, recorded, and tested before
 the next is built. minimize asks for several line-search steps in one call and
 records only the ones this loop takes, so for a cost that gives each row a
 value depending on that row alone, every minimize and lockstep trace must
-equal this loop's.
+equal this loop's. The loop builds its TraceEntry rows one at a time, so a
+trace's entries, which it builds from its columns when first read, are held
+to them as well.
 """
 
 import math
@@ -20,10 +22,11 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def one_step_minimize(cost, theta0, config: OptimizerConfig | None = None,
-                      cost0: float | None = None) -> OptimizationTrace:
-    """The trace minimize must give: cost is called once for evaluation 1 (unless
-    cost0 is given), once per stencil, and once per line-search step."""
+def one_step_entries(cost, theta0, config: OptimizerConfig | None = None,
+                     cost0: float | None = None) -> tuple[tuple[TraceEntry, ...], str]:
+    """(entries, termination) of the trace minimize must give: cost is called
+    once for evaluation 1 (unless cost0 is given), once per stencil, and once
+    per line-search step."""
     if config is None:
         config = OptimizerConfig()
     x = np.array(theta0, dtype=float).reshape(-1)
@@ -84,4 +87,17 @@ def one_step_minimize(cost, theta0, config: OptimizerConfig | None = None,
                     rho /= 2
     except _Stop as stop:
         termination = stop.reason
-    return OptimizationTrace(entries=tuple(entries), termination=termination)
+    return tuple(entries), termination
+
+
+def trace_of(entries: tuple[TraceEntry, ...], termination: str) -> OptimizationTrace:
+    """The OptimizationTrace whose columns hold these entries' rows."""
+    return OptimizationTrace(params=tuple(entry.params for entry in entries),
+                             energies=tuple(entry.energy for entry in entries),
+                             termination=termination)
+
+
+def one_step_minimize(cost, theta0, config: OptimizerConfig | None = None,
+                      cost0: float | None = None) -> OptimizationTrace:
+    """The trace minimize must give, as one_step_entries describes it."""
+    return trace_of(*one_step_entries(cost, theta0, config, cost0))

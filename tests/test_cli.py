@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqes import cli, problems
+from dqes import cli, optimize, problems
 from dqes.cli import main
 from dqes.paulis import Observable, load_observable, save_observable
 from dqes.problems import load_graph
@@ -18,6 +18,14 @@ from dqes.problems import load_graph
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env(**settings):
+    """os.environ plus settings, with this checkout's src first on PYTHONPATH,
+    for a child Python that imports dqes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_mub_verify_passes(capsys):
@@ -320,6 +328,19 @@ def test_vqe_single_qubit_writes_bloch_paths(tmp_path):
     assert all(abs(run["gap_to_exact"]) < 1e-3 for run in summary["runs"])
 
 
+def test_vqe_builds_no_trace_entries(tmp_path, monkeypatch):
+    # the trace CSV, the Bloch CSV and summary.json read the trace's columns
+    def refuse(*args):
+        raise AssertionError("dqes vqe built a TraceEntry")
+
+    monkeypatch.setattr(optimize, "TraceEntry", refuse)
+    for argv in (("--fixture", "xy1", "--init", "top-1"),
+                 ("--fixture", "H2_075", "--strategy", "fit", "--init", "top-1,random-1")):
+        out = tmp_path / argv[1]
+        assert run_cli("vqe", *argv, "--out", str(out)) == 0
+    assert (tmp_path / "xy1" / "bloch_b1s1q1.csv").exists()
+
+
 def test_vqe_random_and_fit_strategies(tmp_path):
     out = tmp_path / "mix"
     assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-1,random-2",
@@ -428,7 +449,11 @@ def test_vqe_multi_start_fit_outputs_match_their_frozen_hashes(tmp_path):
 # comes from eigh of the dense 1024 x 1024 Ising matrix, whose last bits depend
 # on the thread count (OPENBLAS_NUM_THREADS=1 writes -6.055133243287062, two
 # threads ...061, and both gap_to_exact values move with it; the traces do not).
-# A diagonal observable, with no X or Y letter, calls no eigh.
+# A diagonal observable, with no X or Y letter, calls no eigh. The pins were
+# taken at two threads, so the test runs the CLI in a child Python started with
+# OPENBLAS_NUM_THREADS=2: numpy reads the count when it loads, and an outer
+# setting would otherwise decide the bytes. (OpenBLAS caps the count at the
+# CPUs it may use, so a one-CPU machine still writes the one-thread bytes.)
 ISING10_PINS = {
     "trace_b0s7q2-4-7.csv": "7f3e9346ee8de255222df97b7b3d1faeaf2b1cd6f54da05c8a8372a799ecc0e3",
     "trace_random0.csv": "69243b1487a81db84c602776314c1edb014fa53dd5e81587545b26b30e7e0dbd",
@@ -436,13 +461,23 @@ ISING10_PINS = {
 }
 
 
+# runs each argv of the JSON list in argv[1] through dqes.cli.main, in order;
+# exits 1 at the first that does not return 0
+RUN_CLI_CALLS = ("import json, sys\nfrom dqes.cli import main\n"
+                 "sys.exit(0 if all(main(argv) == 0 for argv in json.loads(sys.argv[1])) else 1)")
+
+
 def test_vqe_ten_qubit_two_layer_outputs_match_their_frozen_hashes(tmp_path):
     observable, out = tmp_path / "ising10.json", tmp_path / "vqe"
-    assert run_cli("problem", "gen", "ising", "--n", "10", "--czz", "0.61436456",
-                   "--cx", "0.32435029", "--out", str(observable)) == 0
-    assert run_cli("vqe", "--observable", str(observable), "--k", "3",
-                   "--init", "top-1,random-1", "--layers", "2", "--axes", "YZ",
-                   "--max-evals", "200", "--out", str(out)) == 0
+    calls = [["problem", "gen", "ising", "--n", "10", "--czz", "0.61436456",
+              "--cx", "0.32435029", "--out", str(observable)],
+             ["vqe", "--observable", str(observable), "--k", "3",
+              "--init", "top-1,random-1", "--layers", "2", "--axes", "YZ",
+              "--max-evals", "200", "--out", str(out)]]
+    done = subprocess.run([sys.executable, "-c", RUN_CLI_CALLS, json.dumps(calls)],
+                          env=child_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
     data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
     assert data == sorted(ISING10_PINS)
     for name, digest in ISING10_PINS.items():
@@ -519,10 +554,7 @@ def test_negative_seeds_are_rejected_before_any_output(tmp_path, capsys, argv):
 
 
 def test_module_entry_point_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-m", "dqes", "--help"], env=env,
+    done = subprocess.run([sys.executable, "-m", "dqes", "--help"], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: dqes")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from descent_oracle import one_step_minimize
+from descent_oracle import one_step_entries, one_step_minimize, trace_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -210,8 +210,9 @@ def test_a_candidate_after_the_first_rejected_one_is_never_read():
     trace = minimize(cost, np.zeros(1))
     assert computed[:4] == [0.0, 0.5, -0.5, -1.0]
     assert trace.termination == "converged"
-    assert (-1.0,) not in [e.params for e in trace.entries]
-    assert trace == one_step_minimize(cost, np.zeros(1))
+    assert (-1.0,) not in trace.params
+    entries, termination = one_step_entries(cost, np.zeros(1))
+    assert trace == trace_of(entries, termination) and trace.entries == entries
 
 
 def test_a_non_finite_value_among_accepted_steps_raises_at_the_one_step_row():
@@ -230,16 +231,17 @@ def test_a_non_finite_value_among_accepted_steps_raises_at_the_one_step_row():
 
 
 def test_trace_properties_on_a_synthetic_trace():
-    entries = (
-        TraceEntry(index=1, params=(0.0,), energy=3.0),
-        TraceEntry(index=2, params=(0.5,), energy=1.0),
-        TraceEntry(index=3, params=(1.0,), energy=2.0),
-    )
-    trace = OptimizationTrace(entries=entries, termination="max-evals")
+    trace = OptimizationTrace(params=((0.0,), (0.5,), (1.0,)), energies=(3.0, 1.0, 2.0),
+                              termination="max-evals")
     assert trace.evaluations == 3
     assert trace.final_energy == 1.0
     assert trace.best_params == (0.5,)
     assert trace.best_entry.index == 2
+    assert trace.entries == (
+        TraceEntry(index=1, params=(0.0,), energy=3.0),
+        TraceEntry(index=2, params=(0.5,), energy=1.0),
+        TraceEntry(index=3, params=(1.0,), energy=2.0),
+    )
 
 
 def test_descent_never_reports_worse_than_start():
@@ -431,13 +433,51 @@ def test_lockstep_stops_after_the_first_descent_at_done():
 
 
 def test_best_entry_is_computed_once_and_left_out_of_equality():
-    entries = (TraceEntry(index=1, params=(0.0,), energy=2.0),
-               TraceEntry(index=2, params=(1.0,), energy=1.0))
-    read = OptimizationTrace(entries=entries, termination="converged")
+    columns = {"params": ((0.0,), (1.0,)), "energies": (2.0, 1.0), "termination": "converged"}
+    read = OptimizationTrace(**columns)
     assert (read.final_energy, read.best_params) == (1.0, (1.0,))
-    assert vars(read)["best_entry"] is entries[1]  # kept from the first read
-    fresh = OptimizationTrace(entries=entries, termination="converged")
+    assert vars(read)["_best"] == 1  # kept from the first read
+    assert read.best_entry == TraceEntry(index=2, params=(1.0,), energy=1.0)
+    assert vars(read)["best_entry"] is read.best_entry and "entries" not in vars(read)
+    assert read.best_entry == read.entries[1]
+    fresh = OptimizationTrace(**columns)
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([0.0])
+@example([-0.0, 0.0, -0.0])
+def test_the_descent_norm_is_numpys_norm(gradient):
+    # descent takes math.sqrt(g.dot(g)) as the norm of its gradient, and every
+    # trace is bit-identical to the one np.linalg.norm gave only while this holds
+    g = np.array(gradient)
+    with np.errstate(over="ignore"):  # huge entries: both sides are inf
+        assert math.sqrt(g.dot(g)) == float(np.linalg.norm(g))
+
+
+def test_minimize_builds_no_entries_until_they_are_read():
+    cost = row_cost((1.0, -2.0, 0.5), 0.3)
+    trace = minimize(cost, np.zeros(3))
+    assert trace.final_energy == min(trace.energies)
+    assert trace.best_params == trace.params[trace.energies.index(trace.final_energy)]
+    assert "entries" not in vars(trace)
+    entries, _ = one_step_entries(cost, np.zeros(3))
+    assert trace.entries == entries
+    assert trace.best_entry == min(entries, key=lambda entry: entry.energy)
+
+
+def test_a_tie_reports_the_first_row():
+    # a flat cost never moves: every row ties, and row 1 is theta0
+    trace = minimize(lambda xs: np.full(len(xs), 1.5), [0.25, -0.5], OptimizerConfig(tol=0.1))
+    assert trace.evaluations == 7 and set(trace.energies) == {1.5}
+    assert trace.best_params == (0.25, -0.5) and trace.best_entry.index == 1
+    # 0.0 == -0.0: the first of them is the minimum, with its own sign
+    signed = OptimizationTrace(params=((0.0,), (1.0,), (2.0,), (3.0,)),
+                               energies=(1.0, 0.0, -0.0, 0.0), termination="converged")
+    assert signed.best_entry == min(signed.entries, key=lambda entry: entry.energy)
+    assert (signed.best_entry.index, signed.best_params) == (2, (1.0,))
+    assert math.copysign(1.0, signed.final_energy) == 1.0
 
 
 
@@ -485,12 +525,17 @@ JOINED_EXAMPLE = (((1.0, -1.0, 2.0), 0.0),
 def test_minimize_and_lockstep_equal_the_one_step_descent(case):
     (center, wiggle), runs, done = case
     cost = row_cost(center, wiggle)
-    expected = [one_step_minimize(cost, *run) for run in runs]
-    assert [minimize(cost, *run) for run in runs] == expected
+    oracle = [one_step_entries(cost, *run) for run in runs]
+    expected = [trace_of(entries, termination) for entries, termination in oracle]
+    traces = [minimize(cost, *run) for run in runs]
+    assert traces == expected
+    assert [trace.entries for trace in traces] == [entries for entries, _ in oracle]
     # lockstep returns the traces up to the first that reaches done
     last = next((j for j, trace in enumerate(expected)
                  if done is not None and trace.final_energy <= done), len(runs) - 1)
-    assert lockstep(cost, [descent(*run) for run in runs], done=done) == expected[:last + 1]
+    joined = lockstep(cost, [descent(*run) for run in runs], done=done)
+    assert joined == expected[:last + 1]
+    assert [trace.entries for trace in joined] == [entries for entries, _ in oracle[:last + 1]]
 
 
 def test_the_joined_example_covers_each_case():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from descent_oracle import one_step_minimize
+from descent_oracle import one_step_entries, one_step_minimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,7 @@ from dqes import vqe
 from dqes.ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
 from dqes.landscape import rank_initial_states, run_full_dqes
 from dqes.mub import PartialMubSpec, realize_partial_state
-from dqes.optimize import OptimizerConfig
+from dqes.optimize import OptimizerConfig, lockstep
 from dqes.paulis import expectation_exact
 from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
 from dqes.states import StateVector, inner_product, random_state, zero_state
@@ -204,6 +204,26 @@ def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
     assert (len(calls), sum(calls)) == (2197, 15719)
     assert [fit.starts_used for fit in fits] == [2, 1, 4]
     assert fits == [sequential_fit(H2_SPEC, target, 32, 0) for target in targets]
+
+
+def test_the_fit_builds_no_trace_entries(monkeypatch):
+    runs = []
+
+    def spy(cost, descents, done=None):
+        traces = lockstep(cost, descents, done)
+        runs.append((cost, traces))
+        return traces
+
+    monkeypatch.setattr(vqe, "lockstep", spy)
+    fit = fit_parameters_to_state(H2_SPEC, realize_partial_state(full_spec(1, 2)), 8, 0)
+    [(cost, traces)] = runs
+    assert fit.starts_used == len(traces) == 4
+    # the fit has read final_energy and best_params of every trace
+    assert not any("entries" in vars(trace) for trace in traces)
+    for start, trace in enumerate(traces):
+        theta0 = np.random.default_rng([0, start]).uniform(-np.pi, np.pi, H2_SPEC.parameter_count)
+        entries, termination = one_step_entries(cost, theta0, vqe._FIT_CONFIG)
+        assert (trace.entries, trace.termination) == (entries, termination)
 
 
 def test_fit_fallback_keeps_the_run_going():
