@@ -13,21 +13,20 @@ unchanged.
 Parameter order: layer-major, then qubit, then axis (Y before Z), with
 layers + 1 rotation layers in total.
 
-build_ansatz and apply_gate are the reference: one validated Gate and one
-validated StateVector per step. compile_ansatz is the kernel every caller
-runs, on a stack of parameter vectors at once: each rotation is the same 2x2
-product on raw amplitudes, stacked over the rows, and everything between two
-rotations (a change of target qubit, a CX chain, the V(0)^dagger prefix) is
-folded into one precomputed gather, so every row equals the reference bit for
-bit.
+compile_ansatz is the kernel every caller runs, on a stack of parameter
+vectors at once: each rotation is the same 2x2 product on raw amplitudes,
+stacked over the rows, and everything between two rotations (a change of
+target qubit, a CX chain, the V(0)^dagger prefix) is folded into one
+precomputed gather. The tests keep the gate-by-gate reference, one validated
+gate and one validated state per step (tests/reference_path.py), and hold
+every row to it bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import MubSet
-from .states import MAX_QUBITS, Gate, StateVector, _cnot_source, _layout, cnot, ry, rz
+from .states import MAX_QUBITS, StateVector, _cnot_source, _layout
 
 _ALLOWED_AXES = (("Y",), ("Y", "Z"))
 
@@ -55,10 +54,6 @@ class AnsatzSpec:
         return self.n * len(self.rotation_axes) * (self.layers + 1)
 
 
-# Parameters are plain float vectors bound to a spec by length.
-ParameterVector = np.ndarray
-
-
 def as_parameter_vector(spec: AnsatzSpec, params) -> np.ndarray:
     vec = np.asarray(params, dtype=float)
     if vec.shape != (spec.parameter_count,):
@@ -78,26 +73,6 @@ def as_parameter_rows(spec: AnsatzSpec, params) -> np.ndarray:
     return rows
 
 
-def build_ansatz(spec: AnsatzSpec, params) -> tuple[Gate, ...]:
-    """The full gate sequence for one parameter binding, application order."""
-    vec = as_parameter_vector(spec, params)
-    gates: list[Gate] = []
-    # V(0)^dagger: the inverse of the bare CX-chain product, one chain per layer
-    for _ in range(spec.layers):
-        for q in range(spec.n - 1, 0, -1):
-            gates.append(cnot(q, q + 1))
-    k = 0
-    for layer in range(spec.layers + 1):
-        for q in range(1, spec.n + 1):
-            for axis in spec.rotation_axes:
-                gates.append(ry(vec[k], q) if axis == "Y" else rz(vec[k], q))
-                k += 1
-        if layer < spec.layers:
-            for q in range(1, spec.n):
-                gates.append(cnot(q, q + 1))
-    return tuple(gates)
-
-
 def _cx_chain_source(n: int, controls) -> np.ndarray:
     """One gather index for the CX gates (q, q + 1), applied in the order given."""
     src = np.arange(2**n)
@@ -110,10 +85,11 @@ def compile_ansatz(spec: AnsatzSpec):
     """Function (thetas, amps) -> the (B, 2^n) stack whose row i is U(thetas[i]) amps.
 
     thetas must be a (B, P) stack of parameter vectors of the spec and amps one
-    2^n array; neither is checked. Every row equals build_ansatz plus
-    apply_gate bit for bit: gathers only move amplitudes, the B * P rotation
-    matrices hold the values _ry_matrix and _rz_matrix give, and each rotation
-    is the product apply_gate forms, stacked over the rows.
+    2^n array; neither is checked. Every row equals the gate-by-gate
+    reference bit for bit: gathers only move amplitudes, the B * P rotation
+    matrices hold the values of the reference's Ry and Rz matrices, and each
+    rotation is the product the reference forms for one gate, stacked over
+    the rows.
 
     Each rotation's product is left in its qubit's _layout order. One gather
     per rotation, built here, takes the last product to the next operand: it
@@ -170,16 +146,3 @@ def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector
     vec = as_parameter_vector(spec, params)
     return StateVector(spec.n, compile_ansatz(spec)(vec[None], initial.amps)[0])
 
-
-def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
-    """Shift every state of every basis; unitarity keeps the set mutually unbiased."""
-    if mubs.n != spec.n:
-        raise ValueError(f"ansatz is on {spec.n} qubits but MUB set is on {mubs.n}")
-    circuit = compile_ansatz(spec)
-    vec = as_parameter_vector(spec, theta0)
-    shifted = []
-    for basis in mubs.bases:
-        cols = [circuit(vec[None], StateVector(mubs.n, basis[:, j]).amps)[0]
-                for j in range(2**mubs.n)]
-        shifted.append(np.column_stack(cols))
-    return MubSet(n=mubs.n, bases=tuple(shifted))

@@ -173,6 +173,9 @@ def _build_inits(atoms, obs, name, args) -> list:
         if atom[0] == "top":
             if report is None:
                 report = _sweep_report(obs, name, False, args.k)
+            if atom[1] > len(report.energies):
+                raise ValueError(f"--init top-{atom[1]}: the K={report.k} sweep has "
+                                 f"{len(report.energies)} records")
             for rec in rank_initial_states(report, atom[1]):
                 inits.append(_make_mub_init(mub_init, rec.spec, args))
         elif atom[0] == "random":

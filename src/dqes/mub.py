@@ -22,10 +22,8 @@ eigenvector with generator-k eigenvalue (-1)^(bit k of j), phase-fixed so the
 first nonzero amplitude is real positive.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 
 import numpy as np
 
@@ -48,7 +46,7 @@ class MubSet:
 
     bases[b] is a 2^n x 2^n matrix whose column j is state j of basis b.
     classes[b] lists the commuting Pauli strings stabilizing basis b (absent
-    for sets not produced by the Pauli-class construction, e.g. shifted sets).
+    for sets not produced by the Pauli-class construction).
     """
 
     n: int
@@ -240,20 +238,6 @@ def _check_sweep_size(n: int, k: int) -> None:
         raise ValueError(f"subset size must be in [1, {MAX_MUB_QUBITS}], got {k}")
     if k > n:
         raise ValueError(f"subset size {k} exceeds register size {n}")
-
-
-def enumerate_partial_specs(n: int, k: int) -> list[PartialMubSpec]:
-    """Every K-qubit MUB state on every K-subset: C(n,K) * (2^K + 1) * 2^K specs,
-    ordered subset-lex, then basis, then state."""
-    _check_sweep_size(n, k)
-    specs = []
-    for subset in itertools.combinations(range(1, n + 1), k):
-        for basis in range(2**k + 1):
-            for state in range(2**k):
-                specs.append(PartialMubSpec(n=n, subset=subset, basis_index=basis,
-                                            state_index=state))
-    assert len(specs) == comb(n, k) * (2**k + 1) * 2**k
-    return specs
 
 
 def realize_partial_state(spec: PartialMubSpec) -> StateVector:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifest import write_text_atomic
-from .states import _H, _SDG, Gate, StateVector, apply_gate
+from .states import StateVector
 
 _LETTERS = frozenset("IXYZ")
 
@@ -87,14 +87,6 @@ def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.nd
     return src, (1j ** bin(x_mask & z_mask).count("1")) * signs
 
 
-def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
-    """P|psi> without building the 2^n x 2^n matrix."""
-    if pauli.n != state.n:
-        raise ValueError(f"Pauli string has {pauli.n} letters but state has {state.n} qubits")
-    src, phase = _pauli_action(state.dim, pauli.x_mask, pauli.z_mask)
-    return StateVector(state.n, phase * state.amps[src])
-
-
 @dataclass(frozen=True)
 class Observable:
     """sum_i coeff_i * P_i with real coefficients, canonical on construction."""
@@ -110,7 +102,12 @@ class Observable:
             if pauli.n != self.n:
                 raise ValueError(
                     f"term {pauli.letters!r} has {pauli.n} letters, observable is on {self.n} qubits")
-            merged[pauli.letters] = merged.get(pauli.letters, 0.0) + float(coeff)
+            try:
+                value = float(coeff)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient of {pauli.letters!r} is too large for a float64") from None
+            merged[pauli.letters] = merged.get(pauli.letters, 0.0) + value
         for letters, coeff in merged.items():  # a non-finite term leaves its sum non-finite
             if not np.isfinite(coeff):
                 raise ValueError(
@@ -131,9 +128,10 @@ def compile_observable(obs: Observable):
     The rows are not checked. Each term's (src, phase) is built once; a call
     forms each term's phase * rows[:, src] once (a diagonal term moves nothing
     and skips the gather) and adds coeff * <psi|P psi> to every row's total in
-    canonical order, as pauli_apply would give them. np.vecdot sums each row
-    as np.vdot does, but only over unit-stride rows: BLAS sums a strided vector
-    in another order, which moves the last bits.
+    canonical order, as applying one Pauli at a time gives them (pauli_apply in
+    tests/reference_path.py). np.vecdot sums each row as np.vdot does, but only
+    over unit-stride rows: BLAS sums a strided vector in another order, which
+    moves the last bits.
     Raises ValueError when a row's sum has an imaginary residue above 1e-10.
     """
     dim = 2**obs.n
@@ -164,44 +162,6 @@ def expectation_exact(obs: Observable, state: StateVector) -> float:
     if obs.n != state.n:
         raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
     return float(compile_observable(obs)(state.amps[None])[0])
-
-
-def expectation_sampled(obs: Observable, state: StateVector, shots: int,
-                        seed: int) -> tuple[float, float]:
-    """Finite-shot estimate of <H> and its standard error.
-
-    Each term is measured on a rotated copy of the state: H on X positions,
-    S-dagger then H on Y positions, nothing on Z positions; the Z-basis sample
-    parity over the term's support gives the +/-1 outcomes. Identity terms
-    enter the total exactly with zero error. Deterministic given (seed, shots).
-    """
-    if obs.n != state.n:
-        raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    variance = 0.0
-    for coeff, pauli in obs.terms:
-        if pauli.is_identity:
-            total += coeff
-            continue
-        rotated = state
-        for q, letter in enumerate(pauli.letters, start=1):
-            if letter == "Y":
-                rotated = apply_gate(rotated, Gate(target=q, matrix=_SDG))
-            if letter in "XY":
-                rotated = apply_gate(rotated, Gate(target=q, matrix=_H))
-        probs = np.abs(rotated.amps) ** 2
-        probs = probs / probs.sum()
-        outcomes = rng.choice(state.dim, size=shots, p=probs)
-        support = pauli.x_mask | pauli.z_mask
-        values = 1 - 2 * (np.bitwise_count(outcomes & support).astype(np.int64) & 1)
-        mean = float(values.mean())
-        total += coeff * mean
-        if shots > 1:
-            variance += coeff**2 * float(values.var(ddof=1)) / shots
-    return total, float(np.sqrt(variance))
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:
@@ -268,7 +228,7 @@ def decode_observable(text: str) -> Observable:
             raise ValueError(f"terms[{i}].pauli: invalid letter {letters[pos]!r} at position {pos}")
         if len(letters) != n:
             raise ValueError(f"terms[{i}].pauli has {len(letters)} letters, expected n={n}")
-        terms.append((float(coeff), PauliString(letters)))
+        terms.append((coeff, PauliString(letters)))
     return Observable(n, tuple(terms))
 
 
@@ -277,10 +237,9 @@ def save_observable(obs: Observable, path) -> None:
 
 
 def load_observable(path) -> Observable:
-    with open(path) as f:
-        text = f.read()
     try:
-        return decode_observable(text)
+        with open(path) as f:
+            return decode_observable(f.read())
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -314,9 +314,8 @@ def save_graph(graph: GraphSpec, path) -> None:
 
 
 def load_graph(path) -> GraphSpec:
-    with open(path) as f:
-        text = f.read()
     try:
-        return decode_graph(text)
+        with open(path) as f:
+            return decode_graph(f.read())
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

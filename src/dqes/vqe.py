@@ -87,7 +87,8 @@ def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
     of each row theta of a (B, P) parameter stack.
 
     The circuit and the observable are compiled once; each value equals
-    expectation_exact(obs, prepare_state(spec, theta, initial)) bit for bit.
+    expectation_exact(obs, prepare_state(spec, theta, initial)) bit for bit,
+    and so the gate-by-gate reference of tests/reference_path.py.
     """
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")

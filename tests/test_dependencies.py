@@ -71,3 +71,35 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
     calls = calls_by_function(module)
     assert ("inner", "mkdir") in calls and ("outer", "write_sidecar") in calls
     assert (None, "mkdir") in calls
+
+
+# The gate-by-gate reference lives in tests/reference_path.py, and the code
+# nothing ran is gone; a definition of any of these names under src/dqes
+# brings a second path back into the package.
+REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
+                  "shift_mub_set", "enumerate_partial_specs"}
+
+
+def defined_names(path: Path) -> set[str]:
+    """Names a module binds by def, class or assignment, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_the_reference_path_is_not_in_the_package():
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in defined_names(path) & REFERENCE_ONLY}
+    assert found == set()
+    assert all(hasattr(dqes, name) for name in dqes.__all__)
+
+
+def test_the_guard_sees_every_kind_of_definition(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("class Gate:\n    pass\n\ndef outer():\n    def apply_gate():\n"
+                      "        pass\n\npauli_apply = None\n")
+    assert defined_names(module) >= {"Gate", "outer", "apply_gate", "pauli_apply"}

@@ -6,18 +6,14 @@ import numpy as np
 from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_path import apply_gate, build_ansatz, pauli_apply
 
-from dqes.ansatz import AnsatzSpec, build_ansatz, compile_ansatz
+from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.paulis import (Observable, compile_observable, decode_observable, encode_observable,
-                         expectation_sampled, load_observable, observable_matrix, pauli_apply,
-                         save_observable)
+                         load_observable, observable_matrix, save_observable)
 from dqes.problems import GraphSpec, decode_graph, encode_graph, load_graph, save_graph
-from dqes.states import Gate, StateVector, apply_gate, random_state
+from dqes.states import StateVector, random_state
 from dqes.vqe import _infidelities, vqe_cost
-
-# Basis-change matrices of the sampled-expectation reference, as in dqes.states.
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 
@@ -198,37 +194,6 @@ def test_stacked_vqe_cost_equals_the_reference_composition(case, data):
     for theta, value in zip(thetas, values):
         prepared = StateVector(spec.n, reference_prepare(spec, theta, state))
         assert value == reference_expectation(obs, prepared)
-
-
-def reference_sampled(obs, state, shots, seed):
-    rng = np.random.default_rng(seed)
-    total = variance = 0.0
-    for coeff, pauli in obs.terms:
-        if pauli.is_identity:
-            total += coeff
-            continue
-        rotated = state
-        for q, letter in enumerate(pauli.letters, start=1):
-            if letter == "X":
-                rotated = apply_gate(rotated, Gate(target=q, matrix=H))
-            elif letter == "Y":
-                rotated = apply_gate(apply_gate(rotated, Gate(target=q, matrix=SDG)),
-                                     Gate(target=q, matrix=H))
-        probs = np.abs(rotated.amps) ** 2
-        outcomes = rng.choice(state.dim, size=shots, p=probs / probs.sum())
-        parity = np.bitwise_count(outcomes & (pauli.x_mask | pauli.z_mask)).astype(np.int64) & 1
-        values = 1 - 2 * parity
-        total += coeff * float(values.mean())
-        if shots > 1:
-            variance += coeff**2 * float(values.var(ddof=1)) / shots
-    return total, float(np.sqrt(variance))
-
-
-@settings(max_examples=30, deadline=None)
-@given(obs=observables(max_n=4), seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 50))
-def test_sampled_expectation_equals_the_gate_rotation_path(obs, seed, shots):
-    state = random_state(obs.n, seed)
-    assert expectation_sampled(obs, state, shots, seed) == reference_sampled(obs, state, shots, seed)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,8 +9,9 @@ import pytest
 from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_path import shift_mub_set
 
-from dqes.ansatz import AnsatzSpec, shift_mub_set
+from dqes.ansatz import AnsatzSpec
 from dqes.landscape import (
     BasisStats,
     LandscapeRecord,
@@ -25,8 +26,7 @@ from dqes.landscape import (
     score_spec,
 )
 from dqes.manifest import file_sha256
-from dqes.mub import (MubSet, PartialMubSpec, build_full_mub_set, enumerate_partial_specs,
-                      realize_partial_state)
+from dqes.mub import MubSet, PartialMubSpec, build_full_mub_set, realize_partial_state
 from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
@@ -374,13 +374,16 @@ def test_report_identity_fields():
 # --- columnar report against the per-spec path ---------------------------------
 #
 # The oracle is the record list a sweep built before reports became columnar:
-# every spec from enumerate_partial_specs, each scored alone by score_spec, and
-# every reader written over that list.
+# every spec, subset-lex then basis then state, each scored alone by
+# score_spec, and every reader written over that list.
 
 
 def oracle_records(obs, k):
+    specs = [PartialMubSpec(n=obs.n, subset=subset, basis_index=basis, state_index=state)
+             for subset in itertools.combinations(range(1, obs.n + 1), k)
+             for basis in range(2**k + 1) for state in range(2**k)]
     return [LandscapeRecord(index=i, spec=spec, energy=score_spec(obs, spec))
-            for i, spec in enumerate(enumerate_partial_specs(obs.n, k))]
+            for i, spec in enumerate(specs)]
 
 
 def fold(values):

@@ -6,18 +6,20 @@ import json
 
 import numpy as np
 import pytest
+from reference_path import inner_product, states_equal
 
+from dqes.landscape import run_partial_dqes
 from dqes.mub import (
     MAX_MUB_QUBITS,
     MubSet,
     PartialMubSpec,
     build_full_mub_set,
     encode_mub_set,
-    enumerate_partial_specs,
     realize_partial_state,
     verify_mub_set,
 )
-from dqes.states import basis_state, inner_product, states_equal, zero_state
+from dqes.paulis import Observable
+from dqes.states import basis_state, zero_state
 
 
 def test_single_qubit_bases_are_the_pauli_eigenbases():
@@ -144,31 +146,37 @@ def test_partial_spec_validation():
         PartialMubSpec(n=4, subset=(1, 2), basis_index=0, state_index=4)
 
 
+def sweep(n, k):
+    """The K-partial sweep of one Z string on n qubits."""
+    return run_partial_dqes(Observable.from_strings(n, [(1.0, "Z" * n)]), k)
+
+
 def test_partial_spec_counts():
     # C(n,K) * (2^K + 1) * 2^K
-    assert len(enumerate_partial_specs(1, 1)) == 6
-    assert len(enumerate_partial_specs(2, 2)) == 20
-    assert len(enumerate_partial_specs(10, 2)) == 900
-    assert len(enumerate_partial_specs(8, 3)) == 4032
+    assert len(sweep(1, 1).energies) == 6
+    assert len(sweep(2, 2).energies) == 20
+    assert len(sweep(10, 2).energies) == 900
+    assert len(sweep(8, 3).energies) == 4032
 
 
 def test_partial_spec_enumeration_order():
-    specs = enumerate_partial_specs(3, 2)
+    report = sweep(3, 2)
+    specs = [report.record(i).spec for i in (0, 1, 4, 20)]
     assert specs[0].subset == (1, 2) and specs[0].basis_index == 0 and specs[0].state_index == 0
     assert specs[1].state_index == 1
-    assert specs[4].basis_index == 1
+    assert specs[2].basis_index == 1
     # subsets advance last: (1,2) block is 5 * 4 = 20 specs long
-    assert specs[20].subset == (1, 3)
+    assert specs[3].subset == (1, 3)
 
 
 def test_partial_spec_bounds():
     with pytest.raises(ValueError, match="subset size must be in"):
-        enumerate_partial_specs(8, 4)
+        sweep(8, 4)
     with pytest.raises(ValueError, match="exceeds register size"):
-        enumerate_partial_specs(2, 3)
+        sweep(2, 3)
     # sweeps place qubits with int64 masks, so registers stop at 62 qubits
     with pytest.raises(ValueError, match=r"register size must be in \[1, 62\]"):
-        enumerate_partial_specs(63, 2)
+        sweep(63, 2)
 
 
 def test_realize_places_computational_states_by_subset():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dense_oracle import kron_matrix
+from reference_path import pauli_apply
 
 from dqes.paulis import (
     Observable,
@@ -11,11 +12,9 @@ from dqes.paulis import (
     decode_observable,
     encode_observable,
     expectation_exact,
-    expectation_sampled,
     load_observable,
     observable_hash,
     observable_matrix,
-    pauli_apply,
     save_observable,
 )
 from dqes.states import StateVector, basis_state, random_state, zero_state
@@ -149,44 +148,6 @@ def test_expectation_qubit_mismatch():
         expectation_exact(obs, zero_state(1))
 
 
-def test_sampled_expectation_on_deterministic_state():
-    # Z on |0> has zero variance: every shot reads +1
-    z = Observable.from_strings(1, [(1.0, "Z")])
-    mean, err = expectation_sampled(z, zero_state(1), shots=100, seed=0)
-    assert mean == 1.0
-    assert err == 0.0
-
-
-def test_sampled_identity_term_is_exact():
-    obs = Observable.from_strings(2, [(-3.25, "II")])
-    mean, err = expectation_sampled(obs, random_state(2, seed=1), shots=10, seed=2)
-    assert mean == -3.25
-    assert err == 0.0
-
-
-def test_sampled_expectation_tracks_exact_value():
-    # seeded sampling stays within 5 standard errors of the exact expectation
-    obs = Observable.from_strings(2, [(0.5, "XI"), (0.5, "IZ"), (0.25, "YY")])
-    for seed in range(5):
-        psi = random_state(2, seed=40 + seed)
-        exact = expectation_exact(obs, psi)
-        mean, err = expectation_sampled(obs, psi, shots=20_000, seed=seed)
-        assert err > 0.0
-        assert abs(mean - exact) < 5 * err
-
-
-def test_sampled_expectation_is_deterministic():
-    obs = Observable.from_strings(1, [(1.0, "X")])
-    psi = random_state(1, seed=8)
-    assert expectation_sampled(obs, psi, 500, seed=3) == expectation_sampled(obs, psi, 500, seed=3)
-
-
-def test_sampled_shots_validation():
-    obs = Observable.from_strings(1, [(1.0, "Z")])
-    with pytest.raises(ValueError, match="shots must be >= 1"):
-        expectation_sampled(obs, zero_state(1), shots=0, seed=0)
-
-
 def test_observable_matrix_is_hermitian():
     obs = Observable.from_strings(2, [(0.4, "XY"), (1.5, "ZI"), (-0.2, "YY")])
     m = observable_matrix(obs)
@@ -241,6 +202,12 @@ def test_decode_reports_term_positions():
 def test_decode_rejects_non_finite_numbers():
     with pytest.raises(ValueError, match="non-finite number Infinity"):
         decode_observable('{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}')
+    # an integer literal past float64's range is refused, not an OverflowError
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError, match="coefficient of 'Z' is too large for a float64"):
+        decode_observable('{"n": 1, "terms": [{"coeff": %s, "pauli": "Z"}]}' % huge)
+    with pytest.raises(ValueError, match="coefficient of 'XY' is too large for a float64"):
+        Observable.from_strings(2, [(1.0, "ZZ"), (-int(huge), "XY")])
 
 
 def test_save_and_load_name_the_file_on_errors(tmp_path):
@@ -252,3 +219,8 @@ def test_save_and_load_name_the_file_on_errors(tmp_path):
     bad.write_text('{"n": 1}')
     with pytest.raises(ValueError, match="bad.json.*missing required key 'terms'"):
         load_observable(bad)
+    # a file that is not text names the file too
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff{"n": 1}')
+    with pytest.raises(ValueError, match="^.*binary.json: .*codec can't decode byte 0xff"):
+        load_observable(binary)

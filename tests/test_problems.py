@@ -363,3 +363,7 @@ def test_graph_file_round_trip(tmp_path):
     bad.write_text("nodes 2\n0 1 9\n")
     with pytest.raises(ValueError, match="bad.graph.txt.*weighted"):
         load_graph(bad)
+    binary = tmp_path / "binary.graph.txt"
+    binary.write_bytes(b"nodes 2\n0 1\xff\n")
+    with pytest.raises(ValueError, match="^.*binary.graph.txt: .*codec can't decode byte 0xff"):
+        load_graph(binary)

@@ -1,21 +1,16 @@
-"""Register construction, gate application, and the qubit-1-is-MSB convention."""
+"""Register construction and the qubit-1-is-MSB convention, with self-tests of
+the gate-by-gate reference path the kernel tests compare against."""
 
 import numpy as np
 import pytest
+from reference_path import Gate, apply_gate, cnot, inner_product, ry, rz, states_equal
 
 from dqes.states import (
     MAX_QUBITS,
-    Gate,
     StateVector,
-    apply_gate,
     basis_state,
     bloch_coordinates,
-    cnot,
-    inner_product,
     random_state,
-    ry,
-    rz,
-    states_equal,
     zero_state,
 )
 

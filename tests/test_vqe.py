@@ -5,6 +5,7 @@ import pytest
 from descent_oracle import one_step_entries, one_step_minimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_path import inner_product
 
 from dqes import vqe
 from dqes.ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
@@ -13,7 +14,7 @@ from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
 from dqes.paulis import expectation_exact
 from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
-from dqes.states import StateVector, inner_product, random_state, zero_state
+from dqes.states import StateVector, random_state, zero_state
 from dqes.vqe import (
     FitResult,
     ParameterFitInit,
