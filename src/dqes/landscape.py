@@ -274,11 +274,6 @@ def _csv_chunks(report: LandscapeReport) -> Iterator[str]:
         start = stop
 
 
-def landscape_csv_text(report: LandscapeReport) -> str:
-    """The records CSV as one string: the joined _csv_chunks."""
-    return "".join(_csv_chunks(report))
-
-
 def export_csv(report: LandscapeReport, path, sidecar_fields: dict | None = None) -> None:
     """Write the records CSV and its <path>.manifest.json sidecar.
 

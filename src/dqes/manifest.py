@@ -26,10 +26,9 @@ class RunManifest:
     argv: tuple[str, ...]
     seeds: dict = field(default_factory=dict)
     input_hashes: dict = field(default_factory=dict)
-    tool_version: str = __version__
 
     def as_fields(self) -> dict:
-        fields = {"argv": list(self.argv), "tool_version": self.tool_version}
+        fields = {"argv": list(self.argv)}
         if self.seeds:
             fields["seeds"] = dict(self.seeds)
         if self.input_hashes:

@@ -31,8 +31,8 @@ on that row alone, so every trace is the one a lone descent gives, and
 
 A trace keeps its rows as two columns, `params` (per-row parameter tuples)
 and `energies` (floats), which `descent` extends one batch at a time.
-`evaluations`, `final_energy`, `best_params` and `best_entry` read the
-columns, and so do the fit, `run_vqe` and the CLI's trace and Bloch writers.
+`evaluations`, `final_energy` and `best_params` read the columns, and so do
+the fit, `run_vqe` and the CLI's trace and Bloch writers.
 `entries`, the TraceEntry rows, is built from the columns when first read,
 for callers that want row objects, such as the benchmark's checks.
 """
@@ -96,11 +96,6 @@ class OptimizationTrace:
         # the row of the first minimum, as min over entries gives; computed
         # once: final_energy and best_params both read it
         return self.energies.index(min(self.energies))
-
-    @cached_property
-    def best_entry(self) -> TraceEntry:
-        # the one row, built alone: reading it builds no entries
-        return TraceEntry(self._best + 1, self.params[self._best], self.energies[self._best])
 
     @property
     def final_energy(self) -> float:

@@ -15,11 +15,12 @@ deterministic.
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifest import write_text_atomic
 from .states import StateVector
 
 _LETTERS = frozenset("IXYZ")
@@ -193,9 +194,16 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} is not allowed in observable files")
 
 
+def _parse_int(text: str) -> int | float:
+    # An integer of more than 308 digits may lie past the float64 range (below
+    # 1.8e308). It is read as a float, inf when it does, so it meets the same
+    # range check as a float literal like 1e400, and never int()'s digit limit.
+    return float(text) if len(text.lstrip("-")) > 308 else int(text)
+
+
 def decode_observable(text: str) -> Observable:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
@@ -219,6 +227,9 @@ def decode_observable(text: str) -> Observable:
         coeff = entry["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
             raise ValueError(f"terms[{i}].coeff must be a number, got {coeff!r}")
+        if not math.isfinite(coeff):  # Infinity and NaN are refused while parsing
+            raise ValueError(f"terms[{i}].coeff is outside the float64 range, "
+                             f"whose largest magnitude is {sys.float_info.max!r}")
         letters = entry["pauli"]
         if not isinstance(letters, str):
             raise ValueError(f"terms[{i}].pauli must be a string, got {letters!r}")
@@ -230,10 +241,6 @@ def decode_observable(text: str) -> Observable:
             raise ValueError(f"terms[{i}].pauli has {len(letters)} letters, expected n={n}")
         terms.append((coeff, PauliString(letters)))
     return Observable(n, tuple(terms))
-
-
-def save_observable(obs: Observable, path) -> None:
-    write_text_atomic(path, encode_observable(obs))
 
 
 def load_observable(path) -> Observable:

@@ -11,7 +11,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .manifest import write_text_atomic
 from .mub import MAX_SWEEP_QUBITS
 from .paulis import Observable, _pauli_action, observable_matrix
 from .states import StateVector, basis_state
@@ -252,11 +251,11 @@ def _diagonal(obs: Observable) -> np.ndarray:
     return diagonal
 
 
-# --- graph file codec --------------------------------------------------------
+# --- graph file text ---------------------------------------------------------
 #
-# Text format: optional '#' comment lines, a 'nodes <N>' line, then one
-# unweighted edge 'u v' per line (0-based). Generator settings round-trip
-# through '# seed <S> edge-prob <P>' so a stored graph can be regenerated.
+# Text format: for a generated graph a '# seed <S> edge-prob <P>' line, which
+# records the generator settings as provenance only (nothing reads the file
+# back), then a 'nodes <N>' line and one unweighted edge 'u v' per line (0-based).
 
 
 def encode_graph(graph: GraphSpec) -> str:
@@ -267,55 +266,3 @@ def encode_graph(graph: GraphSpec) -> str:
     lines.append(f"nodes {graph.node_count}")
     lines.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"
-
-
-def decode_graph(text: str) -> GraphSpec:
-    node_count = None
-    edges = []
-    seed = None
-    edge_prob = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            tokens = line[1:].split()  # the settings line encode_graph writes, or free text
-            if len(tokens) in (2, 4) and tokens[0] == "seed" and tokens[2:3] in ([], ["edge-prob"]):
-                try:
-                    seed, edge_prob = int(tokens[1]), float(tokens[3]) if len(tokens) == 4 else None
-                except ValueError:
-                    pass
-            continue
-        tokens = line.split()
-        if node_count is None:
-            if tokens[0] != "nodes" or len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected 'nodes <N>' first, got {line!r}")
-            try:
-                node_count = int(tokens[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: node count must be an integer, got {tokens[1]!r}") from None
-            continue
-        if len(tokens) == 3:
-            raise ValueError(f"line {lineno}: weighted edges are not supported ({line!r})")
-        if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: edge endpoints must be integers, got {line!r}") from None
-        edges.append((u, v))
-    if node_count is None:
-        raise ValueError("missing 'nodes <N>' line")
-    return GraphSpec(node_count=node_count, edges=tuple(edges), seed=seed, edge_prob=edge_prob)
-
-
-def save_graph(graph: GraphSpec, path) -> None:
-    write_text_atomic(path, encode_graph(graph))
-
-
-def load_graph(path) -> GraphSpec:
-    try:
-        with open(path) as f:
-            return decode_graph(f.read())
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

@@ -3,21 +3,24 @@ VQE driver: cost closures, landscape-informed initialization strategies, and
 the fit of ansatz parameters to a target state.
 
 Initialization strategies:
-- ShiftedMubInit: start the optimizer at theta0 (default zeros) with the MUB
-  state itself as the circuit input. The ansatz is the identity at zero, so
-  at the default theta0 evaluation 1 is the landscape energy, scored by the
-  sweep's own kernel: it equals the landscape record by construction.
+- ShiftedMubInit: start the optimizer at zero parameters with the MUB state
+  itself as the circuit input.
 - ParameterFitInit: solve for parameters that prepare the MUB state from
-  |0...0> and start there; falls back to ShiftedMubInit semantics when the
-  state is outside the ansatz family (recorded on the result).
+  |0...0> and start there; when the state is outside the ansatz family, fall
+  back to the ShiftedMubInit start (recorded on the result).
 - RandomStateInit: a seeded Haar-random input state, optimizer at zero.
+
+_resolve_init decides every start. The ansatz is the identity at zero, so a
+start at the MUB state with zero parameters, shifted or fallen back, takes
+the landscape energy as evaluation 1, scored by the sweep's own kernel: it
+equals the landscape record by construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
+from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz
 from .landscape import score_spec
 from .mub import PartialMubSpec, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, descent, lockstep, minimize
@@ -28,7 +31,6 @@ from .states import StateVector, random_state, zero_state
 @dataclass(frozen=True)
 class ShiftedMubInit:
     spec: PartialMubSpec
-    theta0: tuple[float, ...] | None = None
 
     def label(self) -> str:
         return self.spec.label()
@@ -37,7 +39,6 @@ class ShiftedMubInit:
 @dataclass(frozen=True)
 class ParameterFitInit:
     spec: PartialMubSpec
-    starts: int = 32
     seed: int = 0
 
     def label(self) -> str:
@@ -72,14 +73,15 @@ class VqeResult:
     ansatz: AnsatzSpec
     trace: OptimizationTrace
     initial_state: StateVector
-    final_energy: float
-    final_params: tuple[float, ...]
-    final_state: StateVector
     used_fallback: bool = False
 
     @property
     def initial_energy(self) -> float:
         return self.trace.energies[0]
+
+    @property
+    def final_energy(self) -> float:
+        return self.trace.final_energy
 
 
 def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
@@ -156,23 +158,25 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int =
                      fidelity=min(1.0, 1.0 - best.final_energy), starts_used=len(traces))
 
 
-def _resolve_init(init: InitStrategy, spec: AnsatzSpec):
-    """(initial state, starting parameters, used_fallback) for a strategy."""
+def _resolve_init(init: InitStrategy, obs: Observable, spec: AnsatzSpec):
+    """(input state, starting parameters, known evaluation 1, used_fallback) of a start.
+
+    A start at the MUB state with zero parameters, a ShiftedMubInit or a fit
+    that fell back, knows evaluation 1: score_spec(obs, init.spec), the
+    landscape energy. Any other start leaves it to the cost (None).
+    """
     zeros = np.zeros(spec.parameter_count)
-    if isinstance(init, ShiftedMubInit):
-        state = realize_partial_state(init.spec)
-        theta = zeros if init.theta0 is None else np.asarray(init.theta0, dtype=float)
-        return state, theta, False
-    if isinstance(init, ParameterFitInit):
-        target = realize_partial_state(init.spec)
-        fit = fit_parameters_to_state(spec, target, starts=init.starts, seed=init.seed)
-        if fit.reachable:
-            return zero_state(spec.n), np.asarray(fit.params, dtype=float), False
-        # outside the ansatz family: fall back to the shifted form
-        return target, zeros, True
     if isinstance(init, RandomStateInit):
-        return random_state(spec.n, init.seed), zeros, False
-    raise TypeError(f"unknown initialization strategy {type(init).__name__}")
+        return random_state(spec.n, init.seed), zeros, None, False
+    if not isinstance(init, (ShiftedMubInit, ParameterFitInit)):
+        raise TypeError(f"unknown initialization strategy {type(init).__name__}")
+    target = realize_partial_state(init.spec)
+    if isinstance(init, ParameterFitInit):
+        fit = fit_parameters_to_state(spec, target, seed=init.seed)
+        if fit.reachable:
+            return zero_state(spec.n), np.asarray(fit.params, dtype=float), None, False
+    # the MUB state at zero parameters: a shifted start, or a fit that fell back
+    return target, zeros, score_spec(obs, init.spec), isinstance(init, ParameterFitInit)
 
 
 def run_vqe(obs: Observable, spec: AnsatzSpec, init: InitStrategy,
@@ -180,20 +184,7 @@ def run_vqe(obs: Observable, spec: AnsatzSpec, init: InitStrategy,
     """One optimization run; the result's final energy is the trace minimum."""
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")
-    initial, theta_start, used_fallback = _resolve_init(init, spec)
-    cost = vqe_cost(obs, spec, initial)
-    known = None
-    if isinstance(init, ShiftedMubInit) and init.theta0 is None:
-        known = score_spec(obs, init.spec)
-    trace = minimize(cost, theta_start, config, cost0=known)
-    return VqeResult(
-        label=init.label(),
-        init=init,
-        ansatz=spec,
-        trace=trace,
-        initial_state=initial,
-        final_energy=trace.final_energy,
-        final_params=trace.best_params,
-        final_state=prepare_state(spec, trace.best_params, initial),
-        used_fallback=used_fallback,
-    )
+    initial, theta_start, known, used_fallback = _resolve_init(init, obs, spec)
+    trace = minimize(vqe_cost(obs, spec, initial), theta_start, config, cost0=known)
+    return VqeResult(label=init.label(), init=init, ansatz=spec, trace=trace,
+                     initial_state=initial, used_fallback=used_fallback)

@@ -1,8 +1,10 @@
-"""End-to-end command-line behaviour: outputs, formats, exit codes."""
+"""End-to-end command-line behaviour: outputs, formats, exit codes; and the
+README's Python examples."""
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,7 @@ import pytest
 
 from dqes import cli, optimize, problems
 from dqes.cli import main
-from dqes.paulis import Observable, load_observable, save_observable
-from dqes.problems import load_graph
+from dqes.paulis import Observable, encode_observable, load_observable
 
 
 def run_cli(*argv):
@@ -79,8 +80,27 @@ def test_landscape_rejects_terms_that_merge_to_infinity(tmp_path, capsys):
                    '{"coeff": 1e308, "pauli": "Z"}]}')
     out = tmp_path / "big.csv"
     assert run_cli("landscape", "--observable", str(obs), "--full", "--out", str(out)) == 1
-    assert "big.json: coefficient of 'Z' must be finite, got inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "big.json: coefficient of 'Z' must be finite, got inf (the sum of its terms)" in err
     assert not out.exists()
+
+
+OUTSIDE_FLOAT64 = "terms[1].coeff is outside the float64 range, whose largest magnitude is " \
+    "1.7976931348623157e+308"
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1" + "0" * 400, "1" + "0" * 4300],
+                         ids=["float-1e400", "int-401-digits", "int-4301-digits"])
+def test_coefficients_outside_the_float64_range_get_one_message(tmp_path, capsys, literal):
+    # a float literal parses to inf; a long integer would meet float()'s
+    # OverflowError or, past 4,300 digits, the int conversion's digit limit
+    obs = tmp_path / "big.json"
+    obs.write_text('{"n": 1, "terms": [{"coeff": 1.0, "pauli": "X"}, '
+                   '{"coeff": %s, "pauli": "Z"}]}' % literal)
+    out = tmp_path / "big.csv"
+    assert run_cli("landscape", "--observable", str(obs), "--full", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {obs}: {OUTSIDE_FLOAT64}\n"
+    assert sorted(tmp_path.iterdir()) == [obs]
 
 
 def test_observable_files_that_do_not_decode_exit_1_naming_the_file(tmp_path, capsys):
@@ -88,7 +108,7 @@ def test_observable_files_that_do_not_decode_exit_1_naming_the_file(tmp_path, ca
     huge.write_text('{"n": 1, "terms": [{"coeff": 1%s, "pauli": "Z"}]}' % ("0" * 400))
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'\xff{"n": 1}')
-    for path, message in ((huge, "coefficient of 'Z' is too large for a float64"),
+    for path, message in ((huge, "terms[0].coeff is outside the float64 range"),
                           (binary, "codec can't decode byte 0xff")):
         for command in (("landscape", "--full", "--out", str(tmp_path / "x.csv")),
                         ("vqe", "--init", "top-1", "--out", str(tmp_path / "v"))):
@@ -178,7 +198,7 @@ def test_landscape_outputs_must_not_overwrite_the_observable(tmp_path, capsys, m
     h2 = tmp_path / "h2.json"
     sidecar_named = tmp_path / "h2.csv.manifest.json"
     for path in (h2, sidecar_named):
-        save_observable(problems.fixture("H2_075"), path)
+        path.write_text(encode_observable(problems.fixture("H2_075")))
     inputs = {path: path.read_bytes() for path in (h2, sidecar_named)}
     for source, flag, path in ((h2, "--out", h2), (h2, "--plot", h2),
                                (h2, "--out", tmp_path / "sub" / ".." / "h2.json"),
@@ -205,7 +225,7 @@ def test_vqe_outputs_must_not_overwrite_the_observable(tmp_path, capsys, monkeyp
                        ("trace_random0.csv.manifest.json", "top-1,random-1"),
                        ("summary.json.manifest.json", "random-1")):
         source = out / name
-        save_observable(problems.fixture("H2_075"), source)
+        source.write_text(encode_observable(problems.fixture("H2_075")))
         before = source.read_bytes()
         assert run_cli("vqe", "--observable", str(source), "--init", init,
                        "--out", str(out)) == 1
@@ -306,7 +326,7 @@ def test_vqe_on_an_observable_in_small_units(tmp_path, capsys):
     # H2 in units of 1e-8 Hartree: the eigensolver check scales with the spectrum
     h2 = problems.fixture("H2_075")
     small = tmp_path / "h2_small.json"
-    save_observable(Observable(h2.n, tuple((c * 1e8, p) for c, p in h2.terms)), small)
+    small.write_text(encode_observable(Observable(h2.n, tuple((c * 1e8, p) for c, p in h2.terms))))
     out = tmp_path / "vqe"
     assert run_cli("vqe", "--observable", str(small), "--init", "top-1",
                    "--max-evals", "50", "--out", str(out)) == 0
@@ -431,10 +451,22 @@ VQE_OUTPUT_PINS = {
         "trace_b0s2q1-2-3.csv": "1ae83b466afb504853afc0758b189760ba1f027c7b1e0fe1ab6554a9091a798d",
         "summary.json": "790f3ae148c8463c966de174ee2655c91c01cb71187e63bc378c70f65daf621b",
     },
+    # |+i> is out of reach of a Y-only circuit, so the fit falls back to the MUB
+    # state at zero, and evaluation 1 is the landscape record 1.0 exactly
+    ("--fixture", "xy1", "--axes", "Y", "--strategy", "fit", "--init", "spec:2:0"): {
+        "trace_fit-b2s0q1.csv": "683e649cacd2c8126b55027215c887898095ecec1fd5cd27bf24a9a47aa64ab4",
+        "bloch_fit-b2s0q1.csv": "f30e33d0a1d027985d9caf9bad0aa4d61276ad1ea7dc54ab97dd01beec76410a",
+        "summary.json": "6210e3c513ecae8e3e95f1cc97d11dbf92d59f2ac007d79c9ad9f2cc33ddd263",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(VQE_OUTPUT_PINS), ids=lambda argv: argv[1])
+def pin_id(argv):
+    """The fixture, and the axes where a pin sets them."""
+    return f"{argv[1]}-axes-{argv[argv.index('--axes') + 1]}" if "--axes" in argv else argv[1]
+
+
+@pytest.mark.parametrize("argv", list(VQE_OUTPUT_PINS), ids=pin_id)
 def test_vqe_outputs_match_their_frozen_hashes(tmp_path, argv):
     out = tmp_path / "vqe"
     assert run_cli("vqe", *argv, "--out", str(out)) == 0
@@ -580,14 +612,27 @@ def test_module_entry_point_runs_the_cli():
     assert done.stdout.startswith("usage: dqes")
 
 
+def test_readme_python_examples_run(tmp_path):
+    # each python block of README.md as a script, so the examples follow the API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], env=child_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout, block
+
+
 def test_problem_gen_roundtrip_into_landscape(tmp_path, capsys):
     prefix = tmp_path / "g"
     assert run_cli("problem", "gen", "maxcut", "--nodes", "5", "--edge-prob", "0.6",
                    "--seed", "11", "--out", str(prefix)) == 0
-    graph = load_graph(str(prefix) + ".graph.txt")
+    # the generator settings, then the nodes and the 6 edges the seed draws
+    assert (tmp_path / "g.graph.txt").read_bytes() == \
+        b"# seed 11 edge-prob 0.6\nnodes 5\n0 1\n0 2\n0 4\n1 2\n1 4\n2 3\n"
     obs = load_observable(str(prefix) + ".json")
-    assert graph.node_count == 5
-    assert len(obs.terms) == len(graph.edges)
+    assert obs.n == 5 and len(obs.terms) == 6
     capsys.readouterr()
     assert run_cli("landscape", "--observable", str(prefix) + ".json", "--k", "2",
                    "--out", str(tmp_path / "s.csv")) == 0

@@ -1,6 +1,6 @@
 """Property tests: the compiled circuit and observable, on one row and on stacks
 of rows, against the gate-by-gate and term-by-term reference paths, the dense
-observable matrix against the Kronecker oracle, and the file codec round trips."""
+observable matrix against the Kronecker oracle, and the observable file round trip."""
 
 import numpy as np
 from dense_oracle import kron_matrix
@@ -10,8 +10,7 @@ from reference_path import apply_gate, build_ansatz, pauli_apply
 
 from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.paulis import (Observable, compile_observable, decode_observable, encode_observable,
-                         load_observable, observable_matrix, save_observable)
-from dqes.problems import GraphSpec, decode_graph, encode_graph, load_graph, save_graph
+                         load_observable, observable_matrix)
 from dqes.states import StateVector, random_state
 from dqes.vqe import _infidelities, vqe_cost
 
@@ -201,27 +200,8 @@ def test_stacked_vqe_cost_equals_the_reference_composition(case, data):
 def test_observable_file_round_trip(obs, tmp_path_factory):
     assert decode_observable(encode_observable(obs)) == obs
     path = tmp_path_factory.mktemp("obs") / "obs.json"
-    save_observable(obs, path)
+    path.write_text(encode_observable(obs))
     assert load_observable(path) == obs
-
-
-@st.composite
-def graphs(draw):
-    nodes = draw(st.integers(2, 12))
-    pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    seed = draw(st.none() | st.integers(0, 2**31))
-    prob = None if seed is None else draw(st.none() | st.floats(0.0, 1.0))
-    return GraphSpec(node_count=nodes, edges=tuple(edges), seed=seed, edge_prob=prob)
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph=graphs())
-def test_graph_file_round_trip(graph, tmp_path_factory):
-    assert decode_graph(encode_graph(graph)) == graph
-    path = tmp_path_factory.mktemp("graph") / "g.graph.txt"
-    save_graph(graph, path)
-    assert load_graph(path) == graph
 
 
 def test_fit_overlaps_equal_the_per_row_form():

@@ -17,9 +17,9 @@ from dqes.landscape import (
     LandscapeRecord,
     LandscapeReport,
     _class_signs,
+    _csv_chunks,
     basis_statistics,
     export_csv,
-    landscape_csv_text,
     rank_initial_states,
     run_full_dqes,
     run_partial_dqes,
@@ -324,9 +324,14 @@ def test_rank_bounds():
     assert len(rank_initial_states(report, 6)) == 6
 
 
+def csv_text(report) -> str:
+    """The records CSV export_csv writes, joined from its chunks."""
+    return "".join(_csv_chunks(report))
+
+
 def test_csv_layout():
     report = run_full_dqes(molecule_fixture("H2_075"))
-    lines = landscape_csv_text(report).splitlines()
+    lines = csv_text(report).splitlines()
     assert lines[0] == "index,subset,basis,state,energy"
     assert lines[1] == "0,1-2,0,0,-1.06658017"
     assert lines[2] == "1,1-2,0,1,-1.82172107"
@@ -337,7 +342,7 @@ def test_csv_layout():
 def test_csv_subset_column_for_partial_sweeps():
     obs = maxcut_hamiltonian(random_graph(8, 0.5, seed=42))
     report = run_partial_dqes(obs, 3)
-    lines = landscape_csv_text(report).splitlines()
+    lines = csv_text(report).splitlines()
     assert lines[368].startswith("367,1-2-8,0,7,-6")
 
 
@@ -345,7 +350,7 @@ def test_export_csv_writes_data_and_sidecar(tmp_path):
     report = run_full_dqes(molecule_fixture("H2_075"))
     path = tmp_path / "h2.csv"
     export_csv(report, path, sidecar_fields={"argv": ["unit-test"]})
-    assert path.read_text() == landscape_csv_text(report)
+    assert path.read_text() == csv_text(report)
     sidecar = json.loads((tmp_path / "h2.csv.manifest.json").read_text())
     assert sidecar["observable_name"] == report.observable_name
     assert sidecar["observable_sha256"] == observable_hash(molecule_fixture("H2_075"))
@@ -439,7 +444,7 @@ def test_columnar_readers_match_the_per_spec_path(case):
         assert rank_initial_states(report, count) == by_energy[:count]
     for per_subset in (False, True):
         assert basis_statistics(report, per_subset) == oracle_statistics(oracle, per_subset)
-    assert landscape_csv_text(report) == oracle_csv(oracle)
+    assert csv_text(report) == oracle_csv(oracle)
     lowest = by_energy[0].energy
     assert report.min_ties() == sum(1 for r in oracle if r.energy - lowest <= 1e-12)
     assert report.records == tuple(oracle)
@@ -468,14 +473,13 @@ def special_energy_report():
 def test_streamed_csv_matches_the_per_record_oracle(make_report, tmp_path):
     report = make_report()
     expected = oracle_csv(report.records)
-    assert landscape_csv_text(report) == expected
     export_csv(report, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_bytes() == expected.encode()
 
 
 def test_csv_tells_negative_zero_from_zero():
     report = special_energy_report()
-    lines = landscape_csv_text(report).splitlines()
+    lines = csv_text(report).splitlines()
     assert lines[1:3] == ["0,1-2,0,0,0", "1,1-2,0,1,-0"]
     # a dedup keyed on the value merges -0.0 into 0.0 and prints one text for both
     by_value = {energy: f"{energy:.12g}" for energy in report.energies.tolist()}
@@ -504,7 +508,7 @@ def test_sweep_readers_build_no_record_per_state(monkeypatch):
     report = run_partial_dqes(transverse_field_ising(10, *ISING_STRONG_ZZ), 3)
     rank_initial_states(report, 3)
     basis_statistics(report)
-    landscape_csv_text(report)
+    csv_text(report)
     scatter_svg(report)
     assert len(report.energies) == 8640
     assert len(built) <= 3

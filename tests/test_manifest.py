@@ -20,8 +20,7 @@ def test_file_sha256(tmp_path):
 
 def test_manifest_fields_skip_empty_sections():
     bare = RunManifest(argv=("dqes", "mub", "verify", "2"))
-    assert bare.as_fields() == {"argv": ["dqes", "mub", "verify", "2"],
-                                "tool_version": __version__}
+    assert bare.as_fields() == {"argv": ["dqes", "mub", "verify", "2"]}
     seeded = RunManifest(argv=("dqes",), seeds={"seed": 7}, input_hashes={"a.json": "00"})
     fields = seeded.as_fields()
     assert fields["seeds"] == {"seed": 7}

@@ -85,7 +85,6 @@ def test_best_entry_is_the_trace_minimum():
     trace = minimize(quadratic([0.3]), np.array([2.0]), OptimizerConfig(max_evals=30, tol=1e-300))
     energies = [e.energy for e in trace.entries]
     assert trace.final_energy == min(energies)
-    assert trace.best_entry.energy == min(energies)
     assert trace.best_params == trace.entries[energies.index(min(energies))].params
 
 
@@ -236,7 +235,6 @@ def test_trace_properties_on_a_synthetic_trace():
     assert trace.evaluations == 3
     assert trace.final_energy == 1.0
     assert trace.best_params == (0.5,)
-    assert trace.best_entry.index == 2
     assert trace.entries == (
         TraceEntry(index=1, params=(0.0,), energy=3.0),
         TraceEntry(index=2, params=(0.5,), energy=1.0),
@@ -437,9 +435,8 @@ def test_best_entry_is_computed_once_and_left_out_of_equality():
     read = OptimizationTrace(**columns)
     assert (read.final_energy, read.best_params) == (1.0, (1.0,))
     assert vars(read)["_best"] == 1  # kept from the first read
-    assert read.best_entry == TraceEntry(index=2, params=(1.0,), energy=1.0)
-    assert vars(read)["best_entry"] is read.best_entry and "entries" not in vars(read)
-    assert read.best_entry == read.entries[1]
+    assert "entries" not in vars(read)
+    assert read.entries[1] == TraceEntry(index=2, params=read.best_params, energy=read.final_energy)
     fresh = OptimizationTrace(**columns)
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
 
@@ -464,19 +461,20 @@ def test_minimize_builds_no_entries_until_they_are_read():
     assert "entries" not in vars(trace)
     entries, _ = one_step_entries(cost, np.zeros(3))
     assert trace.entries == entries
-    assert trace.best_entry == min(entries, key=lambda entry: entry.energy)
+    best = min(entries, key=lambda entry: entry.energy)
+    assert (trace.final_energy, trace.best_params) == (best.energy, best.params)
 
 
 def test_a_tie_reports_the_first_row():
     # a flat cost never moves: every row ties, and row 1 is theta0
     trace = minimize(lambda xs: np.full(len(xs), 1.5), [0.25, -0.5], OptimizerConfig(tol=0.1))
     assert trace.evaluations == 7 and set(trace.energies) == {1.5}
-    assert trace.best_params == (0.25, -0.5) and trace.best_entry.index == 1
+    assert trace.best_params == (0.25, -0.5) and vars(trace)["_best"] == 0
     # 0.0 == -0.0: the first of them is the minimum, with its own sign
     signed = OptimizationTrace(params=((0.0,), (1.0,), (2.0,), (3.0,)),
                                energies=(1.0, 0.0, -0.0, 0.0), termination="converged")
-    assert signed.best_entry == min(signed.entries, key=lambda entry: entry.energy)
-    assert (signed.best_entry.index, signed.best_params) == (2, (1.0,))
+    best = min(signed.entries, key=lambda entry: entry.energy)
+    assert (best.index, best.params) == (2, signed.best_params) == (2, (1.0,))
     assert math.copysign(1.0, signed.final_energy) == 1.0
 
 

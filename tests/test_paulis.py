@@ -15,7 +15,6 @@ from dqes.paulis import (
     load_observable,
     observable_hash,
     observable_matrix,
-    save_observable,
 )
 from dqes.states import StateVector, basis_state, random_state, zero_state
 
@@ -202,10 +201,16 @@ def test_decode_reports_term_positions():
 def test_decode_rejects_non_finite_numbers():
     with pytest.raises(ValueError, match="non-finite number Infinity"):
         decode_observable('{"n": 1, "terms": [{"coeff": Infinity, "pauli": "X"}]}')
-    # an integer literal past float64's range is refused, not an OverflowError
+    # a literal past float64's range is refused, not an OverflowError, with one
+    # message for a float and an integer of any length
     huge = "1" + "0" * 400
-    with pytest.raises(ValueError, match="coefficient of 'Z' is too large for a float64"):
-        decode_observable('{"n": 1, "terms": [{"coeff": %s, "pauli": "Z"}]}' % huge)
+    for literal in ("1e400", "-" + huge, "9" * 309, "1" + "0" * 4300):
+        with pytest.raises(ValueError, match=r"^terms\[0\].coeff is outside the float64 range"):
+            decode_observable('{"n": 1, "terms": [{"coeff": %s, "pauli": "Z"}]}' % literal)
+    # one just inside the range decodes to the float of the same value
+    inside = int("9" * 308)
+    assert decode_observable('{"n": 1, "terms": [{"coeff": %d, "pauli": "Z"}]}'
+                             % inside).terms[0][0] == float(inside)
     with pytest.raises(ValueError, match="coefficient of 'XY' is too large for a float64"):
         Observable.from_strings(2, [(1.0, "ZZ"), (-int(huge), "XY")])
 
@@ -213,7 +218,7 @@ def test_decode_rejects_non_finite_numbers():
 def test_save_and_load_name_the_file_on_errors(tmp_path):
     path = tmp_path / "obs.json"
     obs = Observable.from_strings(1, [(1.0, "X"), (0.5, "Z")])
-    save_observable(obs, path)
+    path.write_text(encode_observable(obs))
     assert load_observable(path) == obs
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 1}')

@@ -14,16 +14,13 @@ from dqes.problems import (
     GraphSpec,
     check_maxcut_nodes,
     cut_value,
-    decode_graph,
     encode_graph,
     exact_spectrum,
     fixture,
-    load_graph,
     max_cut_brute_force,
     maxcut_hamiltonian,
     molecule_fixture,
     random_graph,
-    save_graph,
     single_qubit_xy,
     transverse_field_ising,
 )
@@ -157,15 +154,9 @@ def test_random_graph_density_extremes():
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"seed": -1, "edge_prob": 0.5}, "seed must be a non-negative integer, got -1"),
 ], ids=["nan", "inf", "above-1", "below-0", "negative-seed", "negative-seed-with-prob"])
-def test_graph_spec_rejects_bad_generator_settings(settings, message, tmp_path):
+def test_graph_spec_rejects_bad_generator_settings(settings, message):
     with pytest.raises(ValueError, match=message):
         GraphSpec(node_count=3, edges=((0, 1),), **settings)
-    # a graph file carrying these settings does not load
-    prob = f" edge-prob {settings['edge_prob']!r}" if "edge_prob" in settings else ""
-    path = tmp_path / "g.graph.txt"
-    path.write_text(f"# seed {settings['seed']}{prob}\nnodes 3\n0 1\n")
-    with pytest.raises(ValueError, match=message):
-        load_graph(path)
 
 
 def test_random_graph_rejects_a_negative_seed():
@@ -317,53 +308,9 @@ def test_exact_spectrum_size_cap():
         exact_spectrum(obs)
 
 
-def test_graph_codec_round_trip():
-    graph = random_graph(6, 0.4, seed=3)
-    text = encode_graph(graph)
-    again = decode_graph(text)
-    assert again == graph
-    assert again.seed == 3 and again.edge_prob == 0.4
-    assert encode_graph(again) == text
-
-
-def test_graph_codec_without_provenance():
-    graph = GraphSpec(node_count=3, edges=((0, 2),))
-    again = decode_graph(encode_graph(graph))
-    assert again.node_count == 3 and again.edges == ((0, 2),)
-    assert again.seed is None and again.edge_prob is None
-
-
-def test_graph_decode_errors_name_the_line():
-    with pytest.raises(ValueError, match="line 2: weighted edges are not supported"):
-        decode_graph("nodes 3\n0 1 2.5\n")
-    with pytest.raises(ValueError, match="line 2: expected 'u v'"):
-        decode_graph("nodes 3\n0 1 2 3\n")
-    with pytest.raises(ValueError, match="line 1: expected 'nodes <N>' first"):
-        decode_graph("0 1\n")
-    with pytest.raises(ValueError, match="line 2: edge endpoints must be integers"):
-        decode_graph("nodes 3\na b\n")
-    with pytest.raises(ValueError, match="missing 'nodes <N>' line"):
-        decode_graph("# only a comment\n")
-
-
-def test_graph_free_text_comments_stay_comments():
-    text = ("# seed of this graph: hand drawn\n# seed 7 is the next one\n"
-            "# seed 4 edge-prob high\nnodes 3\n0 1\n")
-    assert decode_graph(text) == GraphSpec(node_count=3, edges=((0, 1),))
-    settings = decode_graph("# seed 4 edge-prob 0.25\n# a note\nnodes 3\n0 1\n")
-    assert (settings.seed, settings.edge_prob) == (4, 0.25)
-
-
-def test_graph_file_round_trip(tmp_path):
-    path = tmp_path / "g.graph.txt"
-    graph = random_graph(5, 0.6, seed=11)
-    save_graph(graph, path)
-    assert load_graph(path) == graph
-    bad = tmp_path / "bad.graph.txt"
-    bad.write_text("nodes 2\n0 1 9\n")
-    with pytest.raises(ValueError, match="bad.graph.txt.*weighted"):
-        load_graph(bad)
-    binary = tmp_path / "binary.graph.txt"
-    binary.write_bytes(b"nodes 2\n0 1\xff\n")
-    with pytest.raises(ValueError, match="^.*binary.graph.txt: .*codec can't decode byte 0xff"):
-        load_graph(binary)
+def test_encode_graph_text():
+    # a generated graph's text opens with its generator settings, as provenance
+    assert encode_graph(random_graph(6, 0.4, seed=3)) == \
+        "# seed 3 edge-prob 0.4\nnodes 6\n0 1\n0 2\n0 5\n1 4\n2 3\n2 4\n"
+    assert encode_graph(GraphSpec(node_count=3, edges=((2, 0),))) == "nodes 3\n0 2\n"
+    assert encode_graph(GraphSpec(node_count=2, edges=(), seed=5)) == "# seed 5\nnodes 2\n"
