@@ -308,9 +308,36 @@ def test_exact_spectrum_size_cap():
         exact_spectrum(obs)
 
 
-def test_encode_graph_text():
+def _graph_from_text(text):
+    # the test's own reading of the format: the package writes graph text only
+    seed = edge_prob = None
+    lines = text.splitlines()
+    if lines[0].startswith("# seed "):
+        words = lines.pop(0).split()
+        seed = int(words[2])
+        if len(words) == 5:
+            edge_prob = float(words[4])
+    node_count = int(lines[0].removeprefix("nodes "))
+    edges = tuple(tuple(int(x) for x in line.split()) for line in lines[1:])
+    return GraphSpec(node_count=node_count, edges=edges, seed=seed, edge_prob=edge_prob)
+
+
+def test_graph_codec_round_trip():
     # a generated graph's text opens with its generator settings, as provenance
-    assert encode_graph(random_graph(6, 0.4, seed=3)) == \
-        "# seed 3 edge-prob 0.4\nnodes 6\n0 1\n0 2\n0 5\n1 4\n2 3\n2 4\n"
-    assert encode_graph(GraphSpec(node_count=3, edges=((2, 0),))) == "nodes 3\n0 2\n"
+    graph = random_graph(6, 0.4, seed=3)
+    text = encode_graph(graph)
+    assert text == "# seed 3 edge-prob 0.4\nnodes 6\n0 1\n0 2\n0 5\n1 4\n2 3\n2 4\n"
+    again = _graph_from_text(text)
+    assert again == graph
+    assert again.seed == 3 and again.edge_prob == 0.4
+    assert encode_graph(again) == text
+
+
+def test_graph_codec_without_provenance():
+    graph = GraphSpec(node_count=3, edges=((2, 0),))
+    text = encode_graph(graph)
+    assert text == "nodes 3\n0 2\n"
+    again = _graph_from_text(text)
+    assert again.node_count == 3 and again.edges == ((0, 2),)
+    assert again.seed is None and again.edge_prob is None
     assert encode_graph(GraphSpec(node_count=2, edges=(), seed=5)) == "# seed 5\nnodes 2\n"
