@@ -54,25 +54,6 @@ class AnsatzSpec:
         return self.n * len(self.rotation_axes) * (self.layers + 1)
 
 
-def as_parameter_vector(spec: AnsatzSpec, params) -> np.ndarray:
-    vec = np.asarray(params, dtype=float)
-    if vec.shape != (spec.parameter_count,):
-        raise ValueError(
-            f"ansatz takes {spec.parameter_count} parameters, got shape {vec.shape}")
-    return as_parameter_rows(spec, vec[None])[0]
-
-
-def as_parameter_rows(spec: AnsatzSpec, params) -> np.ndarray:
-    """A (B, P) stack of parameter vectors, each row checked as as_parameter_vector does."""
-    rows = np.asarray(params, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != spec.parameter_count:
-        raise ValueError(
-            f"ansatz takes rows of {spec.parameter_count} parameters, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValueError("parameters must be finite")
-    return rows
-
-
 def _cx_chain_source(n: int, controls) -> np.ndarray:
     """One gather index for the CX gates (q, q + 1), applied in the order given."""
     src = np.arange(2**n)
@@ -84,12 +65,12 @@ def _cx_chain_source(n: int, controls) -> np.ndarray:
 def compile_ansatz(spec: AnsatzSpec):
     """Function (thetas, amps) -> the (B, 2^n) stack whose row i is U(thetas[i]) amps.
 
-    thetas must be a (B, P) stack of parameter vectors of the spec and amps one
-    2^n array; neither is checked. Every row equals the gate-by-gate
-    reference bit for bit: gathers only move amplitudes, the B * P rotation
-    matrices hold the values of the reference's Ry and Rz matrices, and each
-    rotation is the product the reference forms for one gate, stacked over
-    the rows.
+    thetas must be a (B, P) stack of finite parameter vectors of the spec, and
+    the circuit raises ValueError otherwise; amps is one 2^n array. Every row
+    equals the gate-by-gate reference bit for bit: gathers only move
+    amplitudes, the B * P rotation matrices hold the values of the
+    reference's Ry and Rz matrices, and each rotation is the product the
+    reference forms for one gate, stacked over the rows.
 
     Each rotation's product is left in its qubit's _layout order. One gather
     per rotation, built here, takes the last product to the next operand: it
@@ -115,7 +96,13 @@ def compile_ansatz(spec: AnsatzSpec):
             source = source[chain]
     restore = None if np.array_equal(source, identity) else source
 
-    def circuit(thetas: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    def circuit(thetas, amps: np.ndarray) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != spec.parameter_count:
+            raise ValueError(f"ansatz takes rows of {spec.parameter_count} parameters, "
+                             f"got shape {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ValueError("parameters must be finite")
         # matrices[k] is the (B, 2, 2) stack of parameter k's rotations
         matrices = np.zeros((spec.parameter_count, len(thetas), 2, 2), dtype=complex)
         for offset, axis in enumerate(spec.rotation_axes):
@@ -143,6 +130,5 @@ def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector
     """U(params) applied to the initial state."""
     if initial.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
-    vec = as_parameter_vector(spec, params)
-    return StateVector(spec.n, compile_ansatz(spec)(vec[None], initial.amps)[0])
+    return StateVector(spec.n, compile_ansatz(spec)([params], initial.amps)[0])
 

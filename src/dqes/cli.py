@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import problems
 from ._version import __version__
-from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz
+from .ansatz import AnsatzSpec, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
                         run_full_dqes, run_partial_dqes)
-from .manifest import RunManifest, file_sha256, sidecar_path, write_output
+from .manifest import file_sha256, sidecar_path, write_output
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
 from .paulis import Observable, encode_observable, load_observable, observable_hash
@@ -35,6 +35,12 @@ from .vqe import (ParameterFitInit, RandomStateInit, ShiftedMubInit, VqeResult, 
 def _out_path(args, default: str) -> Path:
     """--out if given, else default inside DQES_OUTPUT_DIR (default: the working directory)."""
     return Path(args.out) if args.out else Path(os.environ.get("DQES_OUTPUT_DIR", ".")) / default
+
+
+def _fields(args, seeds: dict, input_hashes: dict) -> dict:
+    """Sidecar fields of a run: its argv, then its seeds and input hashes if it has any."""
+    fields = {"argv": args.argv, "seeds": seeds, "input_sha256": input_hashes}
+    return {key: value for key, value in fields.items() if value}
 
 
 def _resolve_observable(args) -> tuple[Observable, str, dict]:
@@ -62,7 +68,7 @@ def cmd_mub(args) -> int:
     # export
     out = write_output(_out_path(args, f"mub{args.n}.json"),
                        encode_mub_set(build_full_mub_set(args.n)),
-                       RunManifest(argv=tuple(args.argv)).as_fields())
+                       _fields(args, {}, {}))
     print(f"wrote {out}")
     return 0
 
@@ -102,7 +108,7 @@ def cmd_landscape(args) -> int:
     _reject_clashes(args, out)
     report = _sweep_report(obs, name, args.full, args.k)
     svg = scatter_svg(report) if args.plot else None
-    fields = RunManifest(argv=tuple(args.argv), input_hashes=input_hashes).as_fields()
+    fields = _fields(args, {}, input_hashes)
     export_csv(report, out, sidecar_fields=fields)
     plot = write_output(args.plot, svg, fields) if args.plot else None
     print(f"observable: {name} (n={obs.n}, {len(obs.terms)} terms)")
@@ -217,8 +223,7 @@ def _trace_csv(result: VqeResult) -> str:
 def _bloch_csv(result: VqeResult) -> str:
     # single-qubit runs only: Bloch vector of the state at each evaluation
     spec = result.ansatz
-    thetas = as_parameter_rows(spec, result.trace.params)
-    states = compile_ansatz(spec)(thetas, result.initial_state.amps)
+    states = compile_ansatz(spec)(result.trace.params, result.initial_state.amps)
     lines = ["eval,x,y,z"]
     for index, amps in enumerate(states, 1):
         x, y, z = bloch_coordinates(StateVector(spec.n, amps))
@@ -243,8 +248,6 @@ def cmd_vqe(args) -> int:
     config = OptimizerConfig(rho_init=args.rho_init, tol=args.tol,
                              max_evals=args.max_evals, threshold=args.threshold)
     inits = _build_inits(_parse_init_atoms(args.init), obs, name, args)
-    if not inits:
-        raise ValueError("no initializations requested")
     labels = [init.label() for init in inits]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
@@ -290,8 +293,7 @@ def cmd_vqe(args) -> int:
         summary["exact_ground_energy"] = exact.ground_energy
         print(f"exact ground energy: {exact.ground_energy:.8f}")
     outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
-    fields = RunManifest(argv=tuple(args.argv), seeds={"seed": args.seed},
-                         input_hashes=input_hashes).as_fields()
+    fields = _fields(args, {"seed": args.seed}, input_hashes)
     for file_name, text in outputs.items():
         write_output(out_dir / file_name, text, fields)
     print(f"wrote {out_dir}")
@@ -303,7 +305,7 @@ def cmd_vqe(args) -> int:
 
 def cmd_problem(args) -> int:
     seeds = {"seed": args.seed} if getattr(args, "seed", None) is not None else {}
-    fields = RunManifest(argv=tuple(args.argv), seeds=seeds).as_fields()
+    fields = _fields(args, seeds, {})
     if args.kind == "maxcut":
         problems.check_maxcut_nodes(args.nodes)
         graph = problems.random_graph(args.nodes, args.edge_prob, args.seed)

@@ -97,7 +97,8 @@ class LandscapeReport:
 
     def min_ties(self) -> int:
         """Records within 1e-12 of the lowest energy, the minimum itself included."""
-        return int(np.count_nonzero(self.energies - self.energies.min() <= 1e-12))
+        with np.errstate(over="ignore"):  # a span past the float64 range is inf, no tie
+            return int(np.count_nonzero(self.energies - self.energies.min() <= 1e-12))
 
 
 @dataclass(frozen=True)
@@ -185,12 +186,17 @@ def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
 
 
 def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
-    """Every K-qubit MUB state on every K-subset; K = n is the full sweep."""
+    """Every K-qubit MUB state on every K-subset; K = n is the full sweep.
+
+    Raises ValueError naming the observable and the first record whose energy
+    lies outside the float64 range.
+    """
     _check_sweep_size(obs.n, k)
     subsets = np.array(list(itertools.combinations(range(1, obs.n + 1), k)),
                        dtype=np.int64)
-    energies = _subset_energies(obs, subsets).ravel()
-    return LandscapeReport(
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        energies = _subset_energies(obs, subsets).ravel()
+    report = LandscapeReport(
         observable_name=name,
         observable_hash=observable_hash(obs),
         n=obs.n,
@@ -199,6 +205,12 @@ def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
         subsets=subsets,
         energies=energies,
     )
+    outside = np.flatnonzero(~np.isfinite(energies))
+    if len(outside):
+        rec = report.record(int(outside[0]))
+        raise ValueError(f"observable {name}: record {rec.index} ({rec.label()}) has energy "
+                         f"{rec.energy}, outside the float64 range")
+    return report
 
 
 def run_full_dqes(obs: Observable, *, name: str = "observable") -> LandscapeReport:
@@ -220,7 +232,8 @@ def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[
     Variance is the population variance over the group. Each group's energies
     are folded strictly left to right, in enumeration order, by
     np.add.accumulate, so the figures depend neither on numpy's pairwise
-    summation nor on the Python version.
+    summation nor on the Python version. A sum or square past the float64
+    range is inf, without a warning.
     """
     if not len(report.energies):
         raise ValueError("report has no records")
@@ -231,8 +244,9 @@ def basis_statistics(report: LandscapeReport, per_subset: bool = False) -> list[
     else:
         groups, subsets = groups.reshape(bases, 1, -1), [None]
     count = groups.shape[-1]
-    means = np.add.accumulate(groups, axis=-1)[..., -1] / count
-    variances = np.add.accumulate((groups - means[..., None]) ** 2, axis=-1)[..., -1] / count
+    with np.errstate(over="ignore"):
+        means = np.add.accumulate(groups, axis=-1)[..., -1] / count
+        variances = np.add.accumulate((groups - means[..., None]) ** 2, axis=-1)[..., -1] / count
     figures = zip(groups.min(axis=-1).ravel().tolist(), groups.max(axis=-1).ravel().tolist(),
                   means.ravel().tolist(), variances.ravel().tolist())
     return [BasisStats(basis, subset, count, *figure)

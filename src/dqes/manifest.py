@@ -12,28 +12,10 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ._version import __version__
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced a set of outputs: command line, seeds, and input identities."""
-
-    argv: tuple[str, ...]
-    seeds: dict = field(default_factory=dict)
-    input_hashes: dict = field(default_factory=dict)
-
-    def as_fields(self) -> dict:
-        fields = {"argv": list(self.argv)}
-        if self.seeds:
-            fields["seeds"] = dict(self.seeds)
-        if self.input_hashes:
-            fields["input_sha256"] = dict(self.input_hashes)
-        return fields
 
 
 def write_text_atomic(path, text: str | Iterable[str]) -> None:

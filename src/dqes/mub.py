@@ -68,13 +68,6 @@ class MubSet:
     def n_bases(self) -> int:
         return len(self.bases)
 
-    def state(self, basis_index: int, state_index: int) -> StateVector:
-        if not 0 <= basis_index < self.n_bases:
-            raise ValueError(f"basis index must be in [0, {self.n_bases}), got {basis_index}")
-        if not 0 <= state_index < 2**self.n:
-            raise ValueError(f"state index must be in [0, {2**self.n}), got {state_index}")
-        return StateVector(self.n, self.bases[basis_index][:, state_index])
-
 
 @dataclass(frozen=True)
 class MubCertification:
@@ -94,8 +87,8 @@ class PartialMubSpec:
 
     subset is a strictly increasing tuple of 1-based qubit indices; K is its
     length. For a full sweep (K = n) the subset covers every qubit. The K-qubit
-    state is build_full_mub_set(K).state(basis_index, state_index), the one
-    discretization every sweep and VQE start uses.
+    state is column state_index of build_full_mub_set(K).bases[basis_index],
+    the one discretization every sweep and VQE start uses.
     """
 
     n: int
@@ -244,20 +237,17 @@ def realize_partial_state(spec: PartialMubSpec) -> StateVector:
     """Tensor the chosen state of build_full_mub_set(K) onto spec.subset with
     |0> on the rest.
 
-    MUB-state qubit k maps to register qubit spec.subset[k], so amplitudes
-    scatter per the global bit convention.
+    MUB-state qubit k maps to register qubit spec.subset[k], so amplitude m of
+    the K-qubit state lands on the index whose subset bits spell m.
     """
     if spec.n > MAX_QUBITS:
         raise ValueError(
             f"state vectors are limited to {MAX_QUBITS} qubits, spec is on {spec.n}")
-    small = build_full_mub_set(spec.k).state(spec.basis_index, spec.state_index).amps
+    small = build_full_mub_set(spec.k).bases[spec.basis_index][:, spec.state_index]
+    # bits[m, p]: bit p of m, most significant first, for qubit spec.subset[p]
+    bits = (np.arange(2**spec.k)[:, None] >> np.arange(spec.k - 1, -1, -1)) & 1
     amps = np.zeros(2**spec.n, dtype=complex)
-    k = spec.k
-    for m in range(2**k):
-        idx = 0
-        for pos, qubit in enumerate(spec.subset):
-            idx |= ((m >> (k - 1 - pos)) & 1) << (spec.n - qubit)
-        amps[idx] = small[m]
+    amps[(bits << (spec.n - np.array(spec.subset))).sum(axis=1)] = small
     return StateVector(spec.n, amps)
 
 

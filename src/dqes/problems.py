@@ -7,6 +7,7 @@ bitstring reads left to right like a basis-state label.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -43,23 +44,6 @@ ISING_WEAK_ZZ = (0.04645122, 0.27498273)
 ISING_STRONG_ZZ = (0.61436456, 0.32435029)
 
 
-def _reject_lih(name: str) -> None:
-    if name.startswith("LiH"):
-        raise ValueError(
-            "LiH is not built in; supply its 10-qubit Hamiltonian as an "
-            "observable JSON file instead (landscape --observable FILE)")
-
-
-def molecule_fixture(name: str) -> Observable:
-    """Built-in molecular observable by name (H2_075 or HeH+_100)."""
-    if name in _MOLECULES:
-        n, terms = _MOLECULES[name]
-        return Observable.from_strings(n, terms)
-    _reject_lih(name)
-    known = ", ".join(sorted(_MOLECULES))
-    raise ValueError(f"unknown molecule fixture {name!r}; built-in fixtures: {known}")
-
-
 def single_qubit_xy() -> Observable:
     """X + Y on one qubit; ground energy -sqrt(2)."""
     return Observable.from_strings(1, ((1.0, "X"), (1.0, "Y")))
@@ -80,8 +64,8 @@ def transverse_field_ising(n: int, c_zz: float, c_x: float) -> Observable:
 # Every built-in observable by name: the molecules plus the paper's 1- and
 # 3-qubit examples.
 FIXTURES = {
-    "H2_075": lambda: molecule_fixture("H2_075"),
-    "HeH+_100": lambda: molecule_fixture("HeH+_100"),
+    "H2_075": partial(Observable.from_strings, *_MOLECULES["H2_075"]),
+    "HeH+_100": partial(Observable.from_strings, *_MOLECULES["HeH+_100"]),
     "xy1": single_qubit_xy,
     "ising_fig7": lambda: transverse_field_ising(3, *ISING_WEAK_ZZ),
     "ising_fig8": lambda: transverse_field_ising(3, *ISING_STRONG_ZZ),
@@ -92,7 +76,10 @@ def fixture(name: str) -> Observable:
     """Built-in observable by name, one of FIXTURES."""
     if name in FIXTURES:
         return FIXTURES[name]()
-    _reject_lih(name)
+    if name.startswith("LiH"):
+        raise ValueError(
+            "LiH is not built in; supply its 10-qubit Hamiltonian as an "
+            "observable JSON file instead (landscape --observable FILE)")
     raise ValueError(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}")
 
 

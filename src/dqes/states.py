@@ -27,8 +27,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be between 1 and {MAX_QUBITS}, got {self.n}")
+        _check_qubit_count(self.n)
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
@@ -44,17 +43,20 @@ class StateVector:
         return 2**self.n
 
 
-def zero_state(n: int) -> StateVector:
-    """|0...0> on n qubits."""
+def _check_qubit_count(n: int) -> None:
+    """Raise ValueError unless n qubits fit a state vector; called before any allocation."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n, amps)
+
+
+def zero_state(n: int) -> StateVector:
+    """|0...0> on n qubits."""
+    return basis_state(n, 0)
 
 
 def basis_state(n: int, index: int) -> StateVector:
     """Computational basis state |index> with qubit 1 as the most significant bit."""
+    _check_qubit_count(n)
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index must be in [0, {2**n}), got {index}")
     amps = np.zeros(2**n, dtype=complex)
@@ -95,6 +97,7 @@ def bloch_coordinates(state: StateVector) -> tuple[float, float, float]:
 
 def random_state(n: int, seed: int) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian vector."""
+    _check_qubit_count(n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return StateVector(n, v / np.linalg.norm(v))

@@ -4,6 +4,8 @@ one fixed color per basis index. No plotting library, so output bytes depend
 only on the report and the tool version comment.
 """
 
+import math
+
 from ._version import __version__
 from .landscape import LandscapeReport
 
@@ -25,6 +27,9 @@ def scatter_svg(report: LandscapeReport) -> str:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"energies from {min(energies):g} to {max(energies):g} span more "
+                         f"than the float64 range once padded; the plot cannot scale them")
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
 

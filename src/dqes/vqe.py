@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz
+from .ansatz import AnsatzSpec, compile_ansatz
 from .landscape import score_spec
 from .mub import PartialMubSpec, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, descent, lockstep, minimize
@@ -100,7 +100,7 @@ def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
     energy = compile_observable(obs)
 
     def cost(thetas) -> np.ndarray:
-        return energy(circuit(as_parameter_rows(spec, thetas), initial.amps))
+        return energy(circuit(thetas, initial.amps))
 
     return cost
 
@@ -125,33 +125,34 @@ def _infidelities(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # A start whose best infidelity reaches this is the last start the search uses.
 _FIT_DONE = 1e-14
 
+# Most starts one fit runs.
+_FIT_STARTS = 32
 
-def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, starts: int = 32,
-                            seed: int = 0) -> FitResult:
+
+def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, seed: int = 0) -> FitResult:
     """Multi-start search for parameters with U(theta)|0...0> = target up to phase.
 
-    Start i descends from theta0 drawn uniformly from [-pi, pi)^P by
-    default_rng([seed, i]). The rule is sequential: run starts 0, 1, ... in
-    order, keep the lowest infidelity, and stop after the first start that
-    reaches 1e-14. The starts run through optimize.lockstep with done=1e-14,
-    which returns traces 0 .. j of which only the last can reach 1e-14, so
-    their first minimum is the sequential loop's result.
+    Start i, for i below _FIT_STARTS (32), descends from theta0 drawn
+    uniformly from [-pi, pi)^P by default_rng([seed, i]). The rule is
+    sequential: run starts 0, 1, ... in order, keep the lowest infidelity, and
+    stop after the first start that reaches 1e-14. The starts run through
+    optimize.lockstep with done=1e-14, which returns traces 0 .. j of which
+    only the last can reach 1e-14, so their first minimum is the sequential
+    loop's result.
 
     Reachable iff the best fidelity is at least 1 - 1e-9; the verdict carries
     the best parameters and fidelity found either way.
     """
     if target.n != spec.n:
         raise ValueError(f"target has {target.n} qubits but ansatz is on {spec.n}")
-    if starts < 1:
-        raise ValueError(f"need at least one start, got {starts}")
     zero = zero_state(spec.n).amps
     circuit = compile_ansatz(spec)
 
     def infidelity(thetas) -> np.ndarray:
-        return _infidelities(target.amps, circuit(as_parameter_rows(spec, thetas), zero))
+        return _infidelities(target.amps, circuit(thetas, zero))
 
     descents = (descent(np.random.default_rng([seed, i]).uniform(
-        -np.pi, np.pi, spec.parameter_count), _FIT_CONFIG) for i in range(starts))
+        -np.pi, np.pi, spec.parameter_count), _FIT_CONFIG) for i in range(_FIT_STARTS))
     traces = lockstep(infidelity, descents, done=_FIT_DONE)
     best = min(traces, key=lambda trace: trace.final_energy)
     return FitResult(reachable=best.final_energy <= _REACHABLE_INFIDELITY, params=best.best_params,

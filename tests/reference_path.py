@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dqes.ansatz import AnsatzSpec, as_parameter_vector, compile_ansatz
+from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.mub import MubSet
 from dqes.paulis import PauliString, _pauli_action
 from dqes.states import StateVector, _cnot_source
@@ -115,9 +115,20 @@ def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
     return abs(abs(inner_product(a, b)) - 1.0) <= tol
 
 
+def parameter_vector(spec: AnsatzSpec, params) -> np.ndarray:
+    """params as one finite vector of the spec's parameter count, checked here
+    rather than by the kernel the reference is held against."""
+    vec = np.asarray(params, dtype=float)
+    if vec.shape != (spec.parameter_count,):
+        raise ValueError(f"ansatz takes {spec.parameter_count} parameters, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("parameters must be finite")
+    return vec
+
+
 def build_ansatz(spec: AnsatzSpec, params) -> tuple[Gate, ...]:
     """The full gate sequence for one parameter binding, application order."""
-    vec = as_parameter_vector(spec, params)
+    vec = parameter_vector(spec, params)
     gates: list[Gate] = []
     # V(0)^dagger: the inverse of the bare CX-chain product, one chain per layer
     for _ in range(spec.layers):
@@ -150,7 +161,6 @@ def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     if mubs.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but MUB set is on {mubs.n}")
     circuit = compile_ansatz(spec)
-    vec = as_parameter_vector(spec, theta0)
     return MubSet(n=mubs.n, bases=tuple(
-        np.column_stack([circuit(vec[None], basis[:, j])[0] for j in range(2**mubs.n)])
+        np.column_stack([circuit([theta0], basis[:, j])[0] for j in range(2**mubs.n)])
         for basis in mubs.bases))

@@ -25,9 +25,9 @@ from dqes.problems import (
     ISING_WEAK_ZZ,
     cut_value,
     exact_spectrum,
+    fixture,
     max_cut_brute_force,
     maxcut_hamiltonian,
-    molecule_fixture,
     random_graph,
     single_qubit_xy,
     transverse_field_ising,
@@ -80,7 +80,7 @@ def test_criterion_2_partial_sweep_cardinality():
 
 def test_criterion_3_h2_landscape_minimum():
     with criterion(3, "H2 sweep bottoms out at a computational state at -1.82172107"):
-        report = run_full_dqes(molecule_fixture("H2_075"))
+        report = run_full_dqes(fixture("H2_075"))
         best = report.min_record()
         assert best.spec.basis_index == 0
         computational_min = min(r.energy for r in report.records[:4])
@@ -90,7 +90,7 @@ def test_criterion_3_h2_landscape_minimum():
 
 def test_criterion_4_heh_landscape_minimum():
     with criterion(4, "HeH+ sweep bottoms out at |01> at -3.91127550"):
-        report = run_full_dqes(molecule_fixture("HeH+_100"))
+        report = run_full_dqes(fixture("HeH+_100"))
         best = report.min_record()
         assert best.spec.basis_index == 0
         assert best.spec.state_index == 1
@@ -102,7 +102,7 @@ def test_criterion_5_chemical_accuracy():
         start = time.perf_counter()
         spec = AnsatzSpec(n=2)
         for name in ("H2_075", "HeH+_100"):
-            obs = molecule_fixture(name)
+            obs = fixture(name)
             report = run_full_dqes(obs, name=name)
             exact = exact_spectrum(obs).ground_energy
             finals = []
@@ -167,7 +167,7 @@ def test_criterion_8_maxcut_oracle_equivalence():
 def test_criterion_9_property_suites(tmp_path):
     with criterion(9, "floor, identity-at-zero, probe pattern, shifted MUBs, CSV reruns"):
         # variational floor: 100 random states per observable stay above E0
-        for obs in (molecule_fixture("H2_075"), molecule_fixture("HeH+_100"),
+        for obs in (fixture("H2_075"), fixture("HeH+_100"),
                     single_qubit_xy()):
             floor = exact_spectrum(obs).ground_energy - 1e-9
             for seed in range(100):
@@ -199,7 +199,7 @@ def test_criterion_9_property_suites(tmp_path):
 
         # CSV exports are byte-identical across reruns
         sweep = maxcut_hamiltonian(random_graph(8, 0.5, seed=42))
-        full = molecule_fixture("HeH+_100")
+        full = fixture("HeH+_100")
         for run in (lambda: run_partial_dqes(sweep, 3), lambda: run_full_dqes(full)):
             first, second = tmp_path / "a.csv", tmp_path / "b.csv"
             export_csv(run(), first)

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from reference_path import apply_gate, build_ansatz, shift_mub_set
+from reference_path import apply_gate, build_ansatz, parameter_vector, shift_mub_set
 
-from dqes.ansatz import AnsatzSpec, as_parameter_vector, prepare_state
+from dqes.ansatz import AnsatzSpec, compile_ansatz, prepare_state
 from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.states import basis_state, bloch_coordinates, random_state, zero_state
 
@@ -26,11 +26,20 @@ def test_spec_validation():
 
 
 def test_parameter_vector_validation():
+    # the compiled circuit checks its own rows; the reference keeps a check of its own
     spec = AnsatzSpec(n=2)
-    with pytest.raises(ValueError, match="takes 4 parameters"):
-        as_parameter_vector(spec, [0.0, 0.0])
+    circuit, amps = compile_ansatz(spec), basis_state(2, 0).amps
+    for bad in ([0.0, 0.0, 0.0, 0.0], [[0.0, 0.0]], np.zeros((2, 5))):
+        with pytest.raises(ValueError, match="takes rows of 4 parameters, got shape"):
+            circuit(bad, amps)
     with pytest.raises(ValueError, match="must be finite"):
-        as_parameter_vector(spec, [0.0, np.inf, 0.0, 0.0])
+        circuit([[0.0, np.inf, 0.0, 0.0]], amps)
+    with pytest.raises(ValueError, match="takes 4 parameters"):
+        parameter_vector(spec, [0.0, 0.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        parameter_vector(spec, [0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="takes rows of 4 parameters, got shape \\(1, 2\\)"):
+        prepare_state(spec, [0.0, 0.0], basis_state(2, 0))
 
 
 def test_gate_sequence_layout():

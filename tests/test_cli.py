@@ -85,6 +85,57 @@ def test_landscape_rejects_terms_that_merge_to_infinity(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_landscape_refuses_energies_past_the_float64_range(tmp_path, capsys):
+    # each coefficient is finite, but ZI + IZ is 2e308 on |00>: one message, no RuntimeWarning
+    obs = tmp_path / "wide.json"
+    obs.write_text('{"n": 2, "terms": [{"coeff": 1e308, "pauli": "ZI"}, '
+                   '{"coeff": 1e308, "pauli": "IZ"}]}')
+    assert run_cli("landscape", "--observable", str(obs), "--full", "--out",
+                   str(tmp_path / "wide.csv"), "--plot", str(tmp_path / "wide.svg")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: observable wide: record 0 (b0s0q1-2) has energy inf, "
+                            "outside the float64 range\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [obs]
+
+
+ONE_TERM_1E308 = '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "Z"}]}'
+
+
+def test_landscape_energies_spanning_past_the_float64_range_print_no_warning(tmp_path):
+    # energies +-1e308: their distance and a basis variance are inf, not a RuntimeWarning
+    obs = tmp_path / "span.json"
+    obs.write_text(ONE_TERM_1E308)
+    done = subprocess.run([sys.executable, "-m", "dqes", "landscape", "--observable", str(obs),
+                           "--full", "--out", str(tmp_path / "span.csv")],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "observable: span (n=1, 1 terms)",
+        "records: 6 (full sweep, K=1)",
+        "min energy: -1e+308 at b0s1q1 (index 1)",
+        "records within 1e-12 of the min: 1",
+        " basis  count            min            max           mean     variance",
+        "     0      2        -1e+308         1e+308              0          inf",
+        "     1      2              0              0              0            0",
+        "     2      2              0              0              0            0",
+        f"wrote {tmp_path / 'span.csv'}",
+    ]
+
+
+def test_landscape_plot_refuses_a_span_past_the_float64_range(tmp_path, capsys):
+    # the padded energy axis from -1.1e308 to 1.1e308 has no finite length to scale by
+    obs = tmp_path / "span.json"
+    obs.write_text(ONE_TERM_1E308)
+    assert run_cli("landscape", "--observable", str(obs), "--full", "--out",
+                   str(tmp_path / "span.csv"), "--plot", str(tmp_path / "span.svg")) == 1
+    assert capsys.readouterr().err == (
+        "error: energies from -1e+308 to 1e+308 span more than the float64 range once "
+        "padded; the plot cannot scale them\n")
+    assert sorted(tmp_path.iterdir()) == [obs]
+
+
 OUTSIDE_FLOAT64 = "terms[1].coeff is outside the float64 range, whose largest magnitude is " \
     "1.7976931348623157e+308"
 

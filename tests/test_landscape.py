@@ -31,8 +31,8 @@ from dqes.paulis import Observable, PauliString, expectation_exact, observable_h
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
+    fixture,
     maxcut_hamiltonian,
-    molecule_fixture,
     random_graph,
     single_qubit_xy,
     transverse_field_ising,
@@ -43,7 +43,7 @@ H2_DIAGONAL = [-1.06658017, -1.82172107, -0.26673071, -1.06658017]
 
 
 def test_h2_full_sweep_minimum():
-    report = run_full_dqes(molecule_fixture("H2_075"))
+    report = run_full_dqes(fixture("H2_075"))
     assert report.kind == "full"
     assert len(report.records) == 20
     best = report.min_record()
@@ -53,7 +53,7 @@ def test_h2_full_sweep_minimum():
 
 
 def test_h2_full_sweep_energies_by_basis():
-    report = run_full_dqes(molecule_fixture("H2_075"))
+    report = run_full_dqes(fixture("H2_075"))
     energies = [r.energy for r in report.records]
     # basis 0 walks the computational diagonal
     for got, want in zip(energies[:4], H2_DIAGONAL):
@@ -69,14 +69,14 @@ def test_h2_full_sweep_energies_by_basis():
 
 def test_full_sweep_mean_is_the_identity_coefficient():
     # non-identity Paulis are traceless, so each full basis averages to c_II
-    report = run_full_dqes(molecule_fixture("HeH+_100"))
+    report = run_full_dqes(fixture("HeH+_100"))
     for stats in basis_statistics(report):
         assert abs(stats.mean_energy + 3.04506092) < 1e-10
         assert stats.count == 4
 
 
 def test_heh_full_sweep_minimum_and_ranking():
-    report = run_full_dqes(molecule_fixture("HeH+_100"))
+    report = run_full_dqes(fixture("HeH+_100"))
     best = report.min_record()
     assert best.label() == "b0s1q1-2"
     assert abs(best.energy + 3.91127550) < 1e-8
@@ -282,7 +282,7 @@ def test_score_spec_reproduces_each_record_bit_for_bit():
 
 
 def test_basis_statistics_grouping():
-    report = run_full_dqes(molecule_fixture("H2_075"))
+    report = run_full_dqes(fixture("H2_075"))
     stats = basis_statistics(report)
     assert [s.basis_index for s in stats] == [0, 1, 2, 3, 4]
     assert all(s.subset is None for s in stats)
@@ -330,7 +330,7 @@ def csv_text(report) -> str:
 
 
 def test_csv_layout():
-    report = run_full_dqes(molecule_fixture("H2_075"))
+    report = run_full_dqes(fixture("H2_075"))
     lines = csv_text(report).splitlines()
     assert lines[0] == "index,subset,basis,state,energy"
     assert lines[1] == "0,1-2,0,0,-1.06658017"
@@ -347,13 +347,13 @@ def test_csv_subset_column_for_partial_sweeps():
 
 
 def test_export_csv_writes_data_and_sidecar(tmp_path):
-    report = run_full_dqes(molecule_fixture("H2_075"))
+    report = run_full_dqes(fixture("H2_075"))
     path = tmp_path / "h2.csv"
     export_csv(report, path, sidecar_fields={"argv": ["unit-test"]})
     assert path.read_text() == csv_text(report)
     sidecar = json.loads((tmp_path / "h2.csv.manifest.json").read_text())
     assert sidecar["observable_name"] == report.observable_name
-    assert sidecar["observable_sha256"] == observable_hash(molecule_fixture("H2_075"))
+    assert sidecar["observable_sha256"] == observable_hash(fixture("H2_075"))
     assert sidecar["record_count"] == 20
     assert sidecar["argv"] == ["unit-test"]
     assert sidecar["output_sha256"] == file_sha256(path)
@@ -369,7 +369,7 @@ def test_export_is_byte_identical_across_reruns(tmp_path):
 
 
 def test_report_identity_fields():
-    obs = molecule_fixture("H2_075")
+    obs = fixture("H2_075")
     report = run_full_dqes(obs, name="h2")
     assert report.observable_name == "h2"
     assert report.observable_hash == observable_hash(obs)
@@ -424,7 +424,7 @@ def oracle_csv(records):
 
 
 COLUMNAR_CASES = {
-    "h2_full": (molecule_fixture("H2_075"), 2, "full"),
+    "h2_full": (fixture("H2_075"), 2, "full"),
     "ising_fig8_full": (transverse_field_ising(3, *ISING_STRONG_ZZ), 3, "full"),
     "maxcut6_k2": (maxcut_hamiltonian(random_graph(6, 0.5, seed=7)), 2, "partial"),
     "maxcut8_k3": (maxcut_hamiltonian(random_graph(8, 0.5, seed=42)), 3, "partial"),

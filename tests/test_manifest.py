@@ -1,5 +1,6 @@
 """Sidecar manifests keep volatile metadata away from the data files."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,8 @@ import pytest
 
 from dqes import manifest
 from dqes._version import __version__
-from dqes.manifest import (RunManifest, file_sha256, write_output, write_sidecar,
-                           write_text_atomic)
+from dqes.cli import _fields
+from dqes.manifest import file_sha256, write_output, write_sidecar, write_text_atomic
 
 
 def test_file_sha256(tmp_path):
@@ -19,12 +20,11 @@ def test_file_sha256(tmp_path):
 
 
 def test_manifest_fields_skip_empty_sections():
-    bare = RunManifest(argv=("dqes", "mub", "verify", "2"))
-    assert bare.as_fields() == {"argv": ["dqes", "mub", "verify", "2"]}
-    seeded = RunManifest(argv=("dqes",), seeds={"seed": 7}, input_hashes={"a.json": "00"})
-    fields = seeded.as_fields()
-    assert fields["seeds"] == {"seed": 7}
-    assert fields["input_sha256"] == {"a.json": "00"}
+    bare = argparse.Namespace(argv=["dqes", "mub", "export", "2"])
+    assert _fields(bare, {}, {}) == {"argv": ["dqes", "mub", "export", "2"]}
+    seeded = argparse.Namespace(argv=["dqes"])
+    assert _fields(seeded, {"seed": 7}, {"a.json": "00"}) == {
+        "argv": ["dqes"], "seeds": {"seed": 7}, "input_sha256": {"a.json": "00"}}
 
 
 def test_write_sidecar_records_the_output_hash(tmp_path):

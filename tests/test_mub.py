@@ -19,7 +19,12 @@ from dqes.mub import (
     verify_mub_set,
 )
 from dqes.paulis import Observable
-from dqes.states import basis_state, zero_state
+from dqes.states import StateVector, basis_state, zero_state
+
+
+def mub_state(mubs: MubSet, basis: int, state: int) -> StateVector:
+    """State state of basis basis: column state of mubs.bases[basis]."""
+    return StateVector(mubs.n, mubs.bases[basis][:, state])
 
 
 def test_single_qubit_bases_are_the_pauli_eigenbases():
@@ -63,7 +68,7 @@ def test_cross_basis_overlaps_hit_the_unbiased_magnitude():
     for b1, b2 in itertools.combinations(range(mubs.n_bases), 2):
         for i in range(4):
             for j in range(4):
-                overlap = abs(inner_product(mubs.state(b1, i), mubs.state(b2, j)))
+                overlap = abs(inner_product(mub_state(mubs, b1, i), mub_state(mubs, b2, j)))
                 assert abs(overlap - target) < 1e-10
 
 
@@ -73,7 +78,7 @@ def test_first_amplitude_phase_convention():
         mubs = build_full_mub_set(n)
         for b in range(mubs.n_bases):
             for s in range(2**n):
-                amps = mubs.state(b, s).amps
+                amps = mubs.bases[b][:, s]
                 lead = amps[np.flatnonzero(np.abs(amps) > 1e-8)[0]]
                 assert abs(lead.imag) < 1e-14
                 assert lead.real > 0
@@ -108,10 +113,6 @@ def test_mub_set_validation():
     with pytest.raises(ValueError, match="must be 2x2"):
         MubSet(n=1, bases=(np.eye(4),))
     mubs = build_full_mub_set(1)
-    with pytest.raises(ValueError, match="basis index"):
-        mubs.state(3, 0)
-    with pytest.raises(ValueError, match="state index"):
-        mubs.state(0, 2)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         verify_mub_set(mubs, tol=0.0)
     for bad in (float("nan"), float("inf")):
@@ -209,7 +210,23 @@ def test_full_subset_realization_matches_the_mub_state():
     for b in range(5):
         for s in range(4):
             spec = PartialMubSpec(n=2, subset=(1, 2), basis_index=b, state_index=s)
-            assert states_equal(realize_partial_state(spec), mubs.state(b, s))
+            assert states_equal(realize_partial_state(spec), mub_state(mubs, b, s))
+
+
+def test_realization_places_each_amplitude_on_its_subset_bits():
+    # amplitude m of the K-qubit state goes to the index whose subset bits spell m,
+    # placed here one bit at a time
+    for n, k in [(1, 1), (3, 2), (5, 3)]:
+        for subset in itertools.combinations(range(1, n + 1), k):
+            for b, basis in enumerate(build_full_mub_set(k).bases):
+                for s in range(2**k):
+                    expected = np.zeros(2**n, dtype=complex)
+                    for m in range(2**k):
+                        index = sum(((m >> (k - 1 - p)) & 1) << (n - q)
+                                    for p, q in enumerate(subset))
+                        expected[index] = basis[m, s]
+                    spec = PartialMubSpec(n=n, subset=subset, basis_index=b, state_index=s)
+                    assert np.array_equal(realize_partial_state(spec).amps, expected)
 
 
 def test_encode_mub_set_round_trips_amplitudes():
@@ -240,7 +257,7 @@ def test_zero_state_is_every_basis_zero_member():
     # state 0 of basis 0 is |0...0> for every n
     for n in (1, 2, 3):
         mubs = build_full_mub_set(n)
-        assert states_equal(mubs.state(0, 0), zero_state(n))
+        assert states_equal(mub_state(mubs, 0, 0), zero_state(n))
 
 
 # Frozen oracle for the field construction: the full class letter lists and the

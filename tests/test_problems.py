@@ -19,7 +19,6 @@ from dqes.problems import (
     fixture,
     max_cut_brute_force,
     maxcut_hamiltonian,
-    molecule_fixture,
     random_graph,
     single_qubit_xy,
     transverse_field_ising,
@@ -28,7 +27,7 @@ from dqes.states import basis_state
 
 
 def test_h2_fixture_terms():
-    obs = molecule_fixture("H2_075")
+    obs = fixture("H2_075")
     assert obs.n == 2
     coeffs = {p.letters: c for c, p in obs.terms}
     assert len(coeffs) == 5
@@ -40,7 +39,7 @@ def test_h2_fixture_terms():
 
 
 def test_heh_fixture_terms():
-    obs = molecule_fixture("HeH+_100")
+    obs = fixture("HeH+_100")
     assert obs.n == 2
     assert len(obs.terms) == 9
     coeffs = {p.letters: c for c, p in obs.terms}
@@ -52,14 +51,14 @@ def test_heh_fixture_terms():
 
 def test_h2_computational_diagonal():
     # diagonal terms only: II + (+-)IZ + (+-)ZI + (+-)ZZ per bit pattern
-    obs = molecule_fixture("H2_075")
+    obs = fixture("H2_075")
     expected = [-1.06658017, -1.82172107, -0.26673071, -1.06658017]
     for index, value in enumerate(expected):
         assert abs(expectation_exact(obs, basis_state(2, index)) - value) < 1e-10
 
 
 def test_heh_computational_diagonal():
-    obs = molecule_fixture("HeH+_100")
+    obs = fixture("HeH+_100")
     expected = [-3.18400738, -3.91127550, -1.90095342, -3.18400738]
     for index, value in enumerate(expected):
         assert abs(expectation_exact(obs, basis_state(2, index)) - value) < 1e-10
@@ -67,27 +66,25 @@ def test_heh_computational_diagonal():
 
 def test_molecule_ground_energies():
     # dense-diagonalization oracles, frozen to 1e-9
-    assert abs(exact_spectrum(molecule_fixture("H2_075")).ground_energy + 1.8426866891) < 1e-9
-    assert abs(exact_spectrum(molecule_fixture("HeH+_100")).ground_energy + 3.9185595436) < 1e-9
+    assert abs(exact_spectrum(fixture("H2_075")).ground_energy + 1.8426866891) < 1e-9
+    assert abs(exact_spectrum(fixture("HeH+_100")).ground_energy + 3.9185595436) < 1e-9
 
 
 def test_lih_points_at_the_file_path():
-    for lookup in (molecule_fixture, fixture):
-        with pytest.raises(ValueError, match="observable JSON file"):
-            lookup("LiH_160")
+    with pytest.raises(ValueError, match="observable JSON file"):
+        fixture("LiH_160")
 
 
 def test_unknown_fixture_lists_the_builtins():
-    with pytest.raises(ValueError, match="H2_075, HeH\\+_100"):
-        molecule_fixture("H3_000")
     with pytest.raises(ValueError, match="unknown fixture 'H3_000'; available: H2_075, HeH\\+_100, "
                                          "ising_fig7, ising_fig8, xy1"):
         fixture("H3_000")
 
 
 def test_fixture_table_builds_every_builtin():
-    assert fixture("H2_075") == molecule_fixture("H2_075")
-    assert fixture("HeH+_100") == molecule_fixture("HeH+_100")
+    assert sorted(FIXTURES) == ["H2_075", "HeH+_100", "ising_fig7", "ising_fig8", "xy1"]
+    # each call builds the molecule afresh from the one table of terms
+    assert fixture("H2_075") == fixture("H2_075") != fixture("HeH+_100")
     assert fixture("xy1") == single_qubit_xy()
     assert fixture("ising_fig7") == transverse_field_ising(3, *ISING_WEAK_ZZ)
     assert fixture("ising_fig8") == transverse_field_ising(3, *ISING_STRONG_ZZ)
@@ -209,7 +206,7 @@ def test_maxcut_hamiltonian_rejects_degenerate_inputs():
 
 
 def test_exact_spectrum_fields():
-    obs = molecule_fixture("H2_075")
+    obs = fixture("H2_075")
     result = exact_spectrum(obs)
     assert result.eigenvalues.shape == (4,)
     assert np.all(np.diff(result.eigenvalues) >= 0)
@@ -267,7 +264,7 @@ def test_diagonal_observables_call_no_eigh(monkeypatch):
     result = exact_spectrum(maxcut_hamiltonian(random_graph(10, 0.5, seed=42)))
     assert result.eigenvalues.shape == (1024,)
     with pytest.raises(AssertionError, match="eigh was called"):
-        exact_spectrum(molecule_fixture("H2_075"))
+        exact_spectrum(fixture("H2_075"))
 
 
 def scaled(obs, factor):
@@ -275,7 +272,7 @@ def scaled(obs, factor):
 
 
 @pytest.mark.parametrize("obs, factor", [
-    (molecule_fixture("H2_075"), 1e8),
+    (fixture("H2_075"), 1e8),
     (transverse_field_ising(8, 1.0, 0.7), 1e7),
     (transverse_field_ising(10, 1.0, 0.7), 1e12),
 ], ids=["H2x1e8", "ising8x1e7", "ising10x1e12"])
@@ -299,7 +296,7 @@ def test_exact_spectrum_rejects_a_wrong_eigenvector(monkeypatch, factor):
 
     monkeypatch.setattr(np.linalg, "eigh", skewed)
     with pytest.raises(RuntimeError, match="eigensolver residual"):
-        exact_spectrum(scaled(molecule_fixture("H2_075"), factor))
+        exact_spectrum(scaled(fixture("H2_075"), factor))
 
 
 def test_exact_spectrum_size_cap():

@@ -41,6 +41,11 @@ def test_qubit_count_bounds():
         zero_state(MAX_QUBITS + 1)
     with pytest.raises(ValueError, match="basis index"):
         basis_state(2, 4)
+    # refused before 2^40 amplitudes are allocated
+    with pytest.raises(ValueError, match="between 1 and 12, got 40"):
+        basis_state(40, 0)
+    with pytest.raises(ValueError, match="between 1 and 12, got 40"):
+        random_state(40, 0)
 
 
 def test_state_requires_normalization():

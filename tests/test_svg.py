@@ -2,7 +2,7 @@
 
 from dqes.landscape import run_full_dqes, run_partial_dqes
 from dqes.paulis import Observable
-from dqes.problems import maxcut_hamiltonian, molecule_fixture, random_graph, transverse_field_ising
+from dqes.problems import fixture, maxcut_hamiltonian, random_graph, transverse_field_ising
 from dqes.svg import PALETTE, scatter_svg
 
 
@@ -12,7 +12,7 @@ def circle_fills(svg: str) -> list[str]:
 
 
 def test_scatter_svg_structure():
-    report = run_full_dqes(molecule_fixture("H2_075"), name="h2")
+    report = run_full_dqes(fixture("H2_075"), name="h2")
     svg = scatter_svg(report)
     assert svg.startswith("<svg xmlns=")
     assert svg.rstrip().endswith("</svg>")
@@ -48,6 +48,6 @@ def test_scatter_svg_handles_flat_landscapes():
 
 
 def test_observable_names_are_escaped():
-    report = run_full_dqes(molecule_fixture("H2_075"), name="a<b&c>d")
+    report = run_full_dqes(fixture("H2_075"), name="a<b&c>d")
     svg = scatter_svg(report)
     assert "a&lt;b&amp;c&gt;d" in svg

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from reference_path import inner_product
 
 from dqes import vqe
-from dqes.ansatz import AnsatzSpec, as_parameter_rows, compile_ansatz, prepare_state
+from dqes.ansatz import AnsatzSpec, compile_ansatz, prepare_state
 from dqes.landscape import rank_initial_states, run_full_dqes, score_spec
 from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
 from dqes.paulis import expectation_exact
-from dqes.problems import exact_spectrum, molecule_fixture, single_qubit_xy
+from dqes.problems import exact_spectrum, fixture, single_qubit_xy
 from dqes.states import StateVector, random_state, zero_state
 from dqes.vqe import (
     FitResult,
@@ -25,7 +25,7 @@ from dqes.vqe import (
     vqe_cost,
 )
 
-H2 = molecule_fixture("H2_075")
+H2 = fixture("H2_075")
 H2_SPEC = AnsatzSpec(n=2)
 
 
@@ -87,10 +87,17 @@ def test_fit_init_reproduces_the_landscape_start():
     assert abs(result.final_energy - exact_spectrum(H2).ground_energy) < 1e-6
 
 
+def fit_with_starts(spec, target, starts, seed):
+    """fit_parameters_to_state with _FIT_STARTS set to starts for the one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vqe, "_FIT_STARTS", starts)
+        return fit_parameters_to_state(spec, target, seed)
+
+
 def test_fit_parameters_reach_a_real_target():
     spec = AnsatzSpec(n=2)
     target = realize_partial_state(full_spec(1, 2))
-    fit = fit_parameters_to_state(spec, target, starts=8, seed=1)
+    fit = fit_with_starts(spec, target, 8, 1)
     assert fit.reachable
     assert fit.fidelity > 1 - 1e-9
     assert 1 <= fit.starts_used <= 8
@@ -103,7 +110,7 @@ def test_fit_reports_unreachable_targets():
     # caps the overlap at 1/2
     spec = AnsatzSpec(n=1)
     target = StateVector(1, np.array([1.0, -1.0j]) / np.sqrt(2))
-    fit = fit_parameters_to_state(spec, target, starts=4, seed=0)
+    fit = fit_with_starts(spec, target, 4, 0)
     assert not fit.reachable
     assert abs(fit.fidelity - 0.5) < 1e-6
     assert fit.starts_used == 4
@@ -117,7 +124,7 @@ def sequential_fit(spec, target, starts, seed):
     circuit = compile_ansatz(spec)
 
     def infidelity(thetas) -> list:
-        psis = circuit(as_parameter_rows(spec, thetas), zero)
+        psis = circuit(thetas, zero)
         return [1.0 - abs(np.dot(conj_target, psi)) ** 2 for psi in psis]
 
     config = OptimizerConfig(rho_init=0.5, tol=1e-10, max_evals=4000, threshold=1e-16)
@@ -160,15 +167,15 @@ def fit_cases(draw):
 @example(case=(AnsatzSpec(n=2), random_state(2, 5), 8, 1))
 def test_lockstep_fit_equals_the_sequential_fit(case):
     spec, target, starts, seed = case
-    assert fit_parameters_to_state(spec, target, starts, seed) == \
+    assert fit_with_starts(spec, target, starts, seed) == \
         sequential_fit(spec, target, starts, seed)
 
 
 def test_the_fit_examples_cover_both_outcomes():
     # the explicit examples above: an early stop and a search that spends every start
-    early = fit_parameters_to_state(AnsatzSpec(n=2), realize_partial_state(full_spec(1, 2)), 8, 0)
+    early = fit_with_starts(AnsatzSpec(n=2), realize_partial_state(full_spec(1, 2)), 8, 0)
     assert early.reachable and early.starts_used == 4
-    spent = fit_parameters_to_state(AnsatzSpec(n=2), random_state(2, 5), 8, 1)
+    spent = fit_with_starts(AnsatzSpec(n=2), random_state(2, 5), 8, 1)
     assert not spent.reachable and spent.starts_used == 8
 
 
@@ -204,7 +211,7 @@ def test_the_fit_builds_no_trace_entries(monkeypatch):
         return traces
 
     monkeypatch.setattr(vqe, "lockstep", spy)
-    fit = fit_parameters_to_state(H2_SPEC, realize_partial_state(full_spec(1, 2)), 8, 0)
+    fit = fit_with_starts(H2_SPEC, realize_partial_state(full_spec(1, 2)), 8, 0)
     [(cost, traces)] = runs
     assert fit.starts_used == len(traces) == 4
     # the fit has read final_energy and best_params of every trace
@@ -233,8 +240,6 @@ def test_fit_validation():
     spec = AnsatzSpec(n=2)
     with pytest.raises(ValueError, match="target has 1 qubits"):
         fit_parameters_to_state(spec, zero_state(1))
-    with pytest.raises(ValueError, match="at least one start"):
-        fit_parameters_to_state(spec, zero_state(2), starts=0)
 
 
 def test_random_state_init_is_seeded():
