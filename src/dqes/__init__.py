@@ -15,9 +15,8 @@ from .optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, l
 from .paulis import (Observable, PauliString, compile_observable, decode_observable,
                      encode_observable, expectation_exact, load_observable, observable_hash,
                      observable_matrix)
-from .problems import (ExactSpectrumResult, GraphSpec, cut_value, exact_spectrum, fixture,
-                       max_cut_brute_force, maxcut_hamiltonian, random_graph,
-                       single_qubit_xy, transverse_field_ising)
+from .problems import (ExactSpectrumResult, GraphSpec, exact_spectrum, fixture, maxcut_hamiltonian,
+                       random_graph, single_qubit_xy, transverse_field_ising)
 from .states import StateVector, basis_state, bloch_coordinates, random_state, zero_state
 from .vqe import (FitResult, ParameterFitInit, RandomStateInit, ShiftedMubInit, VqeResult,
                   fit_parameters_to_state, run_vqe, vqe_cost)

@@ -177,12 +177,19 @@ def _subset_energies(obs: Observable, subsets: np.ndarray) -> np.ndarray:
     return energies
 
 
-def score_spec(obs: Observable, spec: PartialMubSpec) -> float:
-    """The energy a sweep gives the state of spec, from the same kernel."""
+def score_spec(obs: Observable, spec: PartialMubSpec, *, name: str = "observable") -> float:
+    """The energy a sweep gives spec's state, by its kernel and its range check."""
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but spec is on {spec.n}")
-    energies = _subset_energies(obs, np.array([spec.subset], dtype=np.int64))
-    return float(energies[0, spec.basis_index, spec.state_index])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        energies = _subset_energies(obs, np.array([spec.subset], dtype=np.int64))
+    return _in_range(name, f"start {spec.label()}", energies[0, spec.basis_index, spec.state_index])
+
+
+def _in_range(name: str, what: str, energy) -> float:
+    if not np.isfinite(energy):
+        raise ValueError(f"observable {name}: {what} has energy {energy}, outside the float64 range")
+    return float(energy)
 
 
 def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
@@ -208,8 +215,7 @@ def _sweep(obs: Observable, k: int, kind: str, name: str) -> LandscapeReport:
     outside = np.flatnonzero(~np.isfinite(energies))
     if len(outside):
         rec = report.record(int(outside[0]))
-        raise ValueError(f"observable {name}: record {rec.index} ({rec.label()}) has energy "
-                         f"{rec.energy}, outside the float64 range")
+        _in_range(name, f"record {rec.index} ({rec.label()})", rec.energy)  # raises
     return report
 
 

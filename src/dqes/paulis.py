@@ -4,8 +4,7 @@ Pauli strings, weighted-sum observables, and expectation values.
 A Pauli string is a letter sequence over IXYZ, one letter per qubit, leftmost
 letter on qubit 1. Internally each string carries two bitmasks in the usual
 symplectic encoding: x_mask marks X and Y positions, z_mask marks Z and Y
-positions, with qubit q on bit n - q. Two strings commute iff the symplectic
-form parity(x1 & z2) xor parity(x2 & z1) vanishes.
+positions, with qubit q on bit n - q.
 
 Observables are real-weighted sums of Pauli strings. They canonicalize on
 construction (duplicate strings merged, exact zeros dropped, terms in
@@ -54,20 +53,6 @@ class PauliString:
     @property
     def n(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def weight(self) -> int:
-        return int(bin(self.x_mask | self.z_mask).count("1"))
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError(f"string lengths differ: {self.n} vs {other.n}")
-        anti = (self.x_mask & other.z_mask).bit_count() + (other.x_mask & self.z_mask).bit_count()
-        return anti % 2 == 0
 
     @staticmethod
     def from_masks(n: int, x_mask: int, z_mask: int) -> "PauliString":
@@ -133,9 +118,11 @@ def compile_observable(obs: Observable):
     tests/reference_path.py). np.vecdot sums each row as np.vdot does, but only
     over unit-stride rows: BLAS sums a strided vector in another order, which
     moves the last bits.
-    Raises ValueError when a row's sum has an imaginary residue above 1e-10.
+    Raises ValueError when a row's sum has an imaginary residue above
+    1e-10 * max(1, W), W = sum |coeff|, which bounds the sum of a unit row.
     """
     dim = 2**obs.n
+    bound = 1e-10 * max(1.0, sum(abs(coeff) for coeff, _ in obs.terms))
     terms = []
     for coeff, pauli in obs.terms:
         src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
@@ -150,7 +137,7 @@ def compile_observable(obs: Observable):
                 rows.take(src, axis=1, out=moved)
             np.multiply(phase, rows if src is None else moved, out=moved)
             totals = totals + coeff * np.vecdot(rows, moved)
-        residue = np.flatnonzero(np.abs(totals.imag) > 1e-10)
+        residue = np.flatnonzero(np.abs(totals.imag) > bound)
         if residue.size:
             raise ValueError(f"expectation has imaginary residue {totals.imag[residue[0]]:.3e}")
         return totals.real.copy()

@@ -130,26 +130,6 @@ def random_graph(node_count: int, edge_prob: float, seed: int) -> GraphSpec:
     return GraphSpec(node_count=node_count, edges=edges, seed=seed, edge_prob=edge_prob)
 
 
-def cut_value(graph: GraphSpec, assignment: int) -> int:
-    """Edges cut by the bipartition encoded as a basis label (node 0 = MSB)."""
-    n = graph.node_count
-    if not 0 <= assignment < 2**n:
-        raise ValueError(f"assignment must be in [0, {2**n}), got {assignment}")
-    side = [(assignment >> (n - 1 - i)) & 1 for i in range(n)]
-    return sum(1 for u, v in graph.edges if side[u] != side[v])
-
-
-def max_cut_brute_force(graph: GraphSpec) -> tuple[int, int]:
-    """(best cut value, lowest achieving assignment) over all 2^n bipartitions."""
-    n = graph.node_count
-    labels = np.arange(2**n)
-    cuts = np.zeros(2**n, dtype=np.int64)
-    for u, v in graph.edges:
-        cuts += ((labels >> (n - 1 - u)) & 1) != ((labels >> (n - 1 - v)) & 1)
-    best = int(np.argmax(cuts))
-    return int(cuts[best]), best
-
-
 def check_maxcut_nodes(n: int) -> None:
     """Refuses a Max-Cut register too large to sweep, before C(n, 2) coins are drawn."""
     if n > MAX_SWEEP_QUBITS:
@@ -200,12 +180,14 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     An observable with no X or Y letter is diagonal. Unless eigh would rescale
     it, its spectrum is read off the diagonal with no matrix built: eigh
     returns exactly the stable-sorted diagonal, and the unit vector at the
-    first minimum as the ground state.
+    first minimum as the ground state. Raises ValueError, with no warning, when
+    a matrix entry (at most the largest |eigenvalue|) or an eigenvalue overflows.
     """
     if obs.n > MAX_EXACT_QUBITS:
         raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
     if all(pauli.x_mask == 0 for _, pauli in obs.terms):
-        diagonal = _diagonal(obs)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan entry goes to eigh's path
+            diagonal = _diagonal(obs)
         largest = float(np.abs(diagonal).max())
         if largest == 0.0 or _EIGH_UNSCALED[0] <= largest <= _EIGH_UNSCALED[1]:
             order = np.argsort(diagonal, kind="stable")
@@ -214,13 +196,17 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
                 ground_energy=float(diagonal[order[0]]),
                 ground_state=basis_state(obs.n, int(order[0])),
             )
-    matrix = observable_matrix(obs)
-    eigenvalues, vectors = np.linalg.eigh(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        matrix = observable_matrix(obs)
+        finite = np.isfinite(matrix).all()
+        eigenvalues, vectors = np.linalg.eigh(matrix) if finite else (None, None)
+    if not finite or not np.isfinite(eigenvalues).all():
+        raise ValueError("the exact spectrum overflows the float64 range")
     ground = vectors[:, 0]
-    residual = float(np.linalg.norm(matrix @ ground - eigenvalues[0] * ground))
-    bound = 1e-8 * max(1.0, float(np.abs(eigenvalues).max()))  # scale-free: units pass
-    if residual > bound:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds {bound:.3g}")
+    scale = max(1.0, float(np.abs(eigenvalues).max()))  # units pass; no square overflows
+    residual = float(np.linalg.norm((matrix @ ground - eigenvalues[0] * ground) / scale))
+    if residual > 1e-8:
+        raise RuntimeError(f"eigensolver residual {residual * scale:.3e} exceeds {1e-8 * scale:.3g}")
     return ExactSpectrumResult(
         eigenvalues=eigenvalues,
         ground_energy=float(eigenvalues[0]),

@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from dense_oracle import cut_value, max_cut_brute_force
 from reference_path import shift_mub_set
 
 from dqes.ansatz import AnsatzSpec, prepare_state
@@ -23,10 +24,8 @@ from dqes.paulis import expectation_exact
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,
-    cut_value,
     exact_spectrum,
     fixture,
-    max_cut_brute_force,
     maxcut_hamiltonian,
     random_graph,
     single_qubit_xy,

@@ -100,6 +100,37 @@ def test_landscape_refuses_energies_past_the_float64_range(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [obs]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("starts, message", [
+    (["random-1"], "the exact spectrum overflows the float64 range"),
+    (["spec:0:0"], "start b0s0q1-2 has energy inf, outside the float64 range"),
+    (["spec:0:0", "--strategy", "fit"], "start b0s0q1-2 has energy inf, outside the float64 range"),
+], ids=["exact-spectrum", "spec-start", "spec-fit"])
+def test_vqe_refuses_energies_past_the_float64_range(tmp_path, capsys, starts, message):
+    # the same 2e308 energy as the landscape's: one message naming the observable, no file
+    obs = tmp_path / "wide.json"
+    obs.write_text('{"n": 2, "terms": [{"coeff": 1e308, "pauli": "ZI"}, '
+                   '{"coeff": 1e308, "pauli": "IZ"}]}')
+    assert run_cli("vqe", "--observable", str(obs), "--init", *starts,
+                   "--out", str(tmp_path / "vqe")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: observable wide: {message}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [obs]
+
+
+def test_vqe_imaginary_residue_bound_scales_with_the_observable(tmp_path, capsys):
+    # at 1e8 a Haar-random start's residue, -6.9e-10, is rounding: about 7e-18 of W = 2e8
+    obs = tmp_path / "c.json"
+    obs.write_text('{"n": 2, "terms": [{"coeff": 1e8, "pauli": "ZI"}, '
+                   '{"coeff": 1e8, "pauli": "XX"}]}')
+    assert run_cli("vqe", "--observable", str(obs), "--init", "random-1",
+                   "--out", str(tmp_path / "vqe")) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "vqe" / "summary.json").read_text())
+    assert summary["exact_ground_energy"] == pytest.approx(-2**0.5 * 1e8, rel=1e-12)
+
+
 ONE_TERM_1E308 = '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "Z"}]}'
 
 

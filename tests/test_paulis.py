@@ -1,8 +1,10 @@
 """Pauli algebra, expectation values, and the observable JSON codec."""
 
+import itertools
+
 import numpy as np
 import pytest
-from dense_oracle import kron_matrix
+from dense_oracle import commutes, kron_matrix, weight
 from reference_path import pauli_apply
 
 from dqes.paulis import (
@@ -26,9 +28,8 @@ def test_pauli_masks_follow_bit_convention():
     assert p.x_mask == 0b1100
     assert p.z_mask == 0b0110
     assert p.n == 4
-    assert p.weight == 3
-    assert not p.is_identity
-    assert PauliString("II").is_identity
+    assert weight(p) == 3
+    assert PauliString("II").x_mask == PauliString("II").z_mask == 0
 
 
 def test_pauli_letter_validation():
@@ -45,12 +46,17 @@ def test_from_masks_round_trip():
 
 
 def test_commutation_rules():
-    assert not PauliString("X").commutes_with(PauliString("Z"))
-    assert PauliString("XX").commutes_with(PauliString("ZZ"))
-    assert PauliString("XI").commutes_with(PauliString("IZ"))
-    assert not PauliString("XY").commutes_with(PauliString("ZY"))
+    assert not commutes(PauliString("X"), PauliString("Z"))
+    assert commutes(PauliString("XX"), PauliString("ZZ"))
+    assert commutes(PauliString("XI"), PauliString("IZ"))
+    assert not commutes(PauliString("XY"), PauliString("ZY"))
     with pytest.raises(ValueError, match="lengths differ"):
-        PauliString("X").commutes_with(PauliString("XX"))
+        commutes(PauliString("X"), PauliString("XX"))
+    # the letter rule is the symplectic form of the masks
+    letters = ["".join(t) for t in itertools.product("IXYZ", repeat=2)]
+    for p, q in itertools.product(map(PauliString, letters), repeat=2):
+        anti = (p.x_mask & q.z_mask).bit_count() + (q.x_mask & p.z_mask).bit_count()
+        assert commutes(p, q) == (anti % 2 == 0)
 
 
 def test_pauli_apply_matches_dense_matrix():
@@ -139,6 +145,16 @@ def test_compiled_observable_rejects_an_imaginary_residue():
     assert values[1] == pytest.approx(1e8 * values[0])
     with pytest.raises(ValueError, match=r"expectation has imaginary residue 5\.129e-02$"):
         energies(np.stack([psi, 1e8 * psi]))
+
+
+def test_imaginary_residue_bound_scales_with_the_coefficients():
+    # at 1e8 the rounding of a unit row's imaginary parts passes 1e-10 but not
+    # 1e-10 * W, W = 2e8; the same rows of the unit observable stay below 1e-10
+    rows = np.stack([random_state(2, seed=s).amps for s in range(20)])
+    unit = Observable.from_strings(2, [(1.0, "ZI"), (1.0, "XX")])
+    large = Observable.from_strings(2, [(1e8, "ZI"), (1e8, "XX")])
+    assert compile_observable(unit)(rows) == pytest.approx(compile_observable(large)(rows) / 1e8)
+    assert np.abs(compile_observable(large)(rows)).max() <= 2e8
 
 
 def test_expectation_qubit_mismatch():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_oracle import kron_matrix
+from dense_oracle import cut_value, kron_matrix, max_cut_brute_force, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +13,9 @@ from dqes.problems import (
     ISING_WEAK_ZZ,
     GraphSpec,
     check_maxcut_nodes,
-    cut_value,
     encode_graph,
     exact_spectrum,
     fixture,
-    max_cut_brute_force,
     maxcut_hamiltonian,
     random_graph,
     single_qubit_xy,
@@ -187,7 +185,7 @@ def test_maxcut_hamiltonian_identity():
     # <x| H |x> = |E| - 2 * cut(x) for every assignment
     graph = random_graph(6, 0.5, seed=7)
     obs = maxcut_hamiltonian(graph)
-    assert all(p.weight == 2 for _, p in obs.terms)
+    assert all(weight(p) == 2 for _, p in obs.terms)
     assert len(obs.terms) == len(graph.edges)
     for x in range(2**6):
         energy = expectation_exact(obs, basis_state(6, x))
@@ -303,6 +301,24 @@ def test_exact_spectrum_size_cap():
     obs = Observable.from_strings(11, [(1.0, "Z" * 11)])
     with pytest.raises(ValueError, match="limited to n <= 10"):
         exact_spectrum(obs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("terms", [
+    [(1e308, "ZI"), (1e308, "IZ")],  # diagonal: the entry on |00> is 2e308
+    [(1e308, "ZI"), (1e308, "IZ"), (1.0, "XX")],  # the same entry, through the matrix
+    [(1e308, "XI"), (1e308, "IX")],  # finite entries, eigenvalues +-2e308
+], ids=["diagonal", "matrix-entry", "eigenvalue"])
+def test_exact_spectrum_refuses_a_spectrum_past_the_float64_range(terms):
+    with pytest.raises(ValueError, match="^the exact spectrum overflows the float64 range$"):
+        exact_spectrum(Observable.from_strings(2, terms))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_spectrum_checks_a_spectrum_near_1e200_without_overflow():
+    # the residual's squares would pass the float64 range unscaled
+    exact = exact_spectrum(Observable.from_strings(2, [(1e200, "ZI"), (1e200, "XX")]))
+    assert exact.ground_energy == pytest.approx(-2**0.5 * 1e200, rel=1e-12)
 
 
 def _graph_from_text(text):

@@ -12,7 +12,7 @@ from dqes.ansatz import AnsatzSpec, compile_ansatz, prepare_state
 from dqes.landscape import rank_initial_states, run_full_dqes, score_spec
 from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
-from dqes.paulis import expectation_exact
+from dqes.paulis import compile_observable, expectation_exact
 from dqes.problems import exact_spectrum, fixture, single_qubit_xy
 from dqes.states import StateVector, random_state, zero_state
 from dqes.vqe import (
@@ -180,8 +180,9 @@ def test_the_fit_examples_cover_both_outcomes():
 
 
 def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
-    # each line search asks for 2, 4, 8, ... steps in one call; one step per call,
-    # the same fits take 3,516 calls of 14,556 rows
+    # each line search asks for 2, 4, 8, ... steps in one call, and after 4
+    # single-step line searches in a row also the stencil at its first step;
+    # one step per call, the same fits take 3,516 calls of 14,556 rows
     calls = []
 
     def counting(spec):
@@ -197,9 +198,29 @@ def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
     targets = [realize_partial_state(rec.spec)
                for rec in rank_initial_states(run_full_dqes(H2), 3)]
     fits = [fit_parameters_to_state(H2_SPEC, target) for target in targets]
-    assert (len(calls), sum(calls)) == (2197, 15719)
+    assert (len(calls), sum(calls)) == (1420, 15755)
     assert [fit.starts_used for fit in fits] == [2, 1, 4]
     assert fits == [sequential_fit(H2_SPEC, target, 32, 0) for target in targets]
+
+
+def test_h2_top3_vqe_runs_make_a_known_number_of_cost_calls(monkeypatch):
+    # the VQE runs after the fits never reach 4 single-step line searches in a
+    # row, so they ask for no stencil ahead: the same calls as before it
+    calls = []
+
+    def counting(obs):
+        energies = compile_observable(obs)
+
+        def counted(rows):
+            calls.append(len(rows))
+            return energies(rows)
+
+        return counted
+
+    monkeypatch.setattr(vqe, "compile_observable", counting)
+    for rec in rank_initial_states(run_full_dqes(H2), 3):
+        run_vqe(H2, H2_SPEC, ParameterFitInit(spec=rec.spec))
+    assert (len(calls), sum(calls)) == (330, 989)
 
 
 def test_the_fit_builds_no_trace_entries(monkeypatch):
