@@ -5,7 +5,7 @@ landscape states.
 """
 
 from ._version import __version__
-from .ansatz import AnsatzSpec, compile_ansatz, prepare_state
+from .ansatz import AnsatzSpec, compile_ansatz
 from .landscape import (BasisStats, LandscapeRecord, LandscapeReport, basis_statistics,
                         export_csv, rank_initial_states, run_full_dqes, run_partial_dqes)
 from .manifest import write_output, write_sidecar, write_text_atomic
@@ -13,8 +13,7 @@ from .mub import (MubCertification, MubSet, PartialMubSpec, build_full_mub_set,
                   encode_mub_set, realize_partial_state, verify_mub_set)
 from .optimize import OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep, minimize
 from .paulis import (Observable, PauliString, compile_observable, decode_observable,
-                     encode_observable, expectation_exact, load_observable, observable_hash,
-                     observable_matrix)
+                     encode_observable, load_observable, observable_hash, observable_matrix)
 from .problems import (ExactSpectrumResult, GraphSpec, exact_spectrum, fixture, maxcut_hamiltonian,
                        random_graph, single_qubit_xy, transverse_field_ising)
 from .states import StateVector, basis_state, bloch_coordinates, random_state, zero_state

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_QUBITS, StateVector, _cnot_source, _layout
+from .states import MAX_QUBITS, _cnot_source, _layout
 
 _ALLOWED_AXES = (("Y",), ("Y", "Z"))
 
@@ -124,11 +124,3 @@ def compile_ansatz(spec: AnsatzSpec):
         return flat if restore is None else flat.take(restore, axis=1)
 
     return circuit
-
-
-def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector:
-    """U(params) applied to the initial state."""
-    if initial.n != spec.n:
-        raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
-    return StateVector(spec.n, compile_ansatz(spec)([params], initial.amps)[0])
-

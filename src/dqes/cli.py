@@ -23,7 +23,7 @@ from . import problems
 from ._version import __version__
 from .ansatz import AnsatzSpec, compile_ansatz
 from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
-                        run_full_dqes, run_partial_dqes, score_spec)
+                        run_full_dqes, run_partial_dqes)
 from .manifest import file_sha256, sidecar_path, write_output
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
@@ -195,7 +195,6 @@ def _build_inits(atoms, obs, name, args) -> list:
                         f"{MAX_MUB_QUBITS} qubits)")
                 subset = tuple(range(1, obs.n + 1))
             spec = PartialMubSpec(n=obs.n, subset=subset, basis_index=basis, state_index=state)
-            score_spec(obs, spec, name=name)  # refuses a start outside the float64 range
             inits.append(_make_mub_init(mub_init, spec, args))
     return inits
 
@@ -257,10 +256,7 @@ def cmd_vqe(args) -> int:
     out_dir = _out_path(args, "vqe")
     file_names = [*(f for label in labels for f in _run_file_names(label, obs.n)), "summary.json"]
     _reject_input_overwrites(args, [("--out", out_dir / f) for f in file_names])
-    try:  # before the runs, which an overflowing spectrum would fill with warnings
-        exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
-    except ValueError as error:
-        raise ValueError(f"observable {name}: {error}") from None
+    exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
     results = [run_vqe(obs, spec, init, config) for init in inits]
     outputs, runs_doc = {}, []
     for result in results:

@@ -175,6 +175,10 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
             if len(stencil) < dim:
                 raise _Stop("max-evals")
             gradient = (stencil - fx) / rho
+            largest = max(map(abs, gradient.tolist()))
+            if largest > _PLAIN_NORM_LIMIT:  # a square could overflow
+                # a power of two scales the norm and keeps the direction's bits
+                gradient = np.ldexp(gradient, -math.frexp(largest)[1])
             # what np.linalg.norm computes for a real vector, bit for bit
             norm = math.sqrt(gradient.dot(gradient))
             moved = False
@@ -225,6 +229,11 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
     return OptimizationTrace(params=tuple(params), energies=tuple(energies),
                              termination=termination)
 
+
+# Largest gradient component descent takes the plain norm of: squares of at
+# most 2^1000 sum below the float64 range for up to 2^23 parameters. A larger
+# component has the gradient scaled by a power of two first.
+_PLAIN_NORM_LIMIT = 2.0**500
 
 # Line searches in a row whose first ask took exactly 1 step (0 or 2 resets
 # the count) before a first ask carries the stencil at its first step: after

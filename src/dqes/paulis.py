@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import StateVector
-
 _LETTERS = frozenset("IXYZ")
 
 
@@ -73,9 +71,32 @@ def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.nd
     return src, (1j ** bin(x_mask & z_mask).count("1")) * signs
 
 
+# The largest W = sum |coeff| an Observable takes. Every normalized state has
+# |<psi|H|psi>| <= W, and float64 rounding is monotone, so coefficients times
+# signs or phases, added in canonical order, stay within the same sum of their
+# absolute values: every record energy, VQE cost value and dense-matrix entry
+# lies within W, up to the rounding of a unit row or of a complex modulus.
+# Then everything downstream is finite: a basis statistic's variance adds at
+# most (2W)^2 = 2^972 per record, over fewer than 2^52 records; the plot's
+# padded span is 1.1 * 2W; and eigh meets no entry past 2^485, above which
+# it would rescale the matrix (problems._EIGH_UNSCALED_MIN). The descent's
+# gradient norm guards its own squares (optimize.descent).
+_MAX_WEIGHT = 2.0**485
+
+
+def _weight(terms) -> float:
+    """W = sum |coeff|, added in the order of the terms."""
+    return sum(abs(coeff) for coeff, _ in terms)
+
+
 @dataclass(frozen=True)
 class Observable:
-    """sum_i coeff_i * P_i with real coefficients, canonical on construction."""
+    """sum_i coeff_i * P_i with real coefficients, canonical on construction.
+
+    Raises ValueError unless W = sum |coeff| of the merged terms is at most
+    _MAX_WEIGHT = 2^485, so a non-finite coefficient is refused too; the
+    comment on _MAX_WEIGHT derives the bound.
+    """
 
     n: int
     terms: tuple[tuple[float, PauliString], ...]
@@ -94,12 +115,11 @@ class Observable:
                 raise ValueError(
                     f"coefficient of {pauli.letters!r} is too large for a float64") from None
             merged[pauli.letters] = merged.get(pauli.letters, 0.0) + value
-        for letters, coeff in merged.items():  # a non-finite term leaves its sum non-finite
-            if not np.isfinite(coeff):
-                raise ValueError(
-                    f"coefficient of {letters!r} must be finite, got {coeff!r} (the sum of its terms)")
         canon = tuple(
             (c, PauliString(s)) for s, c in sorted(merged.items()) if c != 0.0)
+        w = _weight(canon)
+        if not w <= _MAX_WEIGHT:  # inf and nan too
+            raise ValueError(f"W = sum |coeff| = {w!r} must be at most 2^485 = {_MAX_WEIGHT!r}")
         object.__setattr__(self, "terms", canon)
 
     @staticmethod
@@ -122,7 +142,7 @@ def compile_observable(obs: Observable):
     1e-10 * max(1, W), W = sum |coeff|, which bounds the sum of a unit row.
     """
     dim = 2**obs.n
-    bound = 1e-10 * max(1.0, sum(abs(coeff) for coeff, _ in obs.terms))
+    bound = 1e-10 * max(1.0, _weight(obs.terms))
     terms = []
     for coeff, pauli in obs.terms:
         src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
@@ -143,13 +163,6 @@ def compile_observable(obs: Observable):
         return totals.real.copy()
 
     return energies
-
-
-def expectation_exact(obs: Observable, state: StateVector) -> float:
-    """<psi|H|psi> by direct Pauli application, exact up to float arithmetic."""
-    if obs.n != state.n:
-        raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
-    return float(compile_observable(obs)(state.amps[None])[0])
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:

@@ -4,8 +4,6 @@ one fixed color per basis index. No plotting library, so output bytes depend
 only on the report and the tool version comment.
 """
 
-import math
-
 from ._version import __version__
 from .landscape import LandscapeReport
 
@@ -23,13 +21,11 @@ def scatter_svg(report: LandscapeReport) -> str:
         raise ValueError("report has no records to plot")
     count = len(energies)
     lo, hi = min(energies), max(energies)
-    if hi - lo < 1e-15:
-        lo, hi = lo - 1.0, hi + 1.0
+    if hi - lo < 1e-15:  # flat: a unit each side, or more where rounding would lose a unit
+        half = max(1.0, abs(lo) / 2**50)
+        lo, hi = lo - half, hi + half
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"energies from {min(energies):g} to {max(energies):g} span more "
-                         f"than the float64 range once padded; the plot cannot scale them")
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
 

@@ -4,7 +4,8 @@ One validated Gate and one validated StateVector per step: build_ansatz lists
 the circuit's gates in application order, apply_gate applies one of them, and
 pauli_apply applies one Pauli string. dqes runs none of this; its compiled
 kernels (dqes.ansatz.compile_ansatz, dqes.paulis.compile_observable) are held
-to it bit for bit.
+to it bit for bit. prepare_state and expectation_exact run those kernels on
+one validated StateVector, the form the tests compare states and energies in.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.mub import MubSet
-from dqes.paulis import PauliString, _pauli_action
+from dqes.paulis import Observable, PauliString, _pauli_action, compile_observable
 from dqes.states import StateVector, _cnot_source
 
 _UNITARY_TOL = 1e-10
@@ -164,3 +165,17 @@ def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     return MubSet(n=mubs.n, bases=tuple(
         np.column_stack([circuit([theta0], basis[:, j])[0] for j in range(2**mubs.n)])
         for basis in mubs.bases))
+
+
+def prepare_state(spec: AnsatzSpec, params, initial: StateVector) -> StateVector:
+    """U(params) applied to the initial state, by compile_ansatz."""
+    if initial.n != spec.n:
+        raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
+    return StateVector(spec.n, compile_ansatz(spec)([params], initial.amps)[0])
+
+
+def expectation_exact(obs: Observable, state: StateVector) -> float:
+    """<psi|H|psi> by compile_observable, exact up to float arithmetic."""
+    if obs.n != state.n:
+        raise ValueError(f"observable is on {obs.n} qubits but state has {state.n}")
+    return float(compile_observable(obs)(state.amps[None])[0])

@@ -14,13 +14,12 @@ from contextlib import contextmanager
 
 import numpy as np
 from dense_oracle import cut_value, max_cut_brute_force
-from reference_path import shift_mub_set
+from reference_path import expectation_exact, prepare_state, shift_mub_set
 
-from dqes.ansatz import AnsatzSpec, prepare_state
+from dqes.ansatz import AnsatzSpec
 from dqes.landscape import export_csv, rank_initial_states, run_full_dqes, run_partial_dqes
 from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.optimize import OptimizerConfig, minimize
-from dqes.paulis import expectation_exact
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from reference_path import apply_gate, build_ansatz, parameter_vector, shift_mub_set
+from reference_path import (apply_gate, build_ansatz, parameter_vector, prepare_state,
+                            shift_mub_set)
 
-from dqes.ansatz import AnsatzSpec, compile_ansatz, prepare_state
+from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.mub import build_full_mub_set, verify_mub_set
+from dqes.paulis import Observable
 from dqes.states import basis_state, bloch_coordinates, random_state, zero_state
+from dqes.vqe import vqe_cost
 
 
 def test_parameter_count():
@@ -97,8 +100,11 @@ def test_single_qubit_rotations():
 
 
 def test_prepare_state_checks_register_size():
-    with pytest.raises(ValueError, match="ansatz is on 2 qubits"):
+    # the reference helper checks the register, as vqe_cost does in the package
+    with pytest.raises(ValueError, match="ansatz is on 2 qubits but state has 3"):
         prepare_state(AnsatzSpec(n=2), np.zeros(4), zero_state(3))
+    with pytest.raises(ValueError, match="ansatz is on 2 qubits but state has 3"):
+        vqe_cost(Observable.from_strings(2, [(1.0, "ZI")]), AnsatzSpec(n=2), zero_state(3))
 
 
 def test_shift_preserves_norm_and_zero_shift_is_identity():

@@ -74,47 +74,48 @@ def test_landscape_full_sweep_output(tmp_path, capsys):
     assert lines[2] == "1,1-2,0,1,-1.82172107"
 
 
+def refused(path, w: str) -> str:
+    """stderr of a command refusing the observable file at path, whose W is w."""
+    return f"error: {path}: W = sum |coeff| = {w} must be at most 2^485 = 9.989595361011175e+145\n"
+
+
 def test_landscape_rejects_terms_that_merge_to_infinity(tmp_path, capsys):
     obs = tmp_path / "big.json"
     obs.write_text('{"n": 1, "terms": [{"coeff": 1e308, "pauli": "Z"}, '
                    '{"coeff": 1e308, "pauli": "Z"}]}')
     out = tmp_path / "big.csv"
     assert run_cli("landscape", "--observable", str(obs), "--full", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "big.json: coefficient of 'Z' must be finite, got inf (the sum of its terms)" in err
+    assert capsys.readouterr().err == refused(obs, "inf")
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
+WIDE = '{"n": 2, "terms": [{"coeff": 1e308, "pauli": "ZI"}, {"coeff": 1e308, "pauli": "IZ"}]}'
+
+
 def test_landscape_refuses_energies_past_the_float64_range(tmp_path, capsys):
-    # each coefficient is finite, but ZI + IZ is 2e308 on |00>: one message, no RuntimeWarning
+    # each coefficient is finite, but ZI + IZ would be 2e308 on |00>: W = inf is
+    # refused when the file is read, with one message and no RuntimeWarning
     obs = tmp_path / "wide.json"
-    obs.write_text('{"n": 2, "terms": [{"coeff": 1e308, "pauli": "ZI"}, '
-                   '{"coeff": 1e308, "pauli": "IZ"}]}')
+    obs.write_text(WIDE)
     assert run_cli("landscape", "--observable", str(obs), "--full", "--out",
                    str(tmp_path / "wide.csv"), "--plot", str(tmp_path / "wide.svg")) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: observable wide: record 0 (b0s0q1-2) has energy inf, "
-                            "outside the float64 range\n")
+    assert captured.err == refused(obs, "inf")
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [obs]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("starts, message", [
-    (["random-1"], "the exact spectrum overflows the float64 range"),
-    (["spec:0:0"], "start b0s0q1-2 has energy inf, outside the float64 range"),
-    (["spec:0:0", "--strategy", "fit"], "start b0s0q1-2 has energy inf, outside the float64 range"),
-], ids=["exact-spectrum", "spec-start", "spec-fit"])
-def test_vqe_refuses_energies_past_the_float64_range(tmp_path, capsys, starts, message):
-    # the same 2e308 energy as the landscape's: one message naming the observable, no file
+@pytest.mark.parametrize("starts", [["random-1"], ["spec:0:0"], ["spec:0:0", "--strategy", "fit"]],
+                         ids=["exact-spectrum", "spec-start", "spec-fit"])
+def test_vqe_refuses_energies_past_the_float64_range(tmp_path, capsys, starts):
+    # the landscape's 2e308 energy, which the exact spectrum and a spec start
+    # would each reach: every start gets the one message, and no file is written
     obs = tmp_path / "wide.json"
-    obs.write_text('{"n": 2, "terms": [{"coeff": 1e308, "pauli": "ZI"}, '
-                   '{"coeff": 1e308, "pauli": "IZ"}]}')
+    obs.write_text(WIDE)
     assert run_cli("vqe", "--observable", str(obs), "--init", *starts,
                    "--out", str(tmp_path / "vqe")) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: observable wide: {message}\n"
+    assert captured.err == refused(obs, "inf")
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [obs]
 
@@ -135,35 +136,87 @@ ONE_TERM_1E308 = '{"n": 1, "terms": [{"coeff": 1e308, "pauli": "Z"}]}'
 
 
 def test_landscape_energies_spanning_past_the_float64_range_print_no_warning(tmp_path):
-    # energies +-1e308: their distance and a basis variance are inf, not a RuntimeWarning
+    # energies +-1e308 would have an inf distance and basis variance; W = 1e308
+    # is refused first, and the child prints the message and no RuntimeWarning
     obs = tmp_path / "span.json"
     obs.write_text(ONE_TERM_1E308)
     done = subprocess.run([sys.executable, "-m", "dqes", "landscape", "--observable", str(obs),
                            "--full", "--out", str(tmp_path / "span.csv")],
                           env=child_env(), capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == [
-        "observable: span (n=1, 1 terms)",
-        "records: 6 (full sweep, K=1)",
-        "min energy: -1e+308 at b0s1q1 (index 1)",
-        "records within 1e-12 of the min: 1",
-        " basis  count            min            max           mean     variance",
-        "     0      2        -1e+308         1e+308              0          inf",
-        "     1      2              0              0              0            0",
-        "     2      2              0              0              0            0",
-        f"wrote {tmp_path / 'span.csv'}",
-    ]
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", refused(obs, "1e+308"))
+    assert sorted(tmp_path.iterdir()) == [obs]
 
 
 def test_landscape_plot_refuses_a_span_past_the_float64_range(tmp_path, capsys):
-    # the padded energy axis from -1.1e308 to 1.1e308 has no finite length to scale by
+    # the padded energy axis from -1.1e308 to 1.1e308 would have no finite length
     obs = tmp_path / "span.json"
     obs.write_text(ONE_TERM_1E308)
     assert run_cli("landscape", "--observable", str(obs), "--full", "--out",
                    str(tmp_path / "span.csv"), "--plot", str(tmp_path / "span.svg")) == 1
-    assert capsys.readouterr().err == (
-        "error: energies from -1e+308 to 1e+308 span more than the float64 range once "
-        "padded; the plot cannot scale them\n")
+    assert capsys.readouterr().err == refused(obs, "1e+308")
+    assert sorted(tmp_path.iterdir()) == [obs]
+
+
+# W = 2^485 split in two, so that records reach +-W: on |00> and |11>, or on
+# |++> and |--> with an X basis and, for dqes vqe, eigh's path
+AT_THE_BOUND = {"diagonal": ("ZI", "IZ"), "eigh": ("XI", "IX")}
+COMMANDS_AT_THE_BOUND = {
+    "landscape-full-plot": ["landscape", "--full", "--out", "{out}/l.csv", "--plot", "{out}/l.svg"],
+    "landscape-k1-per-subset": ["landscape", "--k", "1", "--per-subset", "--out", "{out}/l.csv"],
+    "vqe-random": ["vqe", "--init", "random-1", "--out", "{out}"],
+    "vqe-spec-fit": ["vqe", "--init", "spec:0:0", "--strategy", "fit", "--out", "{out}"],
+}
+
+
+def observable_at_the_bound(path, letters, above: bool = False) -> Path:
+    second = 2.0**484 + (2.0**433 if above else 0.0)  # one ulp of 2^485 is 2^433
+    path.write_text(json.dumps({"n": 2, "terms": [{"coeff": 2.0**484, "pauli": letters[0]},
+                                                  {"coeff": second, "pauli": letters[1]}]}))
+    return path
+
+
+def assert_every_number_is_finite(directory: Path) -> None:
+    for path in directory.rglob("*"):
+        if path.suffix == ".csv":
+            header, *lines = path.read_text().splitlines()
+            rows = [line.split(",") for line in lines]
+            if header.startswith("index,subset,"):  # the subset column joins qubits by "-"
+                rows = [row[:1] + row[2:] for row in rows]
+            values = [float(v) for row in rows for v in row]
+        elif path.suffix == ".svg":
+            text = path.read_text()
+            assert not re.search(r"inf|nan", text, re.IGNORECASE), path
+            values = [float(v) for v in re.findall(r'="(-?[0-9.]+(?:e[+-]?[0-9]+)?)"', text)]
+        elif path.name == "summary.json":
+            values = []
+            json.loads(path.read_text(), parse_float=lambda v: values.append(float(v)),
+                       parse_constant=lambda name: pytest.fail(f"{path} holds {name}"))
+        else:
+            continue
+        assert values and np.isfinite(values).all(), path
+
+
+@pytest.mark.parametrize("command", list(COMMANDS_AT_THE_BOUND))
+@pytest.mark.parametrize("shape", list(AT_THE_BOUND))
+def test_commands_on_an_observable_at_the_bound_write_only_finite_numbers(
+        tmp_path, capsys, shape, command):
+    obs = observable_at_the_bound(tmp_path / "w.json", AT_THE_BOUND[shape])
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in COMMANDS_AT_THE_BOUND[command]]
+    assert run_cli(argv[0], "--observable", str(obs), *argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+    assert_every_number_is_finite(out)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS_AT_THE_BOUND))
+def test_commands_on_an_observable_one_ulp_above_the_bound_write_nothing(
+        tmp_path, capsys, command):
+    obs = observable_at_the_bound(tmp_path / "w.json", AT_THE_BOUND["diagonal"], above=True)
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in COMMANDS_AT_THE_BOUND[command]]
+    assert run_cli(argv[0], "--observable", str(obs), *argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", refused(obs, "9.989595361011177e+145"))
     assert sorted(tmp_path.iterdir()) == [obs]
 
 

@@ -77,14 +77,16 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # nothing ran is gone: the graph-file reader, the writers that skip the
 # sidecar, the duplicate views, the wrappers around what the circuit, the
 # CLI and the fixture table do themselves, and the brute-force Max-Cut and
-# the Pauli letter rules, now in tests/dense_oracle.py. A definition of any of these names
-# under src/dqes brings a second path, or an unused one, back into the package.
+# the Pauli letter rules, now in tests/dense_oracle.py, and the one-state
+# wrappers prepare_state and expectation_exact, now in tests/reference_path.py.
+# A definition of any of these names under src/dqes brings a second path, or an
+# unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
                   "shift_mub_set", "enumerate_partial_specs", "decode_graph", "load_graph",
                   "save_graph", "save_observable", "landscape_csv_text", "best_entry",
                   "final_state", "as_parameter_rows", "as_parameter_vector", "RunManifest",
                   "molecule_fixture", "cut_value", "max_cut_brute_force", "commutes_with",
-                  "is_identity", "weight"}
+                  "is_identity", "weight", "prepare_state", "expectation_exact"}
 
 
 def defined_names(path: Path) -> set[str]:

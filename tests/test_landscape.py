@@ -9,7 +9,7 @@ import pytest
 from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_path import shift_mub_set
+from reference_path import expectation_exact, shift_mub_set
 
 from dqes.ansatz import AnsatzSpec
 from dqes.landscape import (
@@ -27,7 +27,7 @@ from dqes.landscape import (
 )
 from dqes.manifest import file_sha256
 from dqes.mub import MubSet, PartialMubSpec, build_full_mub_set, realize_partial_state
-from dqes.paulis import Observable, PauliString, expectation_exact, observable_hash
+from dqes.paulis import Observable, PauliString, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
     ISING_WEAK_ZZ,

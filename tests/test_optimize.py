@@ -8,8 +8,12 @@ from descent_oracle import one_step_entries, one_step_minimize, trace_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dqes.ansatz import AnsatzSpec
 from dqes.optimize import (OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep,
                            minimize)
+from dqes.paulis import Observable
+from dqes.states import random_state
+from dqes.vqe import vqe_cost
 
 
 def quadratic(center):
@@ -446,11 +450,25 @@ def test_best_entry_is_computed_once_and_left_out_of_equality():
 @example([0.0])
 @example([-0.0, 0.0, -0.0])
 def test_the_descent_norm_is_numpys_norm(gradient):
-    # descent takes math.sqrt(g.dot(g)) as the norm of its gradient, and every
-    # trace is bit-identical to the one np.linalg.norm gave only while this holds
+    # descent takes math.sqrt(g.dot(g)) as the norm of its gradient while no
+    # component passes 2^500, and of g scaled by a power of two above that,
+    # which rounds alike; every trace whose norm is finite is bit-identical to
+    # the one np.linalg.norm gave only while this holds
     g = np.array(gradient)
     with np.errstate(over="ignore"):  # huge entries: both sides are inf
         assert math.sqrt(g.dot(g)) == float(np.linalg.norm(g))
+
+
+def test_a_gradient_norm_past_the_float64_range_still_descends():
+    # the H2-like ZI + XX cost from a Haar-random start, and the same cost times
+    # 2^660: its gradient's squares pass the float64 range, so the descent scales
+    # the gradient by a power of two and finds the same minimum, with no warning
+    obs = Observable.from_strings(2, [(1.0, "ZI"), (1.0, "XX")])
+    cost = vqe_cost(obs, AnsatzSpec(n=2), random_state(2, 0))
+    plain = minimize(cost, np.zeros(4))
+    scaled = minimize(lambda thetas: 2.0**660 * cost(thetas), np.zeros(4))
+    assert scaled.final_energy / 2.0**660 == pytest.approx(plain.final_energy, rel=1e-12)
+    assert plain.final_energy == pytest.approx(-2**0.5, rel=1e-9)
 
 
 def test_minimize_builds_no_entries_until_they_are_read():

@@ -5,15 +5,15 @@ import itertools
 import numpy as np
 import pytest
 from dense_oracle import commutes, kron_matrix, weight
-from reference_path import pauli_apply
+from reference_path import expectation_exact, pauli_apply
 
 from dqes.paulis import (
+    _MAX_WEIGHT,
     Observable,
     PauliString,
     compile_observable,
     decode_observable,
     encode_observable,
-    expectation_exact,
     load_observable,
     observable_hash,
     observable_matrix,
@@ -87,17 +87,29 @@ def test_observable_canonicalizes_terms():
 def test_observable_validation():
     with pytest.raises(ValueError, match="at least one qubit"):
         Observable.from_strings(0, [])
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=r"^W = sum \|coeff\| = nan must be at most 2\^485"):
         Observable.from_strings(1, [(float("nan"), "X")])
     with pytest.raises(ValueError, match="observable is on 2 qubits"):
         Observable.from_strings(2, [(1.0, "X")])
 
 
 def test_merged_coefficients_must_stay_finite():
-    # each coefficient is finite, but the two Z terms merge into inf
-    with pytest.raises(ValueError, match=r"coefficient of 'Z' must be finite, got inf \(the sum"):
+    # each coefficient is finite, but the two Z terms merge into inf, and so W is inf
+    with pytest.raises(ValueError, match=r"^W = sum \|coeff\| = inf must be at most 2\^485"):
         Observable.from_strings(1, [(1e308, "X"), (1e308, "Z"), (1e308, "Z")])
+    # the bound holds for the merged terms: duplicates that cancel leave W = 0
     assert Observable.from_strings(1, [(1e308, "Z"), (-1e308, "Z")]).terms == ()
+
+
+def test_w_may_reach_the_bound_and_not_pass_it():
+    # split in two so a record reaches W; the next float after 2^485 is 2^485 + 2^433
+    assert _MAX_WEIGHT == 2.0**485 and np.nextafter(_MAX_WEIGHT, np.inf) == 2.0**485 + 2.0**433
+    at = Observable.from_strings(2, [(2.0**484, "ZI"), (2.0**484, "IZ")])
+    assert sum(abs(coeff) for coeff, _ in at.terms) == _MAX_WEIGHT
+    message = (r"^W = sum \|coeff\| = 9\.989595361011177e\+145 must be at most "
+               r"2\^485 = 9\.989595361011175e\+145$")
+    with pytest.raises(ValueError, match=message):
+        Observable.from_strings(2, [(2.0**484, "ZI"), (2.0**484 + 2.0**433, "IZ")])
 
 
 def test_expectation_on_eigenstates():
@@ -223,8 +235,11 @@ def test_decode_rejects_non_finite_numbers():
     for literal in ("1e400", "-" + huge, "9" * 309, "1" + "0" * 4300):
         with pytest.raises(ValueError, match=r"^terms\[0\].coeff is outside the float64 range"):
             decode_observable('{"n": 1, "terms": [{"coeff": %s, "pauli": "Z"}]}' % literal)
-    # one just inside the range decodes to the float of the same value
-    inside = int("9" * 308)
+    # one just inside the range decodes, and then meets the bound on W
+    with pytest.raises(ValueError, match=r"^W = sum \|coeff\| = 1e\+308 must be at most"):
+        decode_observable('{"n": 1, "terms": [{"coeff": %s, "pauli": "Z"}]}' % ("9" * 308))
+    # an integer within the bound decodes to the float of the same value
+    inside = int("9" * 145)
     assert decode_observable('{"n": 1, "terms": [{"coeff": %d, "pauli": "Z"}]}'
                              % inside).terms[0][0] == float(inside)
     with pytest.raises(ValueError, match="coefficient of 'XY' is too large for a float64"):

@@ -5,8 +5,9 @@ import pytest
 from dense_oracle import cut_value, kron_matrix, max_cut_brute_force, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_path import expectation_exact
 
-from dqes.paulis import Observable, expectation_exact
+from dqes.paulis import Observable
 from dqes.problems import (
     FIXTURES,
     ISING_STRONG_ZZ,
@@ -303,22 +304,28 @@ def test_exact_spectrum_size_cap():
         exact_spectrum(obs)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("terms", [
-    [(1e308, "ZI"), (1e308, "IZ")],  # diagonal: the entry on |00> is 2e308
+    [(1e308, "ZI"), (1e308, "IZ")],  # diagonal: the entry on |00> would be 2e308
     [(1e308, "ZI"), (1e308, "IZ"), (1.0, "XX")],  # the same entry, through the matrix
     [(1e308, "XI"), (1e308, "IX")],  # finite entries, eigenvalues +-2e308
 ], ids=["diagonal", "matrix-entry", "eigenvalue"])
 def test_exact_spectrum_refuses_a_spectrum_past_the_float64_range(terms):
-    with pytest.raises(ValueError, match="^the exact spectrum overflows the float64 range$"):
+    # W = sum |coeff| is inf, so the observable is refused before any spectrum
+    with pytest.raises(ValueError, match=r"^W = sum \|coeff\| = inf must be at most 2\^485"):
         exact_spectrum(Observable.from_strings(2, terms))
 
 
-@pytest.mark.filterwarnings("error")
-def test_exact_spectrum_checks_a_spectrum_near_1e200_without_overflow():
-    # the residual's squares would pass the float64 range unscaled
-    exact = exact_spectrum(Observable.from_strings(2, [(1e200, "ZI"), (1e200, "XX")]))
-    assert exact.ground_energy == pytest.approx(-2**0.5 * 1e200, rel=1e-12)
+def test_exact_spectrum_checks_a_spectrum_at_the_bound():
+    # W = 2^485: the diagonal path, and eigh on entries that reach the bound but
+    # do not pass it, so eigh does not rescale them
+    half = 2.0**484
+    diagonal = exact_spectrum(Observable.from_strings(2, [(half, "ZI"), (half, "IZ")]))
+    assert diagonal.eigenvalues.tolist() == [-2 * half, 0.0, 0.0, 2 * half]
+    for terms, ground in (([(half, "ZI"), (half, "XX")], -2**0.5 * half),
+                          ([(half, "XI"), (half, "IX")], -2 * half)):
+        exact = exact_spectrum(Observable.from_strings(2, terms))
+        assert np.isfinite(exact.eigenvalues).all()
+        assert exact.ground_energy == pytest.approx(ground, rel=1e-12)
 
 
 def _graph_from_text(text):

@@ -42,9 +42,11 @@ def test_scatter_svg_is_deterministic():
 def test_scatter_svg_handles_flat_landscapes():
     # an identity-only observable scores every state the same; the y-range
     # padding must keep the plot well-formed instead of dividing by zero
-    obs = Observable.from_strings(2, [(1.0, "II")])
-    svg = scatter_svg(run_full_dqes(obs))
-    assert "NaN" not in svg and "nan" not in svg and "inf" not in svg
+    # even where a unit is lost in rounding: 1e17 - 1.0 == 1e17
+    for coeff in (1.0, 1e17, 2.0**485):
+        obs = Observable.from_strings(2, [(coeff, "II")])
+        svg = scatter_svg(run_full_dqes(obs))
+        assert "NaN" not in svg and "nan" not in svg and "inf" not in svg
 
 
 def test_observable_names_are_escaped():

@@ -1,19 +1,24 @@
 """Property tests: table sweeps against the dense reference path, records of
-large registers against their reduced observables, and the evaluation-1
-contract of MUB-state starts."""
+large registers against their reduced observables, the evaluation-1
+contract of MUB-state starts, and finite outputs up to the bound on W."""
+
+import re
 
 import numpy as np
 import pytest
 from dense_oracle import kron_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_path import expectation_exact
 
 from dqes.ansatz import AnsatzSpec
-from dqes.landscape import rank_initial_states, run_full_dqes, run_partial_dqes, score_spec
+from dqes.landscape import (basis_statistics, rank_initial_states, run_full_dqes, run_partial_dqes,
+                            score_spec)
 from dqes.mub import build_full_mub_set, realize_partial_state
 from dqes.optimize import OptimizerConfig
-from dqes.paulis import Observable, expectation_exact
+from dqes.paulis import Observable
 from dqes.problems import ISING_STRONG_ZZ, ISING_WEAK_ZZ, single_qubit_xy, transverse_field_ising
+from dqes.svg import scatter_svg
 from dqes.vqe import ParameterFitInit, ShiftedMubInit, run_vqe
 
 
@@ -128,3 +133,37 @@ def test_every_mub_state_start_at_zero_takes_its_record_energy(case):
         for result in (shifted, fit):
             assert result.trace.params[0] == (0.0,) * spec.parameter_count
             assert result.initial_energy == rec.energy, (result.label, result.initial_energy)
+
+
+@st.composite
+def observables_within_the_bound(draw):
+    # at most 8 terms of magnitude at most 2^482, so W <= 2^485; letters over
+    # I and Z alone put every term in one class, where records reach +-W
+    n = draw(st.integers(1, 4))
+    alphabet = draw(st.sampled_from(["IZ", "IXYZ"]))
+    letters = st.text(alphabet=alphabet, min_size=n, max_size=n)
+    coeffs = st.floats(-2.0**482, 2.0**482)
+    pairs = draw(st.lists(st.tuples(coeffs, letters), min_size=1, max_size=8))
+    return Observable.from_strings(n, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obs=observables_within_the_bound())
+@example(obs=Observable.from_strings(3, [(2.0**482, "ZII"), (2.0**482, "IZI"), (2.0**482, "IIZ"),
+                                         (2.0**482, "ZZI"), (2.0**482, "ZIZ"), (2.0**482, "IZZ"),
+                                         (2.0**482, "ZZZ"), (2.0**482, "III")]))
+@example(obs=Observable.from_strings(2, [(2.0**484, "II"), (2.0**484, "II")]))
+@example(obs=Observable.from_strings(1, [(2.0**485, "Z")]))
+def test_every_output_is_finite_for_w_within_the_bound(obs):
+    for k in range(1, min(obs.n, 3) + 1):
+        report = run_partial_dqes(obs, k)
+        assert np.isfinite(report.energies).all()
+        assert report.min_ties() >= 1
+        for per_subset in (False, True):
+            for stats in basis_statistics(report, per_subset=per_subset):
+                figures = (stats.min_energy, stats.max_energy, stats.mean_energy, stats.variance)
+                assert np.isfinite(figures).all(), stats
+        svg = scatter_svg(report)
+        assert not re.search(r"inf|nan", svg, re.IGNORECASE)
+        coordinates = re.findall(r' (?:c[xy]|[xy][12]?)="([^"]*)"', svg)
+        assert coordinates and np.isfinite([float(c) for c in coordinates]).all()

@@ -5,14 +5,14 @@ import pytest
 from descent_oracle import one_step_entries, one_step_minimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_path import inner_product
+from reference_path import expectation_exact, inner_product, prepare_state
 
 from dqes import vqe
-from dqes.ansatz import AnsatzSpec, compile_ansatz, prepare_state
+from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.landscape import rank_initial_states, run_full_dqes, score_spec
 from dqes.mub import PartialMubSpec, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
-from dqes.paulis import compile_observable, expectation_exact
+from dqes.paulis import compile_observable
 from dqes.problems import exact_spectrum, fixture, single_qubit_xy
 from dqes.states import StateVector, random_state, zero_state
 from dqes.vqe import (
