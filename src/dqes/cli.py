@@ -231,6 +231,11 @@ def _bloch_csv(result: VqeResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _energy_text(energy: float) -> str:
+    """Fixed point below 1e8 in magnitude, else exponent form: no 150-digit lines."""
+    return f"{energy:.8f}" if abs(energy) < 1e8 else f"{energy:.8e}"
+
+
 def cmd_vqe(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
     if args.k is not None and args.k > obs.n:
@@ -277,8 +282,8 @@ def cmd_vqe(args) -> int:
         if exact is not None:
             entry["gap_to_exact"] = result.final_energy - exact.ground_energy
         runs_doc.append(entry)
-        print(f"{result.label}: initial {result.initial_energy:.8f} -> final "
-              f"{result.final_energy:.8f} in {result.trace.evaluations} evals "
+        print(f"{result.label}: initial {_energy_text(result.initial_energy)} -> final "
+              f"{_energy_text(result.final_energy)} in {result.trace.evaluations} evals "
               f"({result.trace.termination})")
     summary = {
         "observable": {"name": name, "n": obs.n, "sha256": observable_hash(obs)},
@@ -291,7 +296,7 @@ def cmd_vqe(args) -> int:
     }
     if exact is not None:
         summary["exact_ground_energy"] = exact.ground_energy
-        print(f"exact ground energy: {exact.ground_energy:.8f}")
+        print(f"exact ground energy: {_energy_text(exact.ground_energy)}")
     outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
     fields = _fields(args, {"seed": args.seed}, input_hashes)
     for file_name, text in outputs.items():

@@ -4,11 +4,11 @@ Exhaustive cost evaluation over discretized state sets.
 A full sweep scores every state of the complete MUB set (n <= MAX_MUB_QUBITS).
 A partial sweep scores every K-qubit MUB state tensored with |0> on the
 remaining qubits, over all K-subsets, which scales to larger registers; the
-full sweep is its K = n case. Neither builds a 2^n state vector: each
-non-identity K-qubit Pauli lies in one commuting class of build_full_mub_set(K),
-so on a subset a term is +-1 on the states of that class's basis and 0 on the
-rest, and the sweep adds it to that one basis. The dense table of every Pauli
-on every state is the tests' oracle (tests/test_landscape.py). Records are
+full sweep is its K = n case. Neither builds a 2^n state vector nor a dense
+MUB set: each non-identity K-qubit Pauli lies in one commuting class, so on a
+subset a term is +-1 on the states of that class's basis (mub._class_signs)
+and 0 on the rest, and the sweep adds it to that one basis. The dense table of
+every Pauli on every projected state is the tests' oracle. Records are
 produced in a fixed enumeration order (subset lex, then basis, then state), so
 reports and their CSV exports are deterministic.
 
@@ -20,13 +20,13 @@ columns; a LandscapeRecord is built only for a record a caller asks for.
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .manifest import write_output
-from .mub import MAX_MUB_QUBITS, PartialMubSpec, _check_sweep_size, build_full_mub_set
-from .paulis import Observable, _pauli_action, observable_hash
+from .mub import MAX_MUB_QUBITS, PartialMubSpec, _check_sweep_size, _class_signs
+from .paulis import Observable, observable_hash
 
 
 @dataclass(frozen=True)
@@ -119,32 +119,6 @@ class BasisStats:
 # class, since the bases are mutually unbiased. Skipping those zeros keeps
 # every bit: energies start at +0.0 and x + +-0.0 == x. Local column
 # (x << K) | z names the Pauli with K-qubit symplectic masks x and z.
-
-
-@cache
-def _class_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(basis, signs) by local column: basis[c] is the basis whose class holds the
-    Pauli of column c, and signs[c] its +-1 values on that basis's 2^K states.
-    Column 0, the identity, is in no class and its row is unused.
-
-    Raises ValueError naming the Pauli unless each value lies within 1e-9 of +-1.
-    """
-    mubs = build_full_mub_set(k)
-    basis = np.zeros(4**k, dtype=np.intp)
-    signs = np.zeros((4**k, 2**k))
-    for b, (cls, states) in enumerate(zip(mubs.classes, mubs.bases)):
-        for pauli in cls:
-            src, phase = _pauli_action(2**k, pauli.x_mask, pauli.z_mask)
-            values = np.sum(states.conj() * phase[:, None] * states[src], axis=0)
-            sign = np.where(values.real < 0, -1.0, 1.0)
-            worst = float(np.max(np.abs(values - sign)))
-            if worst > 1e-9:
-                raise ValueError(f"Pauli {pauli.letters} lies {worst:.3e} from +-1 on a state "
-                                 f"of basis {b}, the basis of its class")
-            column = (pauli.x_mask << k) | pauli.z_mask
-            basis[column], signs[column] = b, sign
-    basis.flags.writeable = signs.flags.writeable = False
-    return basis, signs
 
 
 def _subset_energies(obs: Observable, subsets: np.ndarray) -> np.ndarray:

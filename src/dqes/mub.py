@@ -18,8 +18,14 @@ classes 2 and up are ordered by their lexicographically smallest member
 State order inside a basis: the class generators are its greedy
 lexicographically-first independent subset, reversed so the lex-largest
 generator binds the most significant index bit; state j is the joint
-eigenvector with generator-k eigenvalue (-1)^(bit k of j), phase-fixed so the
-first nonzero amplitude is real positive.
+eigenvector with generator-k eigenvalue (-1)^(bit n - 1 - k of j).
+
+Each state is a stabilizer state, so it follows in closed form from GF(2) and
+i-power arithmetic (Aaronson & Gottesman, quant-ph/0406196), with no
+projection in floating point: under the product g^a of the generators that
+the bits of a pick, state j has eigenvalue (-1)^|a & j|. Basis 0 is the
+identity; in every other basis state j is 2^(-n/2) sum_a (-1)^|a & j| g^a |0>,
+whose first amplitude is real positive.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .paulis import PauliString, _pauli_action
+from .paulis import PauliString
 from .states import MAX_QUBITS, StateVector
 
 # Row masks of one symmetric GF(2) matrix C per K, row r on bit K - 1 - r like
@@ -45,13 +51,10 @@ class MubSet:
     """A list of orthonormal bases on n qubits, pairwise unbiased.
 
     bases[b] is a 2^n x 2^n matrix whose column j is state j of basis b.
-    classes[b] lists the commuting Pauli strings stabilizing basis b (absent
-    for sets not produced by the Pauli-class construction).
     """
 
     n: int
     bases: tuple[np.ndarray, ...]
-    classes: tuple[tuple[PauliString, ...], ...] | None = None
 
     def __post_init__(self):
         frozen = []
@@ -160,28 +163,23 @@ def _class_generators(cls, n: int) -> list[tuple[int, int]]:
     return gens[::-1]
 
 
-def _joint_eigenbasis(gens: list[tuple[int, int]], n: int) -> np.ndarray:
-    """Columns: stabilizer projections of computational seeds, phase-fixed."""
-    d = 2**n
-    actions = [_pauli_action(d, x, z) for x, z in gens]
-    cols = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for seed in range(d):
-            v = np.zeros(d, dtype=complex)
-            v[seed] = 1.0
-            for k, (src, phase) in enumerate(actions):
-                sign = -1.0 if (j >> (n - 1 - k)) & 1 else 1.0
-                v = (v + sign * (phase * v[src])) / 2
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                v = v / norm
-                lead = int(np.argmax(np.abs(v) > 1e-8))
-                v = v * (np.conj(v[lead]) / abs(v[lead]))
-                cols[:, j] = v
-                break
-        else:
-            raise RuntimeError("no computational seed survived the stabilizer projection")
-    return cols
+def _class_members(cls, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, power) over a = 0 .. 2^n - 1, gens[0] on the most significant bit:
+    g^a = i^e P(x[a], z[a]) with P|u> = i^|x & z| (-1)^(z.u) |u ^ x>, and
+    P(x[a], z[a]) is i^power[a, j] = i^(e + 2 |a & j|) = +-1 on state j.
+
+    As P(x, z) = i^|x & z| X^x Z^z, P(x, z) P(x', z') = i^p P(x ^ x', z ^ z')
+    with p = |x & z| + |x' & z'| + 2 |z & x'| - |(x ^ x') & (z ^ z')|.
+    """
+    x = z = e = np.zeros(1, dtype=np.int64)
+    for gx, gz in _class_generators(cls, n):
+        moved = (e + np.bitwise_count(x & z) + (gx & gz).bit_count()
+                 + 2 * np.bitwise_count(z & gx) - np.bitwise_count((x ^ gx) & (z ^ gz)))
+        x = np.stack([x, x ^ gx], axis=1).ravel()
+        z = np.stack([z, z ^ gz], axis=1).ravel()
+        e = np.stack([e, moved % 4], axis=1).ravel()
+    a = np.arange(2**n)
+    return x, z, (e[:, None] + 2 * np.bitwise_count(a[:, None] & a)) % 4
 
 
 @cache
@@ -189,13 +187,33 @@ def build_full_mub_set(n: int) -> MubSet:
     """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS, built once per n."""
     if n not in _FIELD_GENERATORS:
         raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
-    bases = []
-    letter_classes = []
-    for cls in _partition_classes(n):
-        gens = _class_generators(cls, n)
-        bases.append(_joint_eigenbasis(gens, n))
-        letter_classes.append(tuple(PauliString.from_masks(n, x, z) for x, z in cls))
-    return MubSet(n=n, bases=tuple(bases), classes=tuple(letter_classes))
+    d = 2**n
+    r = 1 / np.sqrt(d)
+    # r times i^0 .. i^3, from (re, im) pairs: -1j would give a real part of -0.0
+    powers = np.array([complex(r, 0.0), complex(0.0, r), complex(-r, 0.0), complex(0.0, -r)])
+    bases = [np.eye(d)]
+    for cls in _partition_classes(n)[1:]:
+        x, z, power = _class_members(cls, n)  # each x once, as the class is not Z's
+        cols = np.empty((d, d), dtype=complex)
+        cols[x] = powers[(power + np.bitwise_count(x & z)[:, None]) % 4]
+        bases.append(cols)
+    return MubSet(n=n, bases=tuple(bases))
+
+
+@cache
+def _class_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, signs) by local column: basis[c] is the basis whose class holds the
+    Pauli of column c, and signs[c] its +-1 values on that basis's 2^K states.
+    Column 0, the identity, is in no class and its row is unused.
+    """
+    basis = np.zeros(4**k, dtype=np.intp)
+    signs = np.zeros((4**k, 2**k))
+    for b, cls in enumerate(_partition_classes(k)):
+        x, z, power = _class_members(cls, k)
+        column = ((x << k) | z)[1:]  # a = 0 is the identity
+        basis[column], signs[column] = b, 1.0 - power[1:]
+    basis.flags.writeable = signs.flags.writeable = False
+    return basis, signs
 
 
 def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:

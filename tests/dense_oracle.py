@@ -1,14 +1,22 @@
-"""The tests' dense oracle for Pauli-sum observables, the letter rules for
-Pauli strings, and the brute-force Max-Cut that the Max-Cut observable is
-checked against.
+"""The tests' dense oracles: Pauli-sum observables as matrices, the MUB
+columns and class signs by projection, the letter rules for Pauli strings,
+and the brute-force Max-Cut that the Max-Cut observable is checked against.
 
 Each term's matrix is a Kronecker product of 2 x 2 letter matrices, leftmost
 letter on qubit 1. It reads only the letters, not the symplectic masks that
 every dqes kernel (and dqes.paulis.observable_matrix) works from, so it checks
 those kernels from outside.
+
+dqes.mub builds each basis and each class sign in closed form from its
+class's generators. Here a basis is the stabilizer projection of
+computational seeds, in floating point, and a sign is a Pauli's expectation on
+those columns: the construction the closed form replaced, kept as its oracle.
 """
 
 import numpy as np
+
+from dqes.mub import MubSet, _class_generators, _partition_classes
+from dqes.paulis import Observable, PauliString, _pauli_action
 
 LETTER_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -28,6 +36,57 @@ def kron_matrix(obs) -> np.ndarray:
             m = np.kron(m, LETTER_MATRICES[c])
         out += coeff * m
     return out
+
+
+def joint_eigenbasis(gens: list[tuple[int, int]], n: int) -> np.ndarray:
+    """Columns: stabilizer projections of computational seeds, phase-fixed.
+
+    Column j is the first seed, in index order, whose projection onto
+    generator-k eigenvalue (-1)^(bit n - 1 - k of j) survives, normalized and
+    turned so its first nonzero amplitude is real positive.
+    """
+    d = 2**n
+    actions = [_pauli_action(d, x, z) for x, z in gens]
+    cols = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        for seed in range(d):
+            v = np.zeros(d, dtype=complex)
+            v[seed] = 1.0
+            for k, (src, phase) in enumerate(actions):
+                sign = -1.0 if (j >> (n - 1 - k)) & 1 else 1.0
+                v = (v + sign * (phase * v[src])) / 2
+            norm = np.linalg.norm(v)
+            if norm > 1e-6:
+                v = v / norm
+                lead = int(np.argmax(np.abs(v) > 1e-8))
+                v = v * (np.conj(v[lead]) / abs(v[lead]))
+                cols[:, j] = v
+                break
+        else:
+            raise AssertionError("no computational seed survived the stabilizer projection")
+    return cols
+
+
+def projected_mub_set(n: int) -> MubSet:
+    """build_full_mub_set(n) by projection: one joint eigenbasis per class."""
+    return MubSet(n=n, bases=tuple(joint_eigenbasis(_class_generators(cls, n), n)
+                                   for cls in _partition_classes(n)))
+
+
+def projected_class_signs(mubs: MubSet) -> tuple[np.ndarray, np.ndarray]:
+    """dqes.mub._class_signs from the projected columns: each class member's
+    expectation on the basis of its class, checked to lie within 1e-9 of +-1."""
+    k = mubs.n
+    basis = np.zeros(4**k, dtype=np.intp)
+    signs = np.zeros((4**k, 2**k))
+    for b, (cls, states) in enumerate(zip(_partition_classes(k), mubs.bases)):
+        for x, z in cls:
+            matrix = kron_matrix(Observable(k, ((1.0, PauliString.from_masks(k, x, z)),)))
+            values = np.einsum("ir,ij,jr->r", states.conj(), matrix, states)
+            sign = np.where(values.real < 0, -1.0, 1.0)
+            assert np.max(np.abs(values - sign)) < 1e-9
+            basis[(x << k) | z], signs[(x << k) | z] = b, sign
+    return basis, signs
 
 
 def weight(pauli) -> int:

@@ -157,8 +157,7 @@ def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
 
 def shift_mub_set(mubs: MubSet, spec: AnsatzSpec, theta0) -> MubSet:
     """Every state of every basis moved by U(theta0) through compile_ansatz, one
-    column at a time: a mutually unbiased set that is no stabilizer set, with no
-    classes."""
+    column at a time: a mutually unbiased set that is no stabilizer set."""
     if mubs.n != spec.n:
         raise ValueError(f"ansatz is on {spec.n} qubits but MUB set is on {mubs.n}")
     circuit = compile_ansatz(spec)

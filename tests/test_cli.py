@@ -457,6 +457,21 @@ def test_vqe_h2_top3(tmp_path, capsys):
     assert header == "eval,energy,theta_0,theta_1,theta_2,theta_3"
 
 
+def test_vqe_prints_energies_at_the_bound_in_exponent_form(tmp_path, capsys):
+    # 2^484 XI + 2^484 IX: in fixed point each energy would print about 150 digits
+    obs = observable_at_the_bound(tmp_path / "w.json", AT_THE_BOUND["eigh"])
+    assert run_cli("vqe", "--observable", str(obs), "--init", "spec:0:0,random-1",
+                   "--strategy", "fit", "--out", str(tmp_path / "out")) == 0
+    *runs, exact, wrote = capsys.readouterr().out.splitlines()
+    energy = r"-?\d\.\d{8}e\+14[0-9]"
+    assert len(runs) == 2
+    for line in runs:
+        assert re.fullmatch(rf"[\w-]+: initial -?\d\.\d{{8}}e\+\d{{3}} -> final {energy} "
+                            r"in \d+ evals \([\w-]+\)", line), line
+    assert exact == "exact ground energy: -9.98959536e+145"
+    assert wrote.startswith("wrote ")
+
+
 def test_vqe_on_an_observable_in_small_units(tmp_path, capsys):
     # H2 in units of 1e-8 Hartree: the eigensolver check scales with the spectrum
     h2 = problems.fixture("H2_075")

@@ -78,7 +78,9 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # sidecar, the duplicate views, the wrappers around what the circuit, the
 # CLI and the fixture table do themselves, and the brute-force Max-Cut and
 # the Pauli letter rules, now in tests/dense_oracle.py, and the one-state
-# wrappers prepare_state and expectation_exact, now in tests/reference_path.py.
+# wrappers prepare_state and expectation_exact, now in tests/reference_path.py,
+# and the stabilizer projection that built the MUB columns, now the
+# joint_eigenbasis oracle in tests/dense_oracle.py.
 # A definition of any of these names under src/dqes brings a second path, or an
 # unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
@@ -86,7 +88,8 @@ REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectat
                   "save_graph", "save_observable", "landscape_csv_text", "best_entry",
                   "final_state", "as_parameter_rows", "as_parameter_vector", "RunManifest",
                   "molecule_fixture", "cut_value", "max_cut_brute_force", "commutes_with",
-                  "is_identity", "weight", "prepare_state", "expectation_exact"}
+                  "is_identity", "weight", "prepare_state", "expectation_exact",
+                  "_joint_eigenbasis"}
 
 
 def defined_names(path: Path) -> set[str]:

@@ -6,7 +6,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from dense_oracle import kron_matrix
+from dense_oracle import kron_matrix, projected_mub_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_path import expectation_exact, shift_mub_set
@@ -16,7 +16,6 @@ from dqes.landscape import (
     BasisStats,
     LandscapeRecord,
     LandscapeReport,
-    _class_signs,
     _csv_chunks,
     basis_statistics,
     export_csv,
@@ -26,7 +25,8 @@ from dqes.landscape import (
     score_spec,
 )
 from dqes.manifest import file_sha256
-from dqes.mub import MubSet, PartialMubSpec, build_full_mub_set, realize_partial_state
+from dqes.mub import (MubSet, PartialMubSpec, _class_signs, build_full_mub_set,
+                      realize_partial_state)
 from dqes.paulis import Observable, PauliString, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
@@ -185,7 +185,9 @@ def stabilizer_table(mubs: MubSet) -> np.ndarray:
 
 @cache
 def dense_table(k):
-    return stabilizer_table(build_full_mub_set(k))
+    """The table of the projected bases, so the closed-form columns and signs
+    are checked against an independent construction."""
+    return stabilizer_table(projected_mub_set(k))
 
 
 def table_energies(obs, k):
@@ -240,14 +242,17 @@ def test_class_signs_put_each_pauli_on_the_one_basis_of_its_class():
             assert np.array_equal(blocks[c, basis[c]], signs[c])
 
 
-def test_class_signs_reject_a_basis_its_class_does_not_stabilize(monkeypatch):
-    spec = AnsatzSpec(n=2)
-    mubs = build_full_mub_set(2)
-    shifted = shift_mub_set(mubs, spec, np.full(spec.parameter_count, 0.3))
-    relabelled = MubSet(n=2, bases=shifted.bases, classes=mubs.classes)
-    monkeypatch.setattr("dqes.landscape.build_full_mub_set", lambda k: relabelled)
-    with pytest.raises(ValueError, match=f"Pauli {mubs.classes[0][0].letters} lies"):
-        _class_signs.__wrapped__(2)
+def test_sweeps_build_no_dense_mub_set(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"a sweep built the dense K = {k} set")
+
+    monkeypatch.setattr("dqes.mub.build_full_mub_set", refuse)
+    _class_signs.cache_clear()
+    obs = transverse_field_ising(3, 0.7, 0.3)
+    assert len(run_partial_dqes(obs, 2).energies) == 3 * 5 * 4
+    assert len(run_full_dqes(obs).energies) == 9 * 8
+    spec = PartialMubSpec(n=3, subset=(1, 3), basis_index=2, state_index=1)
+    assert np.isfinite(score_spec(obs, spec))
 
 
 @st.composite

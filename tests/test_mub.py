@@ -6,20 +6,22 @@ import json
 
 import numpy as np
 import pytest
-from dense_oracle import commutes
+from dense_oracle import commutes, projected_class_signs, projected_mub_set
 from reference_path import inner_product, states_equal
 
+from dqes import mub
 from dqes.landscape import run_partial_dqes
 from dqes.mub import (
     MAX_MUB_QUBITS,
     MubSet,
     PartialMubSpec,
+    _class_signs,
     build_full_mub_set,
     encode_mub_set,
     realize_partial_state,
     verify_mub_set,
 )
-from dqes.paulis import Observable
+from dqes.paulis import Observable, PauliString
 from dqes.states import StateVector, basis_state, zero_state
 
 
@@ -85,11 +87,15 @@ def test_first_amplitude_phase_convention():
                 assert lead.real > 0
 
 
+def class_letters(n: int) -> list[list[PauliString]]:
+    """The Pauli classes of the field construction as strings, class by class."""
+    return [[PauliString.from_masks(n, x, z) for x, z in cls]
+            for cls in mub._partition_classes(n)]
+
+
 def test_stabilizer_classes_partition_the_pauli_group():
     for n in (1, 2, 3):
-        mubs = build_full_mub_set(n)
-        classes = mubs.classes
-        assert classes is not None
+        classes = class_letters(n)
         assert len(classes) == 2**n + 1
         seen = set()
         for cls in classes:
@@ -99,9 +105,9 @@ def test_stabilizer_classes_partition_the_pauli_group():
             seen.update(p.letters for p in cls)
         assert len(seen) == 4**n - 1
     # class 0 stabilizes the computational basis, class 1 the Hadamard basis
-    mubs = build_full_mub_set(2)
-    assert [p.letters for p in mubs.classes[0]] == ["IZ", "ZI", "ZZ"]
-    assert [p.letters for p in mubs.classes[1]] == ["IX", "XI", "XX"]
+    classes = class_letters(2)
+    assert [p.letters for p in classes[0]] == ["IZ", "ZI", "ZZ"]
+    assert [p.letters for p in classes[1]] == ["IX", "XI", "XX"]
 
 
 def test_build_is_cached_and_bounded():
@@ -287,11 +293,44 @@ FROZEN_EXPORT_SHA256 = {
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_frozen_classes(k):
-    mubs = build_full_mub_set(k)
-    assert [[p.letters for p in cls] for cls in mubs.classes] == FROZEN_CLASSES[k]
+    assert [[p.letters for p in cls] for cls in class_letters(k)] == FROZEN_CLASSES[k]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_frozen_export_bytes(k):
     text = encode_mub_set(build_full_mub_set(k))
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_EXPORT_SHA256[k]
+
+
+# Symmetric GF(2) generators for K = 4 and 5 whose powers and 0 form GF(2^K),
+# rows as in mub._FIELD_GENERATORS. The package stops at K = 3; these sizes
+# check the closed form where a term lands on a larger class.
+LARGER_FIELD_GENERATORS = {4: (0b0001, 0b0011, 0b0110, 0b1101), 5: (1, 2, 5, 11, 22)}
+
+
+@pytest.fixture
+def larger_fields(monkeypatch):
+    for k, rows in LARGER_FIELD_GENERATORS.items():
+        monkeypatch.setitem(mub._FIELD_GENERATORS, k, rows)
+    yield
+    # a cached K = 4 set would outlive the patch
+    build_full_mub_set.cache_clear()
+    _class_signs.cache_clear()
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """The int64 view of a float64 or complex128 array, so signed zeros count."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_closed_form_columns_and_signs_equal_the_projection_bit_for_bit(k, larger_fields):
+    oracle = projected_mub_set(k)
+    built = build_full_mub_set(k)
+    assert built.n_bases == len(oracle.bases) == 2**k + 1
+    for closed, projected in zip(built.bases, oracle.bases):
+        assert np.array_equal(bits(closed), bits(projected))
+    basis, signs = _class_signs(k)
+    oracle_basis, oracle_signs = projected_class_signs(oracle)
+    assert np.array_equal(basis, oracle_basis)
+    assert np.array_equal(bits(signs), bits(oracle_signs))
