@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import problems
@@ -172,7 +173,7 @@ def _positive_int(text: str, atom: str) -> int:
 
 
 def _build_inits(atoms, obs, name, args) -> list:
-    mub_init = ParameterFitInit if args.strategy == "fit" else ShiftedMubInit
+    mub_init = partial(ParameterFitInit, seed=args.seed) if args.strategy == "fit" else ShiftedMubInit
     inits = []
     report = None
     for atom in atoms:
@@ -183,7 +184,7 @@ def _build_inits(atoms, obs, name, args) -> list:
                 raise ValueError(f"--init top-{atom[1]}: the K={report.k} sweep has "
                                  f"{len(report.energies)} records")
             for rec in rank_initial_states(report, atom[1]):
-                inits.append(_make_mub_init(mub_init, rec.spec, args))
+                inits.append(mub_init(spec=rec.spec))
         elif atom[0] == "random":
             inits.extend(RandomStateInit(seed=args.seed + i) for i in range(atom[1]))
         else:
@@ -195,14 +196,8 @@ def _build_inits(atoms, obs, name, args) -> list:
                         f"{MAX_MUB_QUBITS} qubits)")
                 subset = tuple(range(1, obs.n + 1))
             spec = PartialMubSpec(n=obs.n, subset=subset, basis_index=basis, state_index=state)
-            inits.append(_make_mub_init(mub_init, spec, args))
+            inits.append(mub_init(spec=spec))
     return inits
-
-
-def _make_mub_init(kind, spec: PartialMubSpec, args):
-    if kind is ParameterFitInit:
-        return ParameterFitInit(spec=spec, seed=args.seed)
-    return ShiftedMubInit(spec=spec)
 
 
 def _run_file_names(label: str, n: int) -> tuple[str, ...]:
@@ -427,7 +422,8 @@ def main(argv=None) -> int:
     args.argv = ["dqes", *argv]
     try:
         if getattr(args, "seed", 0) < 0:
-            # numpy would reject it only once a run is under way, after --out exists
+            # a run that never draws from the seed (vqe --init top-1 with the shift
+            # strategy) would otherwise write the negative seed into every sidecar
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -182,22 +182,24 @@ def _class_members(cls, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, (e[:, None] + 2 * np.bitwise_count(a[:, None] & a)) % 4
 
 
-@cache
-def build_full_mub_set(n: int) -> MubSet:
-    """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS, built once per n."""
-    if n not in _FIELD_GENERATORS:
-        raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
-    d = 2**n
-    r = 1 / np.sqrt(d)
+def _stabilized_basis(cls, n: int) -> np.ndarray:
+    """The 2^n x 2^n basis, column j state j, that a class other than pure Z stabilizes."""
+    r = 1 / np.sqrt(2**n)
     # r times i^0 .. i^3, from (re, im) pairs: -1j would give a real part of -0.0
     powers = np.array([complex(r, 0.0), complex(0.0, r), complex(-r, 0.0), complex(0.0, -r)])
-    bases = [np.eye(d)]
-    for cls in _partition_classes(n)[1:]:
-        x, z, power = _class_members(cls, n)  # each x once, as the class is not Z's
-        cols = np.empty((d, d), dtype=complex)
-        cols[x] = powers[(power + np.bitwise_count(x & z)[:, None]) % 4]
-        bases.append(cols)
-    return MubSet(n=n, bases=tuple(bases))
+    x, z, power = _class_members(cls, n)  # each x once, as the class is not Z's
+    cols = np.empty((2**n, 2**n), dtype=complex)
+    cols[x] = powers[(power + np.bitwise_count(x & z)[:, None]) % 4]
+    return cols
+
+
+def build_full_mub_set(n: int) -> MubSet:
+    """All 2^n + 1 mutually unbiased bases for n <= MAX_MUB_QUBITS: the states
+    every sweep and VQE start draws from, though none of them builds this set."""
+    if n not in _FIELD_GENERATORS:
+        raise ValueError(f"full MUB construction is limited to n <= {MAX_MUB_QUBITS}, got n={n}")
+    classes = _partition_classes(n)[1:]
+    return MubSet(n=n, bases=(np.eye(2**n), *(_stabilized_basis(cls, n) for cls in classes)))
 
 
 @cache
@@ -253,7 +255,7 @@ def _check_sweep_size(n: int, k: int) -> None:
 
 def realize_partial_state(spec: PartialMubSpec) -> StateVector:
     """Tensor the chosen state of build_full_mub_set(K) onto spec.subset with
-    |0> on the rest.
+    |0> on the rest, building only the one basis it lies in.
 
     MUB-state qubit k maps to register qubit spec.subset[k], so amplitude m of
     the K-qubit state lands on the index whose subset bits spell m.
@@ -261,9 +263,11 @@ def realize_partial_state(spec: PartialMubSpec) -> StateVector:
     if spec.n > MAX_QUBITS:
         raise ValueError(
             f"state vectors are limited to {MAX_QUBITS} qubits, spec is on {spec.n}")
-    small = build_full_mub_set(spec.k).bases[spec.basis_index][:, spec.state_index]
+    k, b = spec.k, spec.basis_index
+    basis = np.eye(2**k) if b == 0 else _stabilized_basis(_partition_classes(k)[b], k)
+    small = basis[:, spec.state_index]
     # bits[m, p]: bit p of m, most significant first, for qubit spec.subset[p]
-    bits = (np.arange(2**spec.k)[:, None] >> np.arange(spec.k - 1, -1, -1)) & 1
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     amps = np.zeros(2**spec.n, dtype=complex)
     amps[(bits << (spec.n - np.array(spec.subset))).sum(axis=1)] = small
     return StateVector(spec.n, amps)

@@ -258,8 +258,7 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
     line-search call, only if cost gives each row a value that depends on that
     row alone: the batches it is given vary in size and mix descents, a line
     search reads only a prefix of the steps it asked for, and a stencil asked
-    ahead is read an iteration later or not at all. A round with
-    one ask passes that descent's own array, so cost must not write to it."""
+    ahead is read an iteration later or not at all."""
     pending = iter(descents)
     traces: dict[int, OptimizationTrace] = {}
     flight: dict[int, tuple] = {}  # index -> (its descent, the points it asks for)
@@ -288,10 +287,7 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
         if not flight:
             return [traces[i] for i in range(limit)]
         asked = list(flight.items())
-        if len(asked) == 1:
-            rows = asked[0][1][1]
-        else:
-            rows = np.concatenate([points for _, (_, points) in asked])
+        rows = np.concatenate([points for _, (_, points) in asked])
         values = np.asarray(cost(rows), dtype=float)
         if values.shape != (len(rows),):
             raise ValueError(f"cost returned shape {values.shape} for {len(rows)} points")

@@ -746,8 +746,9 @@ def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("vqe", "--fixture", "H2_075", "--init", "random-1", "--seed", "-1"),
     ("vqe", "--fixture", "H2_075", "--strategy", "fit", "--init", "top-1", "--seed", "-3"),
+    ("vqe", "--fixture", "H2_075", "--init", "top-1", "--seed", "-4"),
     ("problem", "gen", "maxcut", "--nodes", "3", "--seed", "-2"),
-], ids=["vqe-random", "vqe-fit", "maxcut"])
+], ids=["vqe-random", "vqe-fit", "vqe-shift", "maxcut"])
 def test_negative_seeds_are_rejected_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "o1"
     assert run_cli(*argv, "--out", str(out)) == 1

@@ -64,6 +64,13 @@ def test_sidecars_and_directories_are_made_only_by_write_output():
                        "mkdir": {"manifest.write_output"}}
 
 
+def test_only_dqes_mub_builds_the_dense_mub_set():
+    # sweeps and VQE starts read signs and columns from the class generators
+    callers = {f"{path.stem}.{owner}" for path in MODULES
+               for owner, name in calls_by_function(path) if name == "build_full_mub_set"}
+    assert callers == {"cli.cmd_mub"}
+
+
 def test_the_guard_sees_calls_in_nested_functions(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("def outer():\n    def inner():\n        out.parent.mkdir()\n"

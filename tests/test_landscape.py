@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_path import expectation_exact, shift_mub_set
 
+from dqes import cli
 from dqes.ansatz import AnsatzSpec
 from dqes.landscape import (
     BasisStats,
@@ -27,6 +28,7 @@ from dqes.landscape import (
 from dqes.manifest import file_sha256
 from dqes.mub import (MubSet, PartialMubSpec, _class_signs, build_full_mub_set,
                       realize_partial_state)
+from dqes.optimize import OptimizerConfig
 from dqes.paulis import Observable, PauliString, observable_hash
 from dqes.problems import (
     ISING_STRONG_ZZ,
@@ -38,6 +40,7 @@ from dqes.problems import (
     transverse_field_ising,
 )
 from dqes.svg import scatter_svg
+from dqes.vqe import ParameterFitInit, ShiftedMubInit, run_vqe
 
 H2_DIAGONAL = [-1.06658017, -1.82172107, -0.26673071, -1.06658017]
 
@@ -242,17 +245,25 @@ def test_class_signs_put_each_pauli_on_the_one_basis_of_its_class():
             assert np.array_equal(blocks[c, basis[c]], signs[c])
 
 
-def test_sweeps_build_no_dense_mub_set(monkeypatch):
+def test_sweeps_build_no_dense_mub_set(monkeypatch, tmp_path):
+    # nor do the VQE starts, in the library or through dqes vqe
     def refuse(k):
-        raise AssertionError(f"a sweep built the dense K = {k} set")
+        raise AssertionError(f"a run built the dense K = {k} set")
 
     monkeypatch.setattr("dqes.mub.build_full_mub_set", refuse)
+    monkeypatch.setattr("dqes.cli.build_full_mub_set", refuse)
     _class_signs.cache_clear()
     obs = transverse_field_ising(3, 0.7, 0.3)
     assert len(run_partial_dqes(obs, 2).energies) == 3 * 5 * 4
     assert len(run_full_dqes(obs).energies) == 9 * 8
     spec = PartialMubSpec(n=3, subset=(1, 3), basis_index=2, state_index=1)
     assert np.isfinite(score_spec(obs, spec))
+    assert realize_partial_state(spec).n == 3
+    config = OptimizerConfig(max_evals=20)
+    for init in (ShiftedMubInit(spec=spec), ParameterFitInit(spec=spec)):
+        assert np.isfinite(run_vqe(obs, AnsatzSpec(n=3), init, config).final_energy)
+    assert cli.main(["vqe", "--fixture", "H2_075", "--init", "top-3", "--strategy", "fit",
+                     "--max-evals", "20", "--out", str(tmp_path / "v")]) == 0
 
 
 @st.composite

@@ -30,6 +30,11 @@ def mub_state(mubs: MubSet, basis: int, state: int) -> StateVector:
     return StateVector(mubs.n, mubs.bases[basis][:, state])
 
 
+def bits(array: np.ndarray) -> np.ndarray:
+    """The int64 view of a float64 or complex128 array, so signed zeros count."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
 def test_single_qubit_bases_are_the_pauli_eigenbases():
     mubs = build_full_mub_set(1)
     assert mubs.n_bases == 3
@@ -110,8 +115,7 @@ def test_stabilizer_classes_partition_the_pauli_group():
     assert [p.letters for p in classes[1]] == ["IX", "XI", "XX"]
 
 
-def test_build_is_cached_and_bounded():
-    assert build_full_mub_set(2) is build_full_mub_set(2)
+def test_build_is_bounded():
     with pytest.raises(ValueError, match="limited to n <= 3"):
         build_full_mub_set(4)
 
@@ -220,20 +224,24 @@ def test_full_subset_realization_matches_the_mub_state():
             assert states_equal(realize_partial_state(spec), mub_state(mubs, b, s))
 
 
+def embedded(column: np.ndarray, n: int, subset: tuple[int, ...]) -> np.ndarray:
+    """column on the qubits of subset, |0> elsewhere: amplitude m goes to the index
+    whose subset bits spell m, placed here one bit at a time."""
+    k = len(subset)
+    amps = np.zeros(2**n, dtype=complex)
+    for m in range(2**k):
+        amps[sum(((m >> (k - 1 - p)) & 1) << (n - q) for p, q in enumerate(subset))] = column[m]
+    return amps
+
+
 def test_realization_places_each_amplitude_on_its_subset_bits():
-    # amplitude m of the K-qubit state goes to the index whose subset bits spell m,
-    # placed here one bit at a time
     for n, k in [(1, 1), (3, 2), (5, 3)]:
         for subset in itertools.combinations(range(1, n + 1), k):
             for b, basis in enumerate(build_full_mub_set(k).bases):
                 for s in range(2**k):
-                    expected = np.zeros(2**n, dtype=complex)
-                    for m in range(2**k):
-                        index = sum(((m >> (k - 1 - p)) & 1) << (n - q)
-                                    for p, q in enumerate(subset))
-                        expected[index] = basis[m, s]
                     spec = PartialMubSpec(n=n, subset=subset, basis_index=b, state_index=s)
-                    assert np.array_equal(realize_partial_state(spec).amps, expected)
+                    assert np.array_equal(bits(realize_partial_state(spec).amps),
+                                          bits(embedded(basis[:, s], n, subset)))
 
 
 def test_encode_mub_set_round_trips_amplitudes():
@@ -312,15 +320,10 @@ LARGER_FIELD_GENERATORS = {4: (0b0001, 0b0011, 0b0110, 0b1101), 5: (1, 2, 5, 11,
 def larger_fields(monkeypatch):
     for k, rows in LARGER_FIELD_GENERATORS.items():
         monkeypatch.setitem(mub._FIELD_GENERATORS, k, rows)
+    monkeypatch.setattr(mub, "MAX_MUB_QUBITS", max(LARGER_FIELD_GENERATORS))
     yield
-    # a cached K = 4 set would outlive the patch
-    build_full_mub_set.cache_clear()
+    # cached K = 4 signs would outlive the patch
     _class_signs.cache_clear()
-
-
-def bits(array: np.ndarray) -> np.ndarray:
-    """The int64 view of a float64 or complex128 array, so signed zeros count."""
-    return np.ascontiguousarray(array).view(np.int64)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -334,3 +337,14 @@ def test_closed_form_columns_and_signs_equal_the_projection_bit_for_bit(k, large
     oracle_basis, oracle_signs = projected_class_signs(oracle)
     assert np.array_equal(basis, oracle_basis)
     assert np.array_equal(bits(signs), bits(oracle_signs))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_realization_equals_the_embedded_column_on_larger_fields(k, larger_fields):
+    # every fifth state of each basis: a state takes milliseconds at K = 5
+    n, subset = k + 2, tuple(range(2, k + 2))
+    for b, basis in enumerate(build_full_mub_set(k).bases):
+        for s in range(0, 2**k, 5):
+            spec = PartialMubSpec(n=n, subset=subset, basis_index=b, state_index=s)
+            assert np.array_equal(bits(realize_partial_state(spec).amps),
+                                  bits(embedded(basis[:, s], n, subset)))
