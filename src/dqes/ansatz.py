@@ -69,8 +69,18 @@ def compile_ansatz(spec: AnsatzSpec):
     the circuit raises ValueError otherwise; amps is one 2^n array. Every row
     equals the gate-by-gate reference bit for bit: gathers only move
     amplitudes, the B * P rotation matrices hold the values of the
-    reference's Ry and Rz matrices, and each rotation is the product the
-    reference forms for one gate, stacked over the rows.
+    reference's Ry and Rz matrices, and each rotation gives the bits of the
+    product the reference forms for one gate, stacked over the rows.
+
+    An Ry matrix is real, so from n = 3 on its stack multiplies the (re, im)
+    float view of the operand: one real matmul in place of a complex one, at
+    half the flops. The complex product of a real matrix forms the same
+    products and sums for each part, plus products with the matrix's zero
+    imaginary parts, which leave a nonzero sum as it is;
+    test_real_ry_matmul_equals_the_complex_product holds numpy and BLAS to
+    giving the same bits, signed zeros included. Rz, whose matrix is complex,
+    keeps the complex product, and so does Ry at n = 1 and 2, where the two
+    products differ: at n = 1 in value, at n = 2 in the sign of a zero.
 
     Each rotation's product is left in its qubit's _layout order. One gather
     per rotation, built here, takes the last product to the next operand: it
@@ -95,6 +105,11 @@ def compile_ansatz(spec: AnsatzSpec):
         if layer < layers:
             source = source[chain]
     restore = None if np.array_equal(source, identity) else source
+    # Ry stays complex where the real view would move bits: at n = 1 the (2, 1)
+    # operand takes numpy's matrix-vector route, whose sums differ from the view's
+    # (2, 2) product, and at n = 2 the complex 2x2 product can give -0 for an
+    # amplitude that the view gives as +0 (OpenBLAS's SkylakeX kernel does so)
+    ry_dtype = float if n > 2 else complex
 
     def circuit(thetas, amps: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -104,23 +119,29 @@ def compile_ansatz(spec: AnsatzSpec):
         if not np.isfinite(thetas).all():
             raise ValueError("parameters must be finite")
         # matrices[k] is the (B, 2, 2) stack of parameter k's rotations
-        matrices = np.zeros((spec.parameter_count, len(thetas), 2, 2), dtype=complex)
-        for offset, axis in enumerate(spec.rotation_axes):
-            block, angles = matrices[offset::axes], thetas.T[offset::axes]
-            if axis == "Y":
-                c, s = np.cos(angles / 2), np.sin(angles / 2)
-                block[..., 0, 0] = block[..., 1, 1] = c
-                block[..., 0, 1] = -s
-                block[..., 1, 0] = s
-            else:
-                block[..., 0, 0] = np.exp(-1j * angles / 2)
-                block[..., 1, 1] = np.exp(1j * angles / 2)
-        # one input row; the first rotation broadcasts it against the B matrices
-        flat = np.ascontiguousarray(amps)[None]
+        angles = thetas.T
+        ry = np.zeros((len(angles) // axes, len(thetas), 2, 2), dtype=ry_dtype)
+        c, s = np.cos(angles[::axes] / 2), np.sin(angles[::axes] / 2)
+        ry[..., 0, 0] = ry[..., 1, 1] = c
+        ry[..., 0, 1] = -s
+        ry[..., 1, 0] = s
+        matrices = ry
+        if axes == 2:
+            rz = np.zeros(ry.shape, dtype=complex)
+            rz[..., 0, 0] = np.exp(-1j * angles[1::2] / 2)
+            rz[..., 1, 1] = np.exp(1j * angles[1::2] / 2)
+            matrices = [matrix for pair in zip(ry, rz) for matrix in pair]
+        # one input row; the first rotation broadcasts it against the B matrices.
+        # It must be complex and contiguous, or a float view would pair the wrong floats.
+        flat = np.ascontiguousarray(amps, dtype=complex)[None]
         for matrix, gather in zip(matrices, gathers):
             if gather is not None:
                 flat = flat.take(gather, axis=1)
-            flat = np.matmul(matrix, flat.reshape(len(flat), 2, -1)).reshape(len(matrix), -1)
+            if matrix.dtype == complex:
+                flat = np.matmul(matrix, flat.reshape(len(flat), 2, -1)).reshape(len(matrix), -1)
+            else:  # a real matrix acts on the (re, im) float view: one real matmul
+                operand = flat.view(float).reshape(len(flat), 2, -1)
+                flat = np.matmul(matrix, operand).reshape(len(matrix), -1).view(complex)
         return flat if restore is None else flat.take(restore, axis=1)
 
     return circuit

@@ -2,11 +2,18 @@
 of rows, against the gate-by-gate and term-by-term reference paths, the dense
 observable matrix against the Kronecker oracle, and the observable file round trip."""
 
+import ctypes
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from dense_oracle import kron_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_path import apply_gate, build_ansatz, pauli_apply
+from test_cli import child_env
 
 from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.paulis import (Observable, compile_observable, decode_observable, encode_observable,
@@ -141,15 +148,36 @@ def test_stacked_energies_equal_the_term_sums(obs, count, seed):
 def test_large_stacked_circuit_rows_equal_the_gate_sequence():
     rng = np.random.default_rng(10)
     for n in (10, 12):
-        spec = AnsatzSpec(n=n, layers=2, rotation_axes=("Y", "Z"))
+        # Y alone runs one real-view product after another; YZ alternates them
+        # with complex ones
+        for axes in (("Y",), ("Y", "Z")):
+            spec = AnsatzSpec(n=n, layers=2, rotation_axes=axes)
+            circuit = compile_ansatz(spec)
+            state = random_state(n, seed=n)
+            for count in (1, 24):
+                thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (count, spec.parameter_count))
+                rows = circuit(thetas, state.amps)
+                assert rows.shape == (count, state.dim)
+                for theta, row in zip(thetas, rows):
+                    expected = reference_prepare(spec, theta, state)
+                    assert np.array_equal(row, expected), (n, axes, count)
+
+
+def test_circuit_rows_do_not_depend_on_the_input_form():
+    # the circuit takes a float view of its input; a float64 or strided input
+    # viewed as it stands would pair the wrong floats as (re, im)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 6):
+        spec = AnsatzSpec(n=n, layers=2)
         circuit = compile_ansatz(spec)
-        state = random_state(n, seed=n)
-        for count in (1, 24):
-            thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (count, spec.parameter_count))
-            rows = circuit(thetas, state.amps)
-            assert rows.shape == (count, state.dim)
-            for theta, row in zip(thetas, rows):
-                assert np.array_equal(row, reference_prepare(spec, theta, state)), (n, count)
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (5, spec.parameter_count))
+        state = random_state(n, seed=n).amps
+        real = rng.standard_normal(2**n)
+        strided = np.column_stack([state, state])[:, 0]
+        assert not strided.flags.c_contiguous
+        for amps in (real, strided):
+            expected = circuit(thetas, np.ascontiguousarray(amps, dtype=complex))
+            assert circuit(thetas, amps).tobytes() == expected.tobytes(), (n, amps.dtype)
 
 
 def test_large_stacked_energies_equal_the_term_sums():
@@ -181,6 +209,74 @@ def test_vecdot_sums_complex_rows_as_vdot_does():
             a, b = rng.standard_normal((2, count, dim)) + 1j * rng.standard_normal((2, count, dim))
             expected = [np.vdot(x, y) for x, y in zip(a, b)]
             assert np.array_equal(np.vecdot(a, b), expected), (dim, count)
+
+
+def test_real_ry_matmul_equals_the_complex_product():
+    # compile_ansatz relies on this from n = 3 on: a real Ry stack times the
+    # (re, im) float view of a complex operand gives the complex product's
+    # bytes, signed zeros included (at n = 2 a zero's sign moves, so the
+    # circuit keeps the complex product there); a numpy or BLAS upgrade that
+    # breaks it fails here rather than as a bare hash mismatch in the pins
+    rng = np.random.default_rng(2026)
+    for n in range(3, 13):
+        width = 2 ** (n - 1)
+        for count in range(1, 34):
+            # zero angles, as a stencil's untouched parameters have, put -0 in the matrix
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, count) * (rng.random(count) < 0.7)
+            c, s = np.cos(angles / 2), np.sin(angles / 2)
+            real = np.empty((count, 2, 2))
+            real[:, 0, 0] = real[:, 1, 1] = c
+            real[:, 0, 1], real[:, 1, 0] = -s, s
+            # one row broadcast against the stack, as the first rotation has it, and count rows
+            for rows in (1, count):
+                # exact zeros of either sign, as MUB states and |0> on the other qubits have
+                shape = (rows, 2, 2 * width)
+                parts = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+                parts *= rng.choice([-1.0, 1.0], shape)
+                expected = np.matmul(real.astype(complex), parts.view(complex))
+                got = np.matmul(real, parts).view(complex)
+                assert got.tobytes() == expected.tobytes(), (n, count, rows)
+
+
+def openblas_core() -> str:
+    """Name of the kernel OpenBLAS chose in this process, or '' where it cannot be read."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ""
+    libraries = {line.split(maxsplit=5)[-1] for line in maps.splitlines()
+                 if "openblas" in line.lower()}
+    names = ("openblas_get_corename", "openblas_get_corename64_",
+             "scipy_openblas_get_corename64_", "scipy_openblas_get_corename")
+    for library in sorted(libraries):
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for name in names:
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return ""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_real_ry_matmul_equals_the_complex_product_under_other_kernels(core):
+    # OpenBLAS picks its kernel from the CPU; these are the kernels AVX2 and
+    # AVX CPUs get, so the canary speaks for them from a CPU with AVX-512 too
+    if "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks nothing")
+    script = ("import test_kernel_properties as t; print(t.openblas_core(), flush=True); "
+              "t.test_real_ry_matmul_equals_the_complex_product()")
+    done = subprocess.run([sys.executable, "-c", script], cwd=Path(__file__).parent,
+                          env=child_env(OPENBLAS_CORETYPE=core),
+                          capture_output=True, text=True, timeout=300)
+    loaded = done.stdout.partition("\n")[0]
+    if loaded.lower() != core.lower():
+        pytest.skip(f"a child Python did not run OpenBLAS's {core} kernel "
+                    f"(it reported {loaded!r}, exit code {done.returncode})")
+    assert done.returncode == 0, done.stderr
 
 
 @settings(max_examples=30, deadline=None)
