@@ -5,9 +5,11 @@ problem inputs.
 
 Data outputs (CSV, JSON, SVG) are deterministic for a fixed seed; every
 output file gets a <file>.manifest.json sidecar carrying argv, seeds, input
-hashes, the output hash, and a timestamp. Each command computes all of its
-outputs before it writes the first one, so a failed computation writes no
-file, and then writes each file and its sidecar through manifest.write_output.
+hashes, the output hash, and a timestamp. Each command refuses an output
+path no write could create (a directory, or a path under a file) before any
+work, and computes all of its outputs before it writes the first one, so a
+bad path or a failed computation writes no file; it then writes each file
+and its sidecar through manifest.write_output.
 DQES_OUTPUT_DIR sets the directory used when --out is omitted.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
@@ -54,6 +56,24 @@ def _resolve_observable(args) -> tuple[Observable, str, dict]:
     return obs, name, {str(args.observable): file_sha256(args.observable)}
 
 
+def _reject_bad_outputs(args, outputs) -> None:
+    """Refuse an output (flag, path) that no write can create, as it or its
+    sidecar is a directory or the nearest existing parent is not one, and an
+    output that is the --observable file or whose sidecar is."""
+    source = Path(args.observable).resolve() if getattr(args, "observable", None) else None
+    for flag, path in outputs:
+        if path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory; give a file path")
+        if sidecar_path(path).is_dir():
+            raise ValueError(f"{flag} {path}: its sidecar {sidecar_path(path)} is a directory")
+        parent = next(p for p in path.parents if p.exists())
+        if not parent.is_dir():
+            raise ValueError(f"{flag} {path}: {parent} is not a directory")
+        if source in (path.resolve(), sidecar_path(path.resolve())):
+            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
+                             f"{args.observable}; give {flag} a different path")
+
+
 # --- mub ---------------------------------------------------------------------
 
 
@@ -67,9 +87,9 @@ def cmd_mub(args) -> int:
         print(f"{'PASS' if cert.passed else 'FAIL'} (tol {cert.tolerance:g})")
         return 0 if cert.passed else 1
     # export
-    out = write_output(_out_path(args, f"mub{args.n}.json"),
-                       encode_mub_set(build_full_mub_set(args.n)),
-                       _fields(args, {}, {}))
+    out = _out_path(args, f"mub{args.n}.json")
+    _reject_bad_outputs(args, [("--out", out)])
+    write_output(out, encode_mub_set(build_full_mub_set(args.n)), _fields(args, {}, {}))
     print(f"wrote {out}")
     return 0
 
@@ -84,15 +104,6 @@ def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> Land
     return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
 
 
-def _reject_input_overwrites(args, outputs) -> None:
-    """Refuse an output (flag, path) that is the --observable file or whose sidecar is."""
-    source = Path(args.observable).resolve() if args.observable else None
-    for flag, path in outputs:
-        if source in (path.resolve(), sidecar_path(path.resolve())):
-            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
-                             f"{args.observable}; give {flag} a different path")
-
-
 def _reject_clashes(args, out: Path) -> None:
     # the input, the CSV, the SVG and each output's sidecar must all be different files
     plot = Path(args.plot) if args.plot else None
@@ -100,7 +111,7 @@ def _reject_clashes(args, out: Path) -> None:
                  or out.resolve() == sidecar_path(plot.resolve())):
         raise ValueError(f"--plot {plot} and --out {out} would overwrite each other "
                          f"or each other's sidecar; give --plot a different path")
-    _reject_input_overwrites(args, [("--out", out)] + ([("--plot", plot)] if plot else []))
+    _reject_bad_outputs(args, [("--out", out)] + ([("--plot", plot)] if plot else []))
 
 
 def cmd_landscape(args) -> int:
@@ -255,7 +266,7 @@ def cmd_vqe(args) -> int:
         raise ValueError(f"duplicate start label {', '.join(repeated)} in --init {args.init!r}")
     out_dir = _out_path(args, "vqe")
     file_names = [*(f for label in labels for f in _run_file_names(label, obs.n)), "summary.json"]
-    _reject_input_overwrites(args, [("--out", out_dir / f) for f in file_names])
+    _reject_bad_outputs(args, [("--out", out_dir / f) for f in file_names])
     exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
     results = [run_vqe(obs, spec, init, config) for init in inits]
     outputs, runs_doc = {}, []
@@ -309,13 +320,15 @@ def cmd_problem(args) -> int:
     if args.kind == "maxcut":
         problems.check_maxcut_nodes(args.nodes)
         graph = problems.random_graph(args.nodes, args.edge_prob, args.seed)
-        texts = {".graph.txt": problems.encode_graph(graph),
-                 ".json": encode_observable(problems.maxcut_hamiltonian(graph))}
         prefix = _out_path(args, f"maxcut{args.nodes}")
-        paths = [write_output(f"{prefix}{suffix}", text, fields) for suffix, text in texts.items()]
+        texts = {Path(f"{prefix}.graph.txt"): problems.encode_graph(graph),
+                 Path(f"{prefix}.json"): encode_observable(problems.maxcut_hamiltonian(graph))}
+        _reject_bad_outputs(args, [("--out", path) for path in texts])
+        for path, text in texts.items():
+            write_output(path, text, fields)
         print(f"graph: {graph.node_count} nodes, {len(graph.edges)} edges "
               f"(seed {args.seed}, edge prob {args.edge_prob})")
-        for path in paths:
+        for path in texts:
             print(f"wrote {path}")
         return 0
     if args.kind == "ising":
@@ -324,6 +337,7 @@ def cmd_problem(args) -> int:
     else:  # fixture
         obs = problems.fixture(args.name)
         out = _out_path(args, f"{args.name}.json")
+    _reject_bad_outputs(args, [("--out", out)])
     write_output(out, encode_observable(obs), fields)
     print(f"observable: n={obs.n}, {len(obs.terms)} terms")
     print(f"wrote {out}")

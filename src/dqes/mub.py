@@ -13,7 +13,9 @@ _FIELD_GENERATORS, fixes the partition, and that table alone decides which n
 have a full set. Basis 0 is therefore the computational basis and basis 1 the
 transversal-Hadamard basis. Each class is sorted by letter string, and
 classes 2 and up are ordered by their lexicographically smallest member
-(I < X < Y < Z, plain string order).
+(I < X < Y < Z, plain string order). Both sorts use an integer key whose
+order is that letter-string order: one base-4 digit per qubit, qubit 1
+leading, with I, X, Y, Z = 0, 1, 2, 3.
 
 State order inside a basis: the class generators are its greedy
 lexicographically-first independent subset, reversed so the lex-largest
@@ -33,7 +35,6 @@ from functools import cache
 
 import numpy as np
 
-from .paulis import PauliString
 from .states import MAX_QUBITS, StateVector
 
 # Row masks of one symmetric GF(2) matrix C per K, row r on bit K - 1 - r like
@@ -123,6 +124,14 @@ class PartialMubSpec:
 # --- Pauli-class partition ---------------------------------------------------
 
 
+def _letter_key(mask_pair: tuple[int, int]) -> int:
+    """A Pauli's rank in letter-string order: digit 2z + (x ^ z) per qubit in
+    base 4, qubit 1 leading. The binary digits of a mask read in base 4 put
+    bit k on digit k."""
+    x, z = mask_pair
+    return 2 * int(f"{z:b}", 4) + int(f"{x ^ z:b}", 4)
+
+
 def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Partition the non-identity Paulis into 2^n + 1 commuting classes.
 
@@ -133,9 +142,6 @@ def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     rows = _FIELD_GENERATORS[n]
     xs = range(1, 2**n)
 
-    def letters(mask_pair):
-        return PauliString.from_masks(n, *mask_pair).letters
-
     def times_c(v):
         return sum(((row & v).bit_count() & 1) << (n - 1 - r) for r, row in enumerate(rows))
 
@@ -143,10 +149,10 @@ def _partition_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     images = list(xs)
     for _ in range(2**n - 1):
         images = [times_c(z) for z in images]
-        field.append(tuple(sorted(zip(xs, images), key=letters)))
-    z_class = tuple(sorted(((0, z) for z in xs), key=letters))
-    x_class = tuple(sorted(((x, 0) for x in xs), key=letters))
-    return [z_class, x_class] + sorted(field, key=lambda cls: letters(cls[0]))
+        field.append(tuple(sorted(zip(xs, images), key=_letter_key)))
+    z_class = tuple(sorted(((0, z) for z in xs), key=_letter_key))
+    x_class = tuple(sorted(((x, 0) for x in xs), key=_letter_key))
+    return [z_class, x_class] + sorted(field, key=lambda cls: _letter_key(cls[0]))
 
 
 def _class_generators(cls, n: int) -> list[tuple[int, int]]:

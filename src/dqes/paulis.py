@@ -52,15 +52,6 @@ class PauliString:
     def n(self) -> int:
         return len(self.letters)
 
-    @staticmethod
-    def from_masks(n: int, x_mask: int, z_mask: int) -> "PauliString":
-        out = []
-        for k in range(n):
-            bit = 1 << (n - 1 - k)
-            xa, za = bool(x_mask & bit), bool(z_mask & bit)
-            out.append("Y" if xa and za else "X" if xa else "Z" if za else "I")
-        return PauliString("".join(out))
-
 
 def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
     """(src, phase) with (P psi)[b] = phase[b] * psi[src[b]] for the Pauli P with

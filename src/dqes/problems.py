@@ -14,7 +14,6 @@ import numpy as np
 
 from .mub import MAX_SWEEP_QUBITS
 from .paulis import Observable, _pauli_action, observable_matrix
-from .states import StateVector, basis_state
 
 # Two-qubit tapered molecular Hamiltonians at fixed geometry, coefficients in
 # Hartree. Keys are <molecule>_<separation in hundredths of an Angstrom>.
@@ -157,16 +156,9 @@ MAX_EXACT_QUBITS = 10
 
 @dataclass(frozen=True)
 class ExactSpectrumResult:
-    """Dense diagonalization output: ascending eigenvalues plus the ground pair."""
+    """Dense diagonalization output: the lowest eigenvalue."""
 
-    eigenvalues: np.ndarray
     ground_energy: float
-    ground_state: StateVector
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float).copy()
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
 
 
 # np.linalg.eigh (LAPACK zheevd) rescales a matrix whose largest entry lies
@@ -176,12 +168,12 @@ _EIGH_UNSCALED_MIN = 2.0**-485
 
 
 def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
-    """Full spectrum via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS).
+    """Ground energy via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS).
 
     An observable with no X or Y letter is diagonal. Unless eigh would rescale
-    it, its spectrum is read off the diagonal with no matrix built: eigh
-    returns exactly the stable-sorted diagonal, and the unit vector at the
-    first minimum as the ground state.
+    it, its ground energy is the diagonal's minimum, read with no matrix built:
+    eigh returns the sorted diagonal, which holds no -0.0 (a sum that starts
+    at +0.0 never reaches -0.0), so the two agree bit for bit.
     """
     if obs.n > MAX_EXACT_QUBITS:
         raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
@@ -189,12 +181,7 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
         diagonal = _diagonal(obs)
         largest = float(np.abs(diagonal).max())
         if largest == 0.0 or largest >= _EIGH_UNSCALED_MIN:
-            order = np.argsort(diagonal, kind="stable")
-            return ExactSpectrumResult(
-                eigenvalues=diagonal[order],
-                ground_energy=float(diagonal[order[0]]),
-                ground_state=basis_state(obs.n, int(order[0])),
-            )
+            return ExactSpectrumResult(ground_energy=float(diagonal.min()))
     matrix = observable_matrix(obs)
     eigenvalues, vectors = np.linalg.eigh(matrix)
     ground = vectors[:, 0]
@@ -202,11 +189,7 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     residual = float(np.linalg.norm(matrix @ ground - eigenvalues[0] * ground))
     if residual > bound:
         raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds {bound:.3g}")
-    return ExactSpectrumResult(
-        eigenvalues=eigenvalues,
-        ground_energy=float(eigenvalues[0]),
-        ground_state=StateVector(obs.n, ground / np.linalg.norm(ground)),
-    )
+    return ExactSpectrumResult(ground_energy=float(eigenvalues[0]))
 
 
 def _diagonal(obs: Observable) -> np.ndarray:

@@ -38,10 +38,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
 
 def _check_qubit_count(n: int) -> None:
     """Raise ValueError unless n qubits fit a state vector; called before any allocation."""

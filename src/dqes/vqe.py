@@ -62,7 +62,6 @@ class FitResult:
 
     reachable: bool
     params: tuple[float, ...]
-    fidelity: float
     starts_used: int
 
 
@@ -140,7 +139,7 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, seed: int = 0
     loop's result.
 
     Reachable iff the best fidelity is at least 1 - 1e-9; the verdict carries
-    the best parameters and fidelity found either way.
+    the best parameters found either way.
     """
     if target.n != spec.n:
         raise ValueError(f"target has {target.n} qubits but ansatz is on {spec.n}")
@@ -155,7 +154,7 @@ def fit_parameters_to_state(spec: AnsatzSpec, target: StateVector, seed: int = 0
     traces = lockstep(infidelity, descents, done=_FIT_DONE)
     best = min(traces, key=lambda trace: trace.final_energy)
     return FitResult(reachable=best.final_energy <= _REACHABLE_INFIDELITY, params=best.best_params,
-                     fidelity=min(1.0, 1.0 - best.final_energy), starts_used=len(traces))
+                     starts_used=len(traces))
 
 
 def _resolve_init(init: InitStrategy, obs: Observable, spec: AnsatzSpec):

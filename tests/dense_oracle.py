@@ -1,6 +1,7 @@
 """The tests' dense oracles: Pauli-sum observables as matrices, the MUB
-columns and class signs by projection, the letter rules for Pauli strings,
-and the brute-force Max-Cut that the Max-Cut observable is checked against.
+columns and class signs by projection, the MUB class partition sorted by
+letter string, the letter rules for Pauli strings, and the brute-force
+Max-Cut that the Max-Cut observable is checked against.
 
 Each term's matrix is a Kronecker product of 2 x 2 letter matrices, leftmost
 letter on qubit 1. It reads only the letters, not the symplectic masks that
@@ -11,10 +12,13 @@ dqes.mub builds each basis and each class sign in closed form from its
 class's generators. Here a basis is the stabilizer projection of
 computational seeds, in floating point, and a sign is a Pauli's expectation on
 those columns: the construction the closed form replaced, kept as its oracle.
+dqes.mub sorts the Pauli classes by an integer key; here they are sorted by
+the letter strings themselves.
 """
 
 import numpy as np
 
+from dqes import mub
 from dqes.mub import MubSet, _class_generators, _partition_classes
 from dqes.paulis import Observable, PauliString, _pauli_action
 
@@ -36,6 +40,39 @@ def kron_matrix(obs) -> np.ndarray:
             m = np.kron(m, LETTER_MATRICES[c])
         out += coeff * m
     return out
+
+
+def from_masks(n: int, x_mask: int, z_mask: int) -> PauliString:
+    """The n-letter Pauli string with these symplectic masks, qubit 1 on bit n - 1."""
+    out = []
+    for k in range(n):
+        bit = 1 << (n - 1 - k)
+        xa, za = bool(x_mask & bit), bool(z_mask & bit)
+        out.append("Y" if xa and za else "X" if xa else "Z" if za else "I")
+    return PauliString("".join(out))
+
+
+def letter_sorted_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """dqes.mub._partition_classes(n) with every sort keyed on the letter string:
+    pure Z, pure X, then {(x, C^i x)} ordered by their smallest member, C read
+    from mub._FIELD_GENERATORS[n]."""
+    rows = mub._FIELD_GENERATORS[n]
+    xs = range(1, 2**n)
+
+    def letters(mask_pair):
+        return from_masks(n, *mask_pair).letters
+
+    def times_c(v):
+        return sum(((row & v).bit_count() & 1) << (n - 1 - r) for r, row in enumerate(rows))
+
+    field = []
+    images = list(xs)
+    for _ in range(2**n - 1):
+        images = [times_c(z) for z in images]
+        field.append(tuple(sorted(zip(xs, images), key=letters)))
+    z_class = tuple(sorted(((0, z) for z in xs), key=letters))
+    x_class = tuple(sorted(((x, 0) for x in xs), key=letters))
+    return [z_class, x_class] + sorted(field, key=lambda cls: letters(cls[0]))
 
 
 def joint_eigenbasis(gens: list[tuple[int, int]], n: int) -> np.ndarray:
@@ -81,7 +118,7 @@ def projected_class_signs(mubs: MubSet) -> tuple[np.ndarray, np.ndarray]:
     signs = np.zeros((4**k, 2**k))
     for b, (cls, states) in enumerate(zip(_partition_classes(k), mubs.bases)):
         for x, z in cls:
-            matrix = kron_matrix(Observable(k, ((1.0, PauliString.from_masks(k, x, z)),)))
+            matrix = kron_matrix(Observable(k, ((1.0, from_masks(k, x, z)),)))
             values = np.einsum("ir,ij,jr->r", states.conj(), matrix, states)
             sign = np.where(values.real < 0, -1.0, 1.0)
             assert np.max(np.abs(values - sign)) < 1e-9

@@ -151,7 +151,7 @@ def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
     """P|psi> without building the 2^n x 2^n matrix."""
     if pauli.n != state.n:
         raise ValueError(f"Pauli string has {pauli.n} letters but state has {state.n} qubits")
-    src, phase = _pauli_action(state.dim, pauli.x_mask, pauli.z_mask)
+    src, phase = _pauli_action(state.amps.size, pauli.x_mask, pauli.z_mask)
     return StateVector(state.n, phase * state.amps[src])
 
 

@@ -371,6 +371,60 @@ def test_vqe_outputs_must_not_overwrite_the_observable(tmp_path, capsys, monkeyp
         source.unlink()
 
 
+def test_landscape_refuses_a_directory_output_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the CSV would otherwise be written before the SVG's write failed on the directory
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_full_dqes", no_sweep)
+    d, sidecar, plain = tmp_path / "d", tmp_path / "p.svg.manifest.json", tmp_path / "f"
+    d.mkdir()
+    sidecar.mkdir()
+    plain.write_text("")
+    csv, svg = tmp_path / "x.csv", tmp_path / "p.svg"
+    for out, plot, flag, path, reason in (
+            (csv, d, "--plot", d, "is a directory"), (d, svg, "--out", d, "is a directory"),
+            (csv, svg, "--plot", svg, "is a directory"),
+            (csv, plain / "sub" / "p.svg", "--plot", plain / "sub" / "p.svg",
+             f"{plain} is not a directory")):
+        assert run_cli("landscape", "--fixture", "H2_075", "--full",
+                       "--out", str(out), "--plot", str(plot)) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {path}" in err and reason in err
+        assert sorted(tmp_path.iterdir()) == [d, plain, sidecar]
+        assert not list(d.iterdir()) and not list(sidecar.iterdir())
+
+
+def test_vqe_refuses_a_directory_output_before_the_first_run(tmp_path, capsys, monkeypatch):
+    # a summary.json directory would otherwise fail the last write, after the traces
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_vqe", no_run)
+    out = tmp_path / "v"
+    for name in ("summary.json", "trace_b0s1q1-2.csv.manifest.json"):
+        (out / name).mkdir(parents=True)
+        assert run_cli("vqe", "--fixture", "H2_075", "--init", "top-1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and f"{out / name} is a directory" in err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not list((out / name).iterdir())
+        (out / name).rmdir()
+
+
+def test_mub_export_and_problem_gen_refuse_a_directory_output(tmp_path, capsys):
+    # with the second file blocked, the first would otherwise be written before the error
+    for argv, blocked in ((["mub", "export", "1", "--out", "m.json"], "m.json.manifest.json"),
+                          (["problem", "gen", "maxcut", "--nodes", "4", "--seed", "1",
+                            "--out", "g"], "g.json"),
+                          (["problem", "gen", "fixture", "H2_075", "--out", "h.json"], "h.json")):
+        (tmp_path / blocked).mkdir()
+        assert run_cli(*argv[:-1], str(tmp_path / argv[-1])) == 1
+        assert f"--out {tmp_path / argv[-1]}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+        (tmp_path / blocked).rmdir()
+
+
 def test_vqe_checks_max_evals_against_the_parameters_before_any_work(tmp_path, capsys,
                                                                        monkeypatch):
     def no_work(*args, **kwargs):

@@ -21,6 +21,18 @@ def absolute_imports(path: Path) -> set[str]:
     return names
 
 
+def package_imports(path: Path) -> set[str]:
+    """The dqes modules a module imports from, relatively or by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dqes")):
+            module = (node.module or "").removeprefix("dqes").strip(".")
+            names.update([module.split(".")[0]] if module else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("dqes."))
+    return names
+
+
 def calls_by_function(path: Path) -> list[tuple[str | None, str]]:
     """(innermost enclosing function or None, called name) for each call in a module."""
     calls = []
@@ -52,6 +64,21 @@ def test_the_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("import os\nfrom scipy.linalg import eigh\nfrom . import paulis\n")
     assert absolute_imports(module) == {"os", "scipy"}
+
+
+def test_the_mub_partition_reads_no_pauli_letters():
+    # classes sort by an integer key on the GF(2) masks, not by PauliString letters
+    mub_module = next(path for path in MODULES if path.stem == "mub")
+    assert "paulis" not in package_imports(mub_module)
+    assert "states" in package_imports(mub_module)
+
+
+def test_the_guard_sees_every_form_of_package_import(tmp_path):
+    module = tmp_path / "probe.py"
+    for line in ("from .paulis import PauliString", "from . import paulis",
+                 "from dqes.paulis import PauliString", "import dqes.paulis"):
+        module.write_text(f"import numpy\n{line}\n")
+        assert package_imports(module) == {"paulis"}
 
 
 def test_sidecars_and_directories_are_made_only_by_write_output():
@@ -87,7 +114,9 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # the Pauli letter rules, now in tests/dense_oracle.py, and the one-state
 # wrappers prepare_state and expectation_exact, now in tests/reference_path.py,
 # and the stabilizer projection that built the MUB columns, now the
-# joint_eigenbasis oracle in tests/dense_oracle.py.
+# joint_eigenbasis oracle in tests/dense_oracle.py, and the Pauli string from
+# its masks, now from_masks there too, and the fields no command read: the
+# fit's fidelity and the exact spectrum's ground state.
 # A definition of any of these names under src/dqes brings a second path, or an
 # unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
@@ -96,7 +125,7 @@ REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectat
                   "final_state", "as_parameter_rows", "as_parameter_vector", "RunManifest",
                   "molecule_fixture", "cut_value", "max_cut_brute_force", "commutes_with",
                   "is_identity", "weight", "prepare_state", "expectation_exact",
-                  "_joint_eigenbasis"}
+                  "_joint_eigenbasis", "from_masks", "fidelity", "ground_state"}
 
 
 def defined_names(path: Path) -> set[str]:

@@ -120,7 +120,7 @@ def test_stacked_circuit_rows_equal_the_gate_sequence(case):
     spec, thetas, state = case
     circuit = compile_ansatz(spec)
     rows = circuit(thetas, state.amps)
-    assert rows.shape == (len(thetas), state.dim)
+    assert rows.shape == (len(thetas), state.amps.size)
     for theta, row in zip(thetas, rows):
         assert np.array_equal(row, reference_prepare(spec, theta, state))
     for row in circuit(np.zeros_like(thetas), state.amps):
@@ -157,7 +157,7 @@ def test_large_stacked_circuit_rows_equal_the_gate_sequence():
             for count in (1, 24):
                 thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (count, spec.parameter_count))
                 rows = circuit(thetas, state.amps)
-                assert rows.shape == (count, state.dim)
+                assert rows.shape == (count, state.amps.size)
                 for theta, row in zip(thetas, rows):
                     expected = reference_prepare(spec, theta, state)
                     assert np.array_equal(row, expected), (n, axes, count)

@@ -6,7 +6,8 @@ import json
 
 import numpy as np
 import pytest
-from dense_oracle import commutes, projected_class_signs, projected_mub_set
+from dense_oracle import (commutes, from_masks, letter_sorted_classes, projected_class_signs,
+                          projected_mub_set)
 from reference_path import inner_product, states_equal
 
 from dqes import mub
@@ -94,7 +95,7 @@ def test_first_amplitude_phase_convention():
 
 def class_letters(n: int) -> list[list[PauliString]]:
     """The Pauli classes of the field construction as strings, class by class."""
-    return [[PauliString.from_masks(n, x, z) for x, z in cls]
+    return [[from_masks(n, x, z) for x, z in cls]
             for cls in mub._partition_classes(n)]
 
 
@@ -324,6 +325,14 @@ def larger_fields(monkeypatch):
     yield
     # cached K = 4 signs would outlive the patch
     _class_signs.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_partition_equals_the_letter_sorted_oracle(k, monkeypatch):
+    # the integer sort key orders Paulis as their letter strings do
+    for size, rows in {**LARGER_FIELD_GENERATORS, 6: (1, 2, 5, 11, 22, 44)}.items():
+        monkeypatch.setitem(mub._FIELD_GENERATORS, size, rows)
+    assert mub._partition_classes(k) == letter_sorted_classes(k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

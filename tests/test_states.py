@@ -22,7 +22,7 @@ SDG = np.array([[1, 0], [0, -1j]])
 def test_zero_state_amplitudes():
     psi = zero_state(3)
     assert psi.n == 3
-    assert psi.dim == 8
+    assert psi.amps.shape == (8,)
     assert psi.amps[0] == 1.0
     assert np.all(psi.amps[1:] == 0.0)
 

@@ -94,15 +94,22 @@ def fit_with_starts(spec, target, starts, seed):
         return fit_parameters_to_state(spec, target, seed)
 
 
+def fit_fidelity(spec, fit, target) -> float:
+    """|<target|U(fit.params)|0...0>|^2 through the compiled circuit."""
+    row = compile_ansatz(spec)(np.array([fit.params]), zero_state(spec.n).amps)[0]
+    return abs(np.vdot(target.amps, row)) ** 2
+
+
 def test_fit_parameters_reach_a_real_target():
     spec = AnsatzSpec(n=2)
     target = realize_partial_state(full_spec(1, 2))
     fit = fit_with_starts(spec, target, 8, 1)
     assert fit.reachable
-    assert fit.fidelity > 1 - 1e-9
+    fidelity = fit_fidelity(spec, fit, target)
+    assert fidelity > 1 - 1e-9
     assert 1 <= fit.starts_used <= 8
     prepared = prepare_state(spec, np.array(fit.params), zero_state(2))
-    assert abs(abs(inner_product(prepared, target)) ** 2 - fit.fidelity) < 1e-12
+    assert abs(abs(inner_product(prepared, target)) ** 2 - fidelity) < 1e-12
 
 
 def test_fit_reports_unreachable_targets():
@@ -112,7 +119,7 @@ def test_fit_reports_unreachable_targets():
     target = StateVector(1, np.array([1.0, -1.0j]) / np.sqrt(2))
     fit = fit_with_starts(spec, target, 4, 0)
     assert not fit.reachable
-    assert abs(fit.fidelity - 0.5) < 1e-6
+    assert abs(fit_fidelity(spec, fit, target) - 0.5) < 1e-6
     assert fit.starts_used == 4
 
 
@@ -141,8 +148,7 @@ def sequential_fit(spec, target, starts, seed):
             best_params = trace.best_params
         if best_value <= 1e-14:
             break
-    return FitResult(reachable=best_value <= 1e-9, params=best_params,
-                     fidelity=min(1.0, 1.0 - best_value), starts_used=used)
+    return FitResult(reachable=best_value <= 1e-9, params=best_params, starts_used=used)
 
 
 @st.composite
