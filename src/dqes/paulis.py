@@ -122,32 +122,40 @@ class Observable:
 def compile_observable(obs: Observable):
     """Function rows -> <psi|H|psi> of each row of a (B, 2^n) amplitude stack.
 
-    The rows are not checked. Each term's (src, phase) is built once; a call
-    forms each term's phase * rows[:, src] once (a diagonal term moves nothing
-    and skips the gather) and adds coeff * <psi|P psi> to every row's total in
-    canonical order, as applying one Pauli at a time gives them (pauli_apply in
-    tests/reference_path.py). np.vecdot sums each row as np.vdot does, but only
-    over unit-stride rows: BLAS sums a strided vector in another order, which
-    moves the last bits.
+    The rows are not checked. H is compiled once as sum_x D_x X^x, one group
+    per distinct x_mask in ascending order: the group's gather index src (none
+    for x = 0, which moves nothing) and its diagonal D_x, the sum of
+    coeff * phase over its terms added in canonical order. A call takes
+    conj(rows) once and, for each group, adds
+    np.add.reduce(conj(rows) * (D_x * rows[:, src]), axis=1) to the totals.
+    Each step is elementwise or sums one contiguous row, and none calls BLAS,
+    so row i's value depends neither on the other rows nor on the layout of
+    the input, the BLAS kernel or the thread count. It agrees with the
+    term-by-term sum (pauli_apply in tests/reference_path.py) to rounding,
+    not bit for bit.
     Raises ValueError when a row's sum has an imaginary residue above
     1e-10 * max(1, W), W = sum |coeff|, which bounds the sum of a unit row.
     """
     dim = 2**obs.n
     bound = 1e-10 * max(1.0, _weight(obs.terms))
-    terms = []
+    diagonals: dict[int, np.ndarray] = {}
     for coeff, pauli in obs.terms:
-        src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
-        terms.append((coeff, src if pauli.x_mask else None, phase))
+        _, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
+        diagonal = diagonals.setdefault(pauli.x_mask, np.zeros(dim, dtype=complex))
+        diagonal += coeff * phase
+    groups = [(np.arange(dim) ^ x if x else None, diagonals[x]) for x in sorted(diagonals)]
 
     def energies(rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=complex)
+        bra = np.conj(rows)
         totals = np.zeros(len(rows), dtype=complex)
         moved = np.empty_like(rows)
-        for coeff, src, phase in terms:
+        for src, diagonal in groups:
             if src is not None:
                 rows.take(src, axis=1, out=moved)
-            np.multiply(phase, rows if src is None else moved, out=moved)
-            totals = totals + coeff * np.vecdot(rows, moved)
+            np.multiply(diagonal, rows if src is None else moved, out=moved)
+            np.multiply(bra, moved, out=moved)
+            totals += np.add.reduce(moved, axis=1)
         residue = np.flatnonzero(np.abs(totals.imag) > bound)
         if residue.size:
             raise ValueError(f"expectation has imaginary residue {totals.imag[residue[0]]:.3e}")

@@ -3,8 +3,10 @@
 One validated Gate and one validated StateVector per step: build_ansatz lists
 the circuit's gates in application order, apply_gate applies one of them, and
 pauli_apply applies one Pauli string. dqes runs none of this; its compiled
-kernels (dqes.ansatz.compile_ansatz, dqes.paulis.compile_observable) are held
-to it bit for bit. prepare_state and expectation_exact run those kernels on
+circuit (dqes.ansatz.compile_ansatz) is held to it bit for bit, and its
+compiled observable (dqes.paulis.compile_observable), which sums each X
+mask's terms in one pass, to 1e-14 * max(1, W) of the sum of pauli_apply
+term by term. prepare_state and expectation_exact run those kernels on
 one validated StateVector, the form the tests compare states and energies in.
 """
 

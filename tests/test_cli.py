@@ -121,7 +121,7 @@ def test_vqe_refuses_energies_past_the_float64_range(tmp_path, capsys, starts):
 
 
 def test_vqe_imaginary_residue_bound_scales_with_the_observable(tmp_path, capsys):
-    # at 1e8 a Haar-random start's residue, -6.9e-10, is rounding: about 7e-18 of W = 2e8
+    # at 1e8 a Haar-random start's residue, 1.7e-09, is rounding: about 9e-18 of W = 2e8
     obs = tmp_path / "c.json"
     obs.write_text('{"n": 2, "terms": [{"coeff": 1e8, "pauli": "ZI"}, '
                    '{"coeff": 1e8, "pauli": "XX"}]}')
@@ -639,28 +639,28 @@ def test_vqe_traces_are_deterministic(tmp_path):
 # change to the kernel, the optimizer or the writers that moves a bit fails here
 VQE_OUTPUT_PINS = {
     ("--fixture", "xy1", "--init", "top-2"): {
-        "trace_b1s1q1.csv": "d59112dd035ea3d18c49a10f22007139af5bbb86c1d6f3994b768dc212af4883",
-        "trace_b2s1q1.csv": "efa7603e173e1605207da38d2a18dd203f910dffa9e228eb124c1a6cd4763497",
-        "bloch_b1s1q1.csv": "f9cc13e34d97b2acc04d3a4a42f6079eb2efa78cfac61ac60696ededc1e681d1",
-        "bloch_b2s1q1.csv": "6757024434b836d6a9f3c636bfb0cd7c06e6a61d0f15d88cd8e46bf8740cdb6a",
-        "summary.json": "68f46e6c456534ac3f01c23875149f8a7f52427655fa03672c824aed60b0cd0a",
+        "trace_b1s1q1.csv": "38ff03cbf0629adb181222060acb4466151b778b82eb1b70108da3fb3add8ec0",
+        "trace_b2s1q1.csv": "c8be5976ab6882e787ed15ead071deedd92fb02063f4d0fd40b55b0e01045248",
+        "bloch_b1s1q1.csv": "443a4a2be5eed6572d48daf85ef09e1005a5c11696d55fe42daafa3a7392cfd5",
+        "bloch_b2s1q1.csv": "12906fae3a49555ae4491baa687fcebb4308a66de64409bf61c4cb06d21d2575",
+        "summary.json": "360cb7a9f20b4751b401b08dd44cf9ca856aa780ec926e179d243e456562a358",
     },
     ("--fixture", "H2_075", "--strategy", "fit", "--init", "top-1,random-1"): {
-        "trace_fit-b0s1q1-2.csv": "ecfb61a4689630003b0e04bad7f2a9861739f7c8f674f2636904dc73a086e1d2",
-        "trace_random0.csv": "b58c93c8b8dd7f650e5138d5b115ad70342c6efcb0d647e5df59130de9cf6683",
-        "summary.json": "eb9d083bdb5254d4e8c7374f9b082b7bb79e06231a16601c7f71905ed6ff0057",
+        "trace_fit-b0s1q1-2.csv": "85606ee811f5545cbeefd07b46ab056883f9f28d83f7d01a37676c5961fe0210",
+        "trace_random0.csv": "b19eb34872ed4240ba12842b5e803eb4aae59b69bfab1bf47fc5a5bd2a410323",
+        "summary.json": "3d35a4d9240c43f192312b82043ecf7d1068349f51e0aabe1068da456b5c9221",
     },
     # 43 evaluations cut the last 6-probe stencil after 4 probes
     ("--fixture", "ising_fig8", "--init", "top-1", "--max-evals", "43"): {
         "trace_b0s2q1-2-3.csv": "1ae83b466afb504853afc0758b189760ba1f027c7b1e0fe1ab6554a9091a798d",
-        "summary.json": "790f3ae148c8463c966de174ee2655c91c01cb71187e63bc378c70f65daf621b",
+        "summary.json": "e2a7dfcb37d9528abe41ac26f45d87dc8d51b6f984bd364f18fae43f30166ad3",
     },
     # |+i> is out of reach of a Y-only circuit, so the fit falls back to the MUB
     # state at zero, and evaluation 1 is the landscape record 1.0 exactly
     ("--fixture", "xy1", "--axes", "Y", "--strategy", "fit", "--init", "spec:2:0"): {
-        "trace_fit-b2s0q1.csv": "683e649cacd2c8126b55027215c887898095ecec1fd5cd27bf24a9a47aa64ab4",
-        "bloch_fit-b2s0q1.csv": "f30e33d0a1d027985d9caf9bad0aa4d61276ad1ea7dc54ab97dd01beec76410a",
-        "summary.json": "6210e3c513ecae8e3e95f1cc97d11dbf92d59f2ac007d79c9ad9f2cc33ddd263",
+        "trace_fit-b2s0q1.csv": "28eeaa63c53cdedf4083c77a2f4a34c1f570802b2dfa39c8dda9cdb4734ae87f",
+        "bloch_fit-b2s0q1.csv": "6d90c33a2a61f49ba0fef0613b40541db1ae9d0ecad694fa4900011ea8643a63",
+        "summary.json": "71e5104ebd263804c9e0b061db571b339d5c77f06bae46f2d2dd6f1564254e09",
     },
 }
 
@@ -682,10 +682,10 @@ def test_vqe_outputs_match_their_frozen_hashes(tmp_path, argv):
 
 # three fits of 2, 1 and 4 starts; the H2_075 pin above fits with one start only
 MULTI_START_FIT_PINS = {
-    "trace_fit-b0s1q1-2.csv": "ecfb61a4689630003b0e04bad7f2a9861739f7c8f674f2636904dc73a086e1d2",
-    "trace_fit-b1s1q1-2.csv": "dd594e5d01b0a2b95cf6cd3f0269b3d824dac97c6f5e6ee04e2b5dba9338dd24",
-    "trace_fit-b1s2q1-2.csv": "c129d280543bed045e537d21c26d039ce492391175fae84dd179c5dbe02d2149",
-    "summary.json": "afc0e274460e1950662a57fbe2150031e3e8d72a14686d03dc4d3efe3250770d",
+    "trace_fit-b0s1q1-2.csv": "85606ee811f5545cbeefd07b46ab056883f9f28d83f7d01a37676c5961fe0210",
+    "trace_fit-b1s1q1-2.csv": "a2d09bba460fa8c1a61e1bf7b377d68f843364bee9a5f23442037f3e6311c590",
+    "trace_fit-b1s2q1-2.csv": "e2284ed492ac623b978b568eb60e2356da0fb8c2e8fa059144482454e211eb66",
+    "summary.json": "658c400f9667a6cd32d58d4063478b4339aaf9c07124a1e2e29e00ab79997139",
 }
 
 
@@ -711,9 +711,9 @@ def test_vqe_multi_start_fit_outputs_match_their_frozen_hashes(tmp_path):
 # setting would otherwise decide the bytes. (OpenBLAS caps the count at the
 # CPUs it may use, so a one-CPU machine still writes the one-thread bytes.)
 ISING10_PINS = {
-    "trace_b0s7q2-4-7.csv": "7f3e9346ee8de255222df97b7b3d1faeaf2b1cd6f54da05c8a8372a799ecc0e3",
-    "trace_random0.csv": "69243b1487a81db84c602776314c1edb014fa53dd5e81587545b26b30e7e0dbd",
-    "summary.json": "9b3271853d09f649a09923d80e49a7af3ae660bc6f98e661b56fa2bced9a70c7",
+    "trace_b0s7q2-4-7.csv": "772e8530a181f3c4dc82d0a2f0eff5d0aeb79facc65c854ca15e18600a562e13",
+    "trace_random0.csv": "400df79426f3058a8b6e08c55258918a5ede03bb52773ebbe17db71029c32a4d",
+    "summary.json": "851885a4ca7135117f36f9a61475b4d10ce64a0b2cf0c281bcbbd138fd49aaf6",
 }
 
 

@@ -3,6 +3,7 @@ of rows, against the gate-by-gate and term-by-term reference paths, the dense
 observable matrix against the Kronecker oracle, and the observable file round trip."""
 
 import ctypes
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ from reference_path import apply_gate, build_ansatz, pauli_apply
 from test_cli import child_env
 
 from dqes.ansatz import AnsatzSpec, compile_ansatz
-from dqes.paulis import (Observable, compile_observable, decode_observable, encode_observable,
-                         load_observable, observable_matrix)
+from dqes.paulis import (Observable, _weight, compile_observable, decode_observable,
+                         encode_observable, load_observable, observable_matrix)
 from dqes.states import StateVector, random_state
 from dqes.vqe import _infidelities, vqe_cost
 
@@ -57,6 +58,13 @@ def reference_expectation(obs, state):
     return float(total.real)
 
 
+def assert_near_reference(value, obs, state):
+    """The compiled kernel sums each X mask's terms in one pass, the reference
+    one term at a time: on a unit row they agree to 1e-14 * max(1, W)."""
+    expected = reference_expectation(obs, state)
+    assert abs(value - expected) <= 1e-14 * max(1.0, _weight(obs.terms)), (value, expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=circuits())
 def test_compiled_circuit_equals_the_gate_sequence(case):
@@ -72,7 +80,7 @@ def test_compiled_circuit_equals_the_gate_sequence(case):
 def test_compiled_observable_equals_the_term_sum(obs, seed):
     state = random_state(obs.n, seed)
     value = compile_observable(obs)(state.amps[None])[0]
-    assert value == reference_expectation(obs, state)
+    assert_near_reference(value, obs, state)
     dense = float(np.vdot(state.amps, kron_matrix(obs) @ state.amps).real)
     assert abs(value - dense) <= 1e-12
 
@@ -99,8 +107,11 @@ def test_scattered_matrix_equals_the_kron_oracle_bytes(obs):
 def test_vqe_cost_equals_the_reference_composition(case, data):
     spec, theta, state = case
     obs = data.draw(observables(n=spec.n))
-    expected = reference_expectation(obs, StateVector(spec.n, reference_prepare(spec, theta, state)))
-    assert vqe_cost(obs, spec, state)(theta[None])[0] == expected
+    # the circuit half is bitwise, the observable half within the kernel's bound
+    prepared = reference_prepare(spec, theta, state)
+    value = vqe_cost(obs, spec, state)(theta[None])[0]
+    assert value == compile_observable(obs)(prepared[None])[0]
+    assert_near_reference(value, obs, StateVector(spec.n, prepared))
 
 
 @st.composite
@@ -139,12 +150,12 @@ def test_stacked_energies_equal_the_term_sums(obs, count, seed):
         values = energies(stack)
         assert values.shape == (count,)
         for value, row in zip(values, stack):
-            assert value == reference_expectation(obs, StateVector(obs.n, row))
+            assert_near_reference(value, obs, StateVector(obs.n, row))
 
 
 # The suites above stop at n <= 6 for circuits and n <= 8 for energies; these
 # fixed-seed cases reach the sizes where a gather composed across CX chains,
-# or a BLAS sum over long rows, has the most room to go wrong.
+# or a sum over long rows, has the most room to go wrong.
 def test_large_stacked_circuit_rows_equal_the_gate_sequence():
     rng = np.random.default_rng(10)
     for n in (10, 12):
@@ -196,12 +207,12 @@ def test_large_stacked_energies_equal_the_term_sums():
             values = energies(stack)
             assert values.shape == (count,)
             for value, row in zip(values, stack):
-                assert value == reference_expectation(obs, StateVector(n, row))
+                assert_near_reference(value, obs, StateVector(n, row))
 
 
 def test_vecdot_sums_complex_rows_as_vdot_does():
-    # compile_observable relies on this: np.vecdot over a stack gives each row
-    # the sum np.vdot gives it; a numpy or BLAS upgrade that reroutes
+    # the fit's _infidelities relies on this: np.vecdot over a stack gives each
+    # row the sum np.vdot gives it; a numpy or BLAS upgrade that reroutes
     # either call fails here rather than as a bare hash mismatch in the pins
     rng = np.random.default_rng(2024)
     for dim in [2**k for k in range(1, 13)] + [3, 5, 17, 100, 1000]:
@@ -261,22 +272,101 @@ def openblas_core() -> str:
     return ""
 
 
+def child_python(script, *args, **settings):
+    """stdout of `python -c script *args` run in this directory with settings
+    added to the environment. Its first line must name the OpenBLAS kernel the
+    child loaded: the test is skipped when OPENBLAS_CORETYPE asks for a kernel
+    the child did not run, since the comparison would then show nothing."""
+    core = settings.get("OPENBLAS_CORETYPE")
+    if core and "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks nothing")
+    script = "import test_kernel_properties as t; print(t.openblas_core(), flush=True); " + script
+    done = subprocess.run([sys.executable, "-c", script, *args], cwd=Path(__file__).parent,
+                          env=child_env(**settings), capture_output=True, text=True, timeout=300)
+    loaded, _, rest = done.stdout.partition("\n")
+    if core and loaded.lower() != core.lower():
+        pytest.skip(f"a child Python did not run OpenBLAS's {core} kernel "
+                    f"(it reported {loaded!r}, exit code {done.returncode})")
+    assert done.returncode == 0, done.stderr
+    return rest
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
 def test_real_ry_matmul_equals_the_complex_product_under_other_kernels(core):
     # OpenBLAS picks its kernel from the CPU; these are the kernels AVX2 and
     # AVX CPUs get, so the canary speaks for them from a CPU with AVX-512 too
-    if "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
-        pytest.skip("numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks nothing")
-    script = ("import test_kernel_properties as t; print(t.openblas_core(), flush=True); "
-              "t.test_real_ry_matmul_equals_the_complex_product()")
-    done = subprocess.run([sys.executable, "-c", script], cwd=Path(__file__).parent,
-                          env=child_env(OPENBLAS_CORETYPE=core),
-                          capture_output=True, text=True, timeout=300)
-    loaded = done.stdout.partition("\n")[0]
-    if loaded.lower() != core.lower():
-        pytest.skip(f"a child Python did not run OpenBLAS's {core} kernel "
-                    f"(it reported {loaded!r}, exit code {done.returncode})")
-    assert done.returncode == 0, done.stderr
+    child_python("t.test_real_ry_matmul_equals_the_complex_product()", OPENBLAS_CORETYPE=core)
+
+
+def test_each_row_energy_is_the_one_row_energy():
+    # row i of a B-row call equals the 1-row call bit for bit, whatever B and
+    # whatever the layout of the input: the descent's trace relies on it
+    rng = np.random.default_rng(29)
+    for n in range(1, 11):
+        dim = 2**n
+        pairs = [(float(rng.uniform(-2, 2)), "".join(rng.choice(list("IXYZ"), n)))
+                 for _ in range(8)] + [(0.5, "Z" * n)]
+        energies = compile_observable(Observable.from_strings(n, pairs))
+        base = np.stack([random_state(n, seed=100 * n + i).amps for i in range(40)])
+        singles = np.array([energies(row[None])[0] for row in base])
+        for count in range(1, 41):
+            rows = base[:count]
+            wide = np.zeros((2 * count, 2 * dim), dtype=complex)
+            wide[::2, ::2] = rows
+            pick = rng.permutation(40)[:count]
+            # a fancy index on axis 1 returns a Fortran-order stack
+            for stack, expected in ((rows, singles[:count]),
+                                    (np.asfortranarray(rows), singles[:count]),
+                                    (wide[::2, ::2], singles[:count]),
+                                    (base[pick][:, np.arange(dim)], singles[pick])):
+                assert energies(stack).tobytes() == expected.tobytes(), (n, count)
+
+
+def test_compiled_observable_mixes_scales_on_one_x_mask():
+    # 1e8 and 1e-8 terms share the X mask 0b100, so their phases are added
+    # into one weight vector before any row is read
+    obs = Observable.from_strings(3, [(1e8, "XZI"), (1e-8, "XII"), (-1e-8, "YZZ"),
+                                      (1e-8, "YIZ"), (1.0, "ZZZ")])
+    energies = compile_observable(obs)
+    rows = np.stack([random_state(3, seed=s).amps for s in range(16)])
+    for value, row in zip(energies(rows), rows):
+        assert_near_reference(value, obs, StateVector(3, row))
+
+
+def energy_digest() -> str:
+    """sha256 of compile_observable's energies for 300 seeded random observables
+    (n = 1..10, 1 to 12 terms) on seeded stacks of 1 to 8 unit rows."""
+    rng = np.random.default_rng(2029)
+    digest = hashlib.sha256()
+    for case in range(300):
+        n = case % 10 + 1
+        pairs = [(float(rng.uniform(-2, 2)), "".join(rng.choice(list("IXYZ"), n)))
+                 for _ in range(rng.integers(1, 13))]
+        parts = rng.standard_normal((2, rng.integers(1, 9), 2**n))
+        rows = parts[0] + 1j * parts[1]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        digest.update(compile_observable(Observable.from_strings(n, pairs))(rows).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("setting", [{"OPENBLAS_CORETYPE": "Haswell"},
+                                     {"OPENBLAS_CORETYPE": "Sandybridge"},
+                                     {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["Haswell", "Sandybridge", "two-threads"])
+def test_energies_do_not_depend_on_the_blas_kernel_or_thread_count(setting):
+    # the observable kernel makes no BLAS call, so a child Python on another
+    # kernel, or on two BLAS threads, writes the same energy bytes
+    assert child_python("print(t.energy_digest())", **setting).strip() == energy_digest()
+
+
+def test_vqe_pin_and_residue_do_not_depend_on_the_blas_kernel(tmp_path):
+    # on an AVX2 CPU OpenBLAS runs its Haswell kernel: the H2 fit pin and the
+    # residue message must read there as they read here
+    script = ("import sys, pathlib, test_cli, test_paulis; "
+              "test_paulis.test_compiled_observable_rejects_an_imaginary_residue(); "
+              "test_cli.test_vqe_outputs_match_their_frozen_hashes(pathlib.Path(sys.argv[1]), "
+              "('--fixture', 'H2_075', '--strategy', 'fit', '--init', 'top-1,random-1'))")
+    child_python(script, str(tmp_path), OPENBLAS_CORETYPE="Haswell")
 
 
 @settings(max_examples=30, deadline=None)
@@ -286,9 +376,10 @@ def test_stacked_vqe_cost_equals_the_reference_composition(case, data):
     obs = data.draw(observables(n=spec.n))
     values = vqe_cost(obs, spec, state)(thetas)
     assert values.shape == (len(thetas),)
-    for theta, value in zip(thetas, values):
-        prepared = StateVector(spec.n, reference_prepare(spec, theta, state))
-        assert value == reference_expectation(obs, prepared)
+    prepared = np.stack([reference_prepare(spec, theta, state) for theta in thetas])
+    assert values.tobytes() == compile_observable(obs)(prepared).tobytes()
+    for value, row in zip(values, prepared):
+        assert_near_reference(value, obs, StateVector(spec.n, row))
 
 
 @settings(max_examples=40, deadline=None)

@@ -226,7 +226,7 @@ def test_h2_top3_vqe_runs_make_a_known_number_of_cost_calls(monkeypatch):
     monkeypatch.setattr(vqe, "compile_observable", counting)
     for rec in rank_initial_states(run_full_dqes(H2), 3):
         run_vqe(H2, H2_SPEC, ParameterFitInit(spec=rec.spec))
-    assert (len(calls), sum(calls)) == (330, 989)
+    assert (len(calls), sum(calls)) == (331, 993)
 
 
 def test_the_fit_builds_no_trace_entries(monkeypatch):
