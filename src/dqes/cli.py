@@ -58,9 +58,12 @@ def _resolve_observable(args) -> tuple[Observable, str, dict]:
 
 def _reject_bad_outputs(args, outputs) -> None:
     """Refuse an output (flag, path) that no write can create, as it or its
-    sidecar is a directory or the nearest existing parent is not one, and an
-    output that is the --observable file or whose sidecar is."""
-    source = Path(args.observable).resolve() if getattr(args, "observable", None) else None
+    sidecar is a directory or the nearest existing parent is not one, and any
+    two paths the command touches, its --observable input, each output and each
+    output's sidecar, that resolve to the same file."""
+    touched = {}
+    if getattr(args, "observable", None):
+        touched[Path(args.observable).resolve()] = ("--observable", args.observable)
     for flag, path in outputs:
         if path.is_dir():
             raise ValueError(f"{flag} {path} is a directory; give a file path")
@@ -69,9 +72,12 @@ def _reject_bad_outputs(args, outputs) -> None:
         parent = next(p for p in path.parents if p.exists())
         if not parent.is_dir():
             raise ValueError(f"{flag} {path}: {parent} is not a directory")
-        if source in (path.resolve(), sidecar_path(path.resolve())):
-            raise ValueError(f"{flag} {path} or its sidecar would overwrite --observable "
-                             f"{args.observable}; give {flag} a different path")
+        for file in (path.resolve(), sidecar_path(path.resolve())):
+            if file in touched:
+                other_flag, other = touched[file]
+                raise ValueError(f"{flag} {path} and {other_flag} {other} would be the same "
+                                 f"file, or one the other's sidecar; give {flag} a different path")
+            touched[file] = (flag, path)
 
 
 # --- mub ---------------------------------------------------------------------
@@ -104,20 +110,10 @@ def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> Land
     return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
 
 
-def _reject_clashes(args, out: Path) -> None:
-    # the input, the CSV, the SVG and each output's sidecar must all be different files
-    plot = Path(args.plot) if args.plot else None
-    if plot and (plot.resolve() in (out.resolve(), sidecar_path(out.resolve()))
-                 or out.resolve() == sidecar_path(plot.resolve())):
-        raise ValueError(f"--plot {plot} and --out {out} would overwrite each other "
-                         f"or each other's sidecar; give --plot a different path")
-    _reject_bad_outputs(args, [("--out", out)] + ([("--plot", plot)] if plot else []))
-
-
 def cmd_landscape(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
     out = _out_path(args, "landscape.csv")
-    _reject_clashes(args, out)
+    _reject_bad_outputs(args, [("--out", out)] + ([("--plot", Path(args.plot))] if args.plot else []))
     report = _sweep_report(obs, name, args.full, args.k)
     svg = scatter_svg(report) if args.plot else None
     fields = _fields(args, {}, input_hashes)

@@ -119,15 +119,27 @@ class Observable:
         return Observable(n, tuple((c, PauliString(s)) for c, s in pairs))
 
 
+def _x_mask_form(obs: Observable) -> dict[int, np.ndarray]:
+    """H = sum_x D_x X^x, with (X^x psi)[b] = psi[b ^ x]: {x: D_x} for each
+    distinct x_mask in ascending order, D_x the sum of coeff * phase over the
+    terms with that mask, added in canonical order to complex zeros. An
+    observable with no terms has no group."""
+    dim = 2**obs.n
+    diagonals: dict[int, np.ndarray] = {}
+    for coeff, pauli in obs.terms:
+        _, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
+        diagonal = diagonals.setdefault(pauli.x_mask, np.zeros(dim, dtype=complex))
+        diagonal += coeff * phase
+    return dict(sorted(diagonals.items()))
+
+
 def compile_observable(obs: Observable):
     """Function rows -> <psi|H|psi> of each row of a (B, 2^n) amplitude stack.
 
-    The rows are not checked. H is compiled once as sum_x D_x X^x, one group
-    per distinct x_mask in ascending order: the group's gather index src (none
-    for x = 0, which moves nothing) and its diagonal D_x, the sum of
-    coeff * phase over its terms added in canonical order. A call takes
-    conj(rows) once and, for each group, adds
-    np.add.reduce(conj(rows) * (D_x * rows[:, src]), axis=1) to the totals.
+    The rows are not checked. H is compiled once from its X-mask form
+    (_x_mask_form): each group's gather index src (none for x = 0, which moves
+    nothing) and its diagonal D_x. A call takes conj(rows) once and, for each
+    group, adds np.add.reduce(conj(rows) * (D_x * rows[:, src]), axis=1).
     Each step is elementwise or sums one contiguous row, and none calls BLAS,
     so row i's value depends neither on the other rows nor on the layout of
     the input, the BLAS kernel or the thread count. It agrees with the
@@ -138,12 +150,8 @@ def compile_observable(obs: Observable):
     """
     dim = 2**obs.n
     bound = 1e-10 * max(1.0, _weight(obs.terms))
-    diagonals: dict[int, np.ndarray] = {}
-    for coeff, pauli in obs.terms:
-        _, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
-        diagonal = diagonals.setdefault(pauli.x_mask, np.zeros(dim, dtype=complex))
-        diagonal += coeff * phase
-    groups = [(np.arange(dim) ^ x if x else None, diagonals[x]) for x in sorted(diagonals)]
+    groups = [(np.arange(dim) ^ x if x else None, diagonal)
+              for x, diagonal in _x_mask_form(obs).items()]
 
     def energies(rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=complex)
@@ -165,14 +173,14 @@ def compile_observable(obs: Observable):
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:
-    """Dense 2^n x 2^n Hermitian matrix of the observable, scattered from each
-    term's (src, phase): P[b, src[b]] = phase[b], added in canonical order."""
+    """Dense 2^n x 2^n Hermitian matrix, H[b, b ^ x] = D_x[b], one scatter per
+    group of the X-mask form. Only group x's terms reach those entries, so they
+    hold the sums a term-by-term scatter from zero in canonical order makes."""
     dim = 2**obs.n
     rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for coeff, pauli in obs.terms:
-        src, phase = _pauli_action(dim, pauli.x_mask, pauli.z_mask)
-        out[rows, src] += coeff * phase
+    for x, diagonal in _x_mask_form(obs).items():
+        out[rows, rows ^ x] = diagonal
     return out
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .mub import MAX_SWEEP_QUBITS
-from .paulis import Observable, _pauli_action, observable_matrix
+from .paulis import Observable, _x_mask_form, observable_matrix
 
 # Two-qubit tapered molecular Hamiltonians at fixed geometry, coefficients in
 # Hartree. Keys are <molecule>_<separation in hundredths of an Angstrom>.
@@ -170,15 +170,17 @@ _EIGH_UNSCALED_MIN = 2.0**-485
 def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     """Ground energy via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS).
 
-    An observable with no X or Y letter is diagonal. Unless eigh would rescale
-    it, its ground energy is the diagonal's minimum, read with no matrix built:
-    eigh returns the sorted diagonal, which holds no -0.0 (a sum that starts
-    at +0.0 never reaches -0.0), so the two agree bit for bit.
+    An observable with no X or Y letter is diagonal: the real part of the x = 0
+    group of its X-mask form (paulis._x_mask_form), or zeros with no term left.
+    Unless eigh would rescale it, its ground energy is the diagonal's minimum,
+    read with no matrix built: eigh returns the sorted diagonal, which holds no
+    -0.0 (a sum that starts at +0.0 never reaches -0.0), so the two agree bit
+    for bit.
     """
     if obs.n > MAX_EXACT_QUBITS:
         raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
     if all(pauli.x_mask == 0 for _, pauli in obs.terms):
-        diagonal = _diagonal(obs)
+        diagonal = _x_mask_form(obs).get(0, np.zeros(2**obs.n, dtype=complex)).real
         largest = float(np.abs(diagonal).max())
         if largest == 0.0 or largest >= _EIGH_UNSCALED_MIN:
             return ExactSpectrumResult(ground_energy=float(diagonal.min()))
@@ -190,16 +192,6 @@ def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     if residual > bound:
         raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds {bound:.3g}")
     return ExactSpectrumResult(ground_energy=float(eigenvalues[0]))
-
-
-def _diagonal(obs: Observable) -> np.ndarray:
-    """The diagonal of an observable with no X or Y letter: each term's signs
-    times its coefficient, added in canonical order as observable_matrix adds them."""
-    dim = 2**obs.n
-    diagonal = np.zeros(dim)
-    for coeff, pauli in obs.terms:
-        diagonal += coeff * _pauli_action(dim, 0, pauli.z_mask)[1].real
-    return diagonal
 
 
 # --- graph file text ---------------------------------------------------------

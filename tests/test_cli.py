@@ -539,6 +539,18 @@ def test_vqe_on_an_observable_in_small_units(tmp_path, capsys):
     assert abs(summary["exact_ground_energy"] + 1.8426866891e8) < 1e-9 * 1e8
 
 
+def test_vqe_on_an_observable_whose_terms_all_cancel(tmp_path, capsys):
+    # XX - XX leaves no term: every energy and the exact ground energy are 0.0
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"n": 2, "terms": [{"coeff": 1.0, "pauli": "XX"}, '
+                    '{"coeff": -1.0, "pauli": "XX"}]}\n')
+    out = tmp_path / "vqe"
+    assert run_cli("vqe", "--observable", str(zero), "--init", "top-1",
+                   "--max-evals", "20", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert '"exact_ground_energy": 0.0\n' in (out / "summary.json").read_text()
+
+
 def test_vqe_solver_failure_leaves_no_output(tmp_path, monkeypatch):
     # every output is computed before the first is written; main lets the error through
     def fail(obs):

@@ -98,6 +98,13 @@ def test_only_dqes_mub_builds_the_dense_mub_set():
     assert callers == {"cli.cmd_mub"}
 
 
+def test_only_the_x_mask_form_reads_pauli_actions():
+    # the kernel, the dense matrix and the diagonal spectrum read one decomposition
+    callers = {f"{path.stem}.{owner}" for path in MODULES
+               for owner, name in calls_by_function(path) if name == "_pauli_action"}
+    assert callers == {"paulis._x_mask_form"}
+
+
 def test_the_guard_sees_calls_in_nested_functions(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("def outer():\n    def inner():\n        out.parent.mkdir()\n"
@@ -116,7 +123,8 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # and the stabilizer projection that built the MUB columns, now the
 # joint_eigenbasis oracle in tests/dense_oracle.py, and the Pauli string from
 # its masks, now from_masks there too, and the fields no command read: the
-# fit's fidelity and the exact spectrum's ground state.
+# fit's fidelity and the exact spectrum's ground state, and the diagonal the
+# spectrum summed itself, now the x = 0 group of paulis._x_mask_form.
 # A definition of any of these names under src/dqes brings a second path, or an
 # unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
@@ -125,7 +133,7 @@ REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectat
                   "final_state", "as_parameter_rows", "as_parameter_vector", "RunManifest",
                   "molecule_fixture", "cut_value", "max_cut_brute_force", "commutes_with",
                   "is_identity", "weight", "prepare_state", "expectation_exact",
-                  "_joint_eigenbasis", "from_masks", "fidelity", "ground_state"}
+                  "_joint_eigenbasis", "from_masks", "fidelity", "ground_state", "_diagonal"}
 
 
 def defined_names(path: Path) -> set[str]:

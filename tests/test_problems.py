@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_path import expectation_exact
 
-from dqes.paulis import Observable
+from dqes.paulis import Observable, _x_mask_form, compile_observable, observable_matrix
 from dqes.problems import (
     FIXTURES,
     ISING_STRONG_ZZ,
@@ -24,7 +24,7 @@ from dqes.problems import (
     single_qubit_xy,
     transverse_field_ising,
 )
-from dqes.states import basis_state
+from dqes.states import basis_state, random_state
 
 
 def test_h2_fixture_terms():
@@ -263,6 +263,21 @@ def test_diagonal_observables_call_no_eigh(monkeypatch):
     assert result.ground_energy == len(graph.edges) - 2 * max_cut_brute_force(graph)[0]
     with pytest.raises(AssertionError, match="eigh was called"):
         exact_spectrum(fixture("H2_075"))
+
+
+def test_an_observable_whose_terms_all_cancel_reads_as_zero(monkeypatch):
+    # XX - XX merges to no term and an empty X-mask form, which exact_spectrum
+    # reads as a zero diagonal, with no eigh
+    def no_eigh(matrix):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    obs = Observable.from_strings(2, ((1.0, "XX"), (-1.0, "XX")))
+    assert obs.terms == () and _x_mask_form(obs) == {}
+    rows = np.stack([random_state(2, seed).amps for seed in range(3)])
+    assert compile_observable(obs)(rows).tobytes() == np.zeros(3).tobytes()
+    assert observable_matrix(obs).tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
+    assert np.float64(exact_spectrum(obs).ground_energy).tobytes() == np.float64(0.0).tobytes()
 
 
 def scaled(obs, factor):
