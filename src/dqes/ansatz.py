@@ -67,20 +67,25 @@ def compile_ansatz(spec: AnsatzSpec):
 
     thetas must be a (B, P) stack of finite parameter vectors of the spec, and
     the circuit raises ValueError otherwise; amps is one 2^n array. Every row
-    equals the gate-by-gate reference bit for bit: gathers only move
-    amplitudes, the B * P rotation matrices hold the values of the
-    reference's Ry and Rz matrices, and each rotation gives the bits of the
-    product the reference forms for one gate, stacked over the rows.
+    equals the gate-by-gate reference bit for bit, except that at n = 2 an
+    exact zero may carry the other sign: gathers only move amplitudes, the
+    B * P rotation matrices hold the values of the reference's Ry and Rz
+    matrices, and each rotation gives the bits of the product the reference
+    forms for one gate, stacked over the rows.
 
-    An Ry matrix is real, so from n = 3 on its stack multiplies the (re, im)
+    An Ry matrix is real, so from n = 2 on its stack multiplies the (re, im)
     float view of the operand: one real matmul in place of a complex one, at
     half the flops. The complex product of a real matrix forms the same
     products and sums for each part, plus products with the matrix's zero
     imaginary parts, which leave a nonzero sum as it is;
     test_real_ry_matmul_equals_the_complex_product holds numpy and BLAS to
-    giving the same bits, signed zeros included. Rz, whose matrix is complex,
-    keeps the complex product, and so does Ry at n = 1 and 2, where the two
-    products differ: at n = 1 in value, at n = 2 in the sign of a zero.
+    giving the same values, and from n = 3 on the same bits, signed zeros
+    included. At n = 2 an exact zero can come out with the other sign; no
+    output sees that sign, since every energy total starts at +0, the fit
+    squares the modulus of each overlap, and Bloch vectors are written only
+    at n = 1. Rz, whose matrix is complex, keeps the complex product, and so
+    does Ry at n = 1, where the (2, 1) operand takes numpy's matrix-vector
+    route, whose sums differ in value from the view's.
 
     Each rotation's product is left in its qubit's _layout order. One gather
     per rotation, built here, takes the last product to the next operand: it
@@ -105,11 +110,8 @@ def compile_ansatz(spec: AnsatzSpec):
         if layer < layers:
             source = source[chain]
     restore = None if np.array_equal(source, identity) else source
-    # Ry stays complex where the real view would move bits: at n = 1 the (2, 1)
-    # operand takes numpy's matrix-vector route, whose sums differ from the view's
-    # (2, 2) product, and at n = 2 the complex 2x2 product can give -0 for an
-    # amplitude that the view gives as +0 (OpenBLAS's SkylakeX kernel does so)
-    ry_dtype = float if n > 2 else complex
+    # at n = 1 the real view would move values; see the docstring
+    ry_dtype = float if n > 1 else complex
 
     def circuit(thetas, amps: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

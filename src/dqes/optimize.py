@@ -16,13 +16,9 @@ pattern search evaluates several trial points at once (Hough, Kolda &
 Torczon, SIAM J. Sci. Comput. 23(1), 2001): 2 steps, then twice as many as its
 last ask while every step is accepted. It records the accepted steps and the
 first rejected one, exactly the rows a one-step-per-call search would
-evaluate, and drops the rest of the ask unread. After _STREAK (4) line
-searches in a row whose first ask took exactly 1 step, the first ask also
-carries the stencil at its first step: the next iteration reads it if the
-search takes 1 step again, and it is dropped unread otherwise. So the rows
-computed are the rows recorded plus the dropped steps and stencils, and the
-trace is the one-step search's trace provided each row's value depends on
-that row alone.
+evaluate, and drops the rest of the ask unread. So the rows computed are the
+rows recorded plus the dropped steps, and the trace is the one-step search's
+trace provided each row's value depends on that row alone.
 
 The descent is an ask/tell generator, the interface of pycma (Hansen, "The
 CMA Evolution Strategy: A Tutorial", arXiv:1604.00772) and Optuna (Akiba et
@@ -112,8 +108,7 @@ class _Stop(Exception):
 def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None = None):
     """The ask/tell descent `minimize` runs: yields each (B, dim) batch of
     points, is sent their B cost values, and returns the OptimizationTrace.
-    The arguments are checked when it is started with send(None). A stencil
-    asked ahead is built, cut and recorded as an asked one; see _STREAK."""
+    The arguments are checked when it is started with send(None)."""
     if config is None:
         config = OptimizerConfig()
     x = np.array(theta0, dtype=float).reshape(-1)
@@ -148,11 +143,6 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
             raise _Stop("max-evals")
         return points
 
-    def stencil_at(point: np.ndarray) -> np.ndarray:
-        probes = point[None].repeat(dim, axis=0)
-        probes.reshape(-1)[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
-        return probes
-
     termination = "converged"
     try:
         if cost0 is None:  # evaluation 1; max_evals >= 2, so it is never cut
@@ -160,17 +150,13 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
         fx = float(cost0)
         record(x[None], np.array([fx]))
         rho = config.rho_init
-        streak = 0  # line searches in a row whose first ask took exactly 1 step
-        ahead = None  # (points, values) of this stencil, asked with the last line search
         while rho >= config.tol:
             # forward-difference stencil; the very first pass is the documented
             # probe pattern at rho_init
-            if ahead is None:
-                probes = cut(stencil_at(x))
-                stencil = np.asarray((yield probes), dtype=float)
-            else:  # asked with the last line search
-                probes = cut(ahead[0])
-                stencil, ahead = ahead[1][:len(probes)], None
+            probes = x[None].repeat(dim, axis=0)
+            probes.reshape(-1)[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
+            probes = cut(probes)
+            stencil = np.asarray((yield probes), dtype=float)
             record(probes, stencil)
             if len(stencil) < dim:
                 raise _Stop("max-evals")
@@ -190,23 +176,14 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
                     # point the one-step search would build
                     rows = np.empty((size + 1, dim))
                     rows[0], rows[1:] = x, step
-                    asked = np.add.accumulate(rows, out=rows)[1:]
-                    guess = size == 2 and streak >= _STREAK
-                    if guess:  # the stencil at the first step, built as the loop builds it
-                        asked = np.concatenate([asked, stencil_at(rows[1])])
-                    asked = cut(asked)
-                    told = np.asarray((yield asked), dtype=float)
-                    candidates, values = asked[:size], told[:size]
+                    candidates = cut(np.add.accumulate(rows, out=rows)[1:])
+                    values = np.asarray((yield candidates), dtype=float)
                     taken = 0
                     for fc in values.tolist():
                         if not fc < fx - 1e-15 * (1 + abs(fx)):
                             break
                         fx = fc
                         taken += 1
-                    if size == 2:
-                        streak = streak + 1 if taken == 1 else 0
-                        if guess and taken == 1 and len(candidates) == 2:
-                            ahead = asked[2:], told[2:]
                     # the accepted steps and the first rejected one; the rest is unread
                     record(candidates[:taken + 1], values[:taken + 1])
                     if taken:
@@ -235,11 +212,6 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
 # component has the gradient scaled by a power of two first.
 _PLAIN_NORM_LIMIT = 2.0**500
 
-# Line searches in a row whose first ask took exactly 1 step (0 or 2 resets
-# the count) before a first ask carries the stencil at its first step: after
-# 4, the H2 fits take 1 step again 1,467 times in 1,476; VQE runs never reach 4.
-_STREAK = 4
-
 # Descents in flight at once: a small circuit costs little more for 4 rows than
 # for 1, and with `done` a wider flight runs more descents past the last one used.
 _WIDTH = 4
@@ -256,9 +228,8 @@ def lockstep(cost, descents, done: float | None = None) -> list[OptimizationTrac
 
     The traces are the ones each descent gives alone, with one step per
     line-search call, only if cost gives each row a value that depends on that
-    row alone: the batches it is given vary in size and mix descents, a line
-    search reads only a prefix of the steps it asked for, and a stencil asked
-    ahead is read an iteration later or not at all."""
+    row alone: the batches it is given vary in size and mix descents, and a
+    line search reads only a prefix of the steps it asked for."""
     pending = iter(descents)
     traces: dict[int, OptimizationTrace] = {}
     flight: dict[int, tuple] = {}  # index -> (its descent, the points it asks for)
@@ -304,15 +275,14 @@ def minimize(cost, theta0, config: OptimizerConfig | None = None,
 
     cost takes a (B, dim) array of points and returns their B values: a 1-row
     call for evaluation 1, one call of up to dim rows per stencil, and the
-    line-search asks of the module docstring, whose first ask carries the next
-    stencil after 4 (_STREAK) single-step line searches in a row. cost0, when
-    given, is the known cost at theta0: it becomes evaluation 1 and cost is
-    not called there. Stops when the trust radius shrinks below tol
-    ("converged"), when a value reaches config.threshold ("threshold"), or when
-    max_evals evaluations (recorded rows) have been spent ("max-evals"). Each
-    call is cut to the rows the budget has left, so no call asks for a row the
-    trace could not hold; the rows computed are the rows recorded plus the
-    dropped steps and stencils, and can pass max_evals. The rows of a call are
-    recorded in order, and a threshold crossed mid-call ends the trace there.
+    line-search asks of the module docstring. cost0, when given, is the known
+    cost at theta0: it becomes evaluation 1 and cost is not called there.
+    Stops when the trust radius shrinks below tol ("converged"), when a value
+    reaches config.threshold ("threshold"), or when max_evals evaluations
+    (recorded rows) have been spent ("max-evals"). Each call is cut to the
+    rows the budget has left, so no call asks for a row the trace could not
+    hold; the rows computed are the rows recorded plus the dropped line-search
+    steps, and can pass max_evals. The rows of a call are recorded in order,
+    and a threshold crossed mid-call ends the trace there.
     """
     return lockstep(cost, [descent(theta0, config, cost0)])[0]

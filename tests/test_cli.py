@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -331,6 +332,37 @@ def test_landscape_plot_groups_by_basis(tmp_path):
              for line in svg.splitlines() if "<circle" in line}
     assert len(fills) == 9
     assert (tmp_path / "plot.svg.manifest.json").exists()
+
+
+def svg_title(path: Path) -> str:
+    """The text of the first <text> element of an SVG file, which must parse."""
+    return ElementTree.parse(path).getroot().find("{http://www.w3.org/2000/svg}text").text
+
+
+def test_landscape_plot_titles_a_file_name_that_is_not_utf8(tmp_path):
+    # the name's \xff byte reaches Python as a surrogate escape, which the
+    # SVG cannot hold; the title shows it as U+FFFD
+    obs = tmp_path / os.fsdecode(b"bad\xff.json")
+    obs.write_text(encode_observable(problems.fixture("H2_075")))
+    svg = tmp_path / "e.svg"
+    assert run_cli("landscape", "--observable", str(obs), "--full",
+                   "--out", str(tmp_path / "e.csv"), "--plot", str(svg)) == 0
+    assert svg_title(svg) == "bad\ufffd: full sweep, n=2, K=2"
+    assert (tmp_path / "e.svg.manifest.json").exists()
+
+
+def test_landscape_plot_titles_a_non_ascii_file_name_under_the_c_locale(tmp_path):
+    # argv is decoded as ASCII with surrogate escapes: the title reads the
+    # name's UTF-8 bytes back
+    obs = tmp_path / "h\u00e9_\u00efsing.json"
+    obs.write_text(encode_observable(problems.fixture("H2_075")))
+    svg = tmp_path / "c.svg"
+    done = subprocess.run([sys.executable, "-m", "dqes", "landscape", "--observable", str(obs),
+                           "--k", "2", "--out", str(tmp_path / "c.csv"), "--plot", str(svg)],
+                          env=child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert svg_title(svg) == "h\u00e9_\u00efsing: partial sweep, n=2, K=2"
 
 
 def test_landscape_plot_must_differ_from_out(tmp_path, capsys):

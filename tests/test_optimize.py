@@ -503,8 +503,7 @@ def row_cost(center, wiggle, ring=False):
     move with the number of rows. With ring, the first two coordinates lie in
     a circular valley of radius 2 around (center[0], center[1]) that falls
     toward its +x side: steps of trust-radius length follow its curve, so
-    line searches take exactly one step in long runs and the descent asks
-    ahead."""
+    line searches take exactly one step in long runs."""
     def value(row):
         terms = [(x - c) ** 2 for x, c in zip(row, center)]
         if ring:
@@ -542,28 +541,18 @@ JOINED_EXAMPLE = (((1.0, -1.0, 2.0), 0.0),
                    (np.zeros(3), OptimizerConfig(), 14.0)],
                   None)
 
-# The ring valley around 0, entered at (0, -2, 0): line searches 15 to 27 take
-# one step each, so from line search 19 on each first ask carries the stencil
-# at its first step (call 39 of the schedule). Line search 28 takes none and
-# drops the stencil it asked ahead.
-RING = ((0.0, 0.0, 0.0), 0.0, True)
+# Descents of the ring valley around 0, whose line searches take one step in
+# long runs: three enter it at (0, -2, 0), and one runs to its budget, one's
+# budget ends 1 row into a line-search ask, one crosses the threshold at the
+# second row of a stencil; the fourth enters it from its side at (-2, 0.1, 0)
+# and runs to its budget. All run joined.
 RING_START = np.array([0.0, -2.0, 0.0])
-RING_ASK = [1] + [3, 2] * 18 + [3, 5]  # the calls up to the first ask ahead
-RING_FIRST = 81  # rows recorded before that ask
-
-# A second way into the ring valley, whose 33rd ask ahead takes 2 steps.
-RING_SIDE = np.array([-2.0, 0.1, 0.0])
-
-# Descents of the ring valley, all asking ahead: one runs to its budget, one
-# stops 1 row into a stencil asked ahead, one crosses the threshold at the
-# second row of a stencil asked ahead, and one drops a stencil asked ahead
-# after its line search takes 2 steps; all run joined.
-JOINED_AHEAD_EXAMPLE = (RING,
-                        [(RING_START, OptimizerConfig(), None),
-                         (RING_START, OptimizerConfig(max_evals=RING_FIRST + 3), None),
-                         (RING_START, OptimizerConfig(threshold=0.0444), None),
-                         (RING_SIDE, OptimizerConfig(), None)],
-                        None)
+JOINED_RING_EXAMPLE = (((0.0, 0.0, 0.0), 0.0, True),
+                       [(RING_START, OptimizerConfig(), None),
+                        (RING_START, OptimizerConfig(max_evals=84), None),
+                        (RING_START, OptimizerConfig(threshold=0.0444), None),
+                        (np.array([-2.0, 0.1, 0.0]), OptimizerConfig(), None)],
+                       None)
 
 
 def assert_one_step_traces(cost, runs, done=None):
@@ -585,7 +574,7 @@ def assert_one_step_traces(cost, runs, done=None):
 @given(case=descent_runs())
 @example(case=JOINED_EXAMPLE)
 @example(case=(JOINED_EXAMPLE[0], JOINED_EXAMPLE[1][::-1], 0.5))
-@example(case=JOINED_AHEAD_EXAMPLE)
+@example(case=JOINED_RING_EXAMPLE)
 def test_minimize_and_lockstep_equal_the_one_step_descent(case):
     shape, runs, done = case
     assert_one_step_traces(row_cost(*shape), runs, done)
@@ -602,128 +591,3 @@ def test_the_joined_example_covers_each_case():
     assert crossed == [1, 3, 2, 4] and crossed_trace.termination == "threshold"
     assert crossed_trace.evaluations == 8  # 2 of the 4 rows are past the crossing
     assert known[:3] == [3, 2, 4] and known_trace.entries[0].energy == 14.0
-    shape, runs, _ = JOINED_AHEAD_EXAMPLE
-    schedules = []
-    for run in runs:
-        logged, rows = recording(row_cost(*shape))
-        schedules.append((rows, minimize(logged, *run)))
-    (ahead, ahead_trace), (cut, cut_trace), (crossed, crossed_trace), (side, _) = schedules
-    # 10 asks ahead in a row: 9 stencils read, then one dropped and asked again
-    assert ahead[:58] == RING_ASK + [5] * 9 + [3, 2] * 5 and ahead_trace.termination == "max-evals"
-    assert cut == RING_ASK[:-1] + [3] and cut_trace.termination == "max-evals"
-    assert cut_trace.evaluations == RING_FIRST + 3
-    assert crossed == RING_ASK + [5] and crossed_trace.termination == "threshold"
-    assert crossed_trace.evaluations == RING_FIRST + 9  # the stencil's third row is unread
-    assert side[114:121] == [5] * 4 + [4, 3, 2]  # 2 steps: a 4-step ask, then a stencil
-
-
-def asked(cost):
-    """(cost that logs a copy of each batch it is given, the log)."""
-    batches = []
-
-    def logged(xs):
-        batches.append(np.array(xs))
-        return cost(xs)
-
-    return logged, batches
-
-
-def line_search_steps(cost, theta0):
-    """The steps each line search of the one-step oracle takes, read off its
-    calls: a 3-row stencil, then a 1-row call per step and one for the
-    rejected step."""
-    logged, rows = recording(cost)
-    one_step_entries(logged, theta0)
-    steps = []
-    for call in rows[1:]:
-        if call == 3:
-            steps.append(-1)
-        else:
-            steps[-1] += 1
-    return steps
-
-
-def poisoned(cost, points):
-    """cost, but NaN at each of points."""
-    bad = {tuple(point) for point in np.asarray(points).tolist()}
-    return lambda xs: np.array([math.nan if tuple(row) in bad else value
-                                for row, value in zip(np.asarray(xs).tolist(), cost(xs))])
-
-
-def test_the_first_ask_carries_the_next_stencil_after_four_single_step_searches():
-    cost = row_cost(*RING)
-    logged, batches = asked(cost)
-    trace = minimize(logged, RING_START)
-    assert [len(batch) for batch in batches[:39]] == RING_ASK
-    steps = line_search_steps(cost, RING_START)
-    # line searches 15 to 18 take one step each after one that took none;
-    # the first ask of the 19th is call 39
-    assert steps[13:19] == [0, 1, 1, 1, 1, 1]
-    # the 2 steps, then the stencil at the first step: the next 3 rows the
-    # trace records after those steps, bit for bit, read with no call of their own
-    ask = batches[38].tolist()
-    assert trace.params[RING_FIRST:RING_FIRST + 5] == tuple(map(tuple, ask))
-    assert len(batches[39]) == 5  # the next call is the next first ask, not a stencil
-    assert_one_step_traces(cost, [(RING_START, OptimizerConfig(), None),
-                                  (RING_SIDE, OptimizerConfig(), None)])
-
-
-def test_a_budget_cut_inside_a_stencil_asked_ahead():
-    cost = row_cost(*RING)
-    full = minimize(cost, RING_START)
-    # the budget ends after the 2 steps, or 1 or 2 rows into the stencil
-    for left in (2, 3, 4):
-        config = OptimizerConfig(max_evals=RING_FIRST + left)
-        logged, rows = recording(cost)
-        trace = minimize(logged, RING_START, config)
-        assert rows == RING_ASK[:-1] + [left]
-        assert trace.termination == "max-evals"
-        assert trace.params == full.params[:RING_FIRST + left]
-        assert_one_step_traces(cost, [(RING_START, config, None),
-                                      (RING_SIDE, config, None)])
-
-
-def test_a_threshold_inside_a_stencil_asked_ahead():
-    cost = row_cost(*RING)
-    config = OptimizerConfig(threshold=0.0444)
-    logged, batches = asked(cost)
-    trace = minimize(logged, RING_START, config)
-    # the second stencil read ahead crosses at its second row
-    assert [len(batch) for batch in batches] == RING_ASK + [5]
-    assert trace.termination == "threshold"
-    assert trace.params[-2:] == tuple(map(tuple, batches[39][2:4].tolist()))
-    assert cost(batches[39][4:])[0] > 0.0444  # the third row is computed but not recorded
-    assert_one_step_traces(cost, [(RING_START, config, None),
-                                  (RING_SIDE, config, None)])
-
-
-def test_a_non_finite_value_in_a_dropped_stencil_is_never_read():
-    cost = row_cost(*RING)
-    logged, batches = asked(cost)
-    full = minimize(logged, RING_START)
-    # ask 10 in a row takes no step, so its stencil rows are dropped unread
-    assert [len(batch) for batch in batches[38:49]] == [5] * 10 + [3]
-    poison = poisoned(cost, batches[47][2:])
-    assert np.isnan(poison(batches[47][2:])).all()
-    assert minimize(poison, RING_START) == full
-    assert_one_step_traces(poison, [(RING_START, OptimizerConfig(), None),
-                                    (RING_SIDE, OptimizerConfig(), None)])
-
-
-def test_a_non_finite_value_in_a_used_stencil_raises_at_the_one_step_row():
-    cost = row_cost(*RING)
-    logged, batches = asked(cost)
-    minimize(logged, RING_START)
-    # the second row of the first stencil asked ahead, which the next step reads
-    poison = poisoned(cost, batches[38][3:4])
-    logged, rows = recording(poison)
-    with pytest.raises(ValueError, match="non-finite value") as raised:
-        minimize(logged, RING_START)
-    assert rows == RING_ASK
-    assert repr(batches[38][3]) in str(raised.value)
-    # the one-step oracle and lockstep, after a second descent, raise the same error
-    with pytest.raises(ValueError) as one_step:
-        one_step_entries(poison, RING_START)
-    with pytest.raises(ValueError) as joined:
-        lockstep(poison, [descent(RING_SIDE), descent(RING_START)])
-    assert str(raised.value) == str(joined.value) == str(one_step.value)

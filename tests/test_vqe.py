@@ -186,9 +186,9 @@ def test_the_fit_examples_cover_both_outcomes():
 
 
 def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
-    # each line search asks for 2, 4, 8, ... steps in one call, and after 4
-    # single-step line searches in a row also the stencil at its first step;
-    # one step per call, the same fits take 3,516 calls of 14,556 rows
+    # each stencil is one call and each line search asks for 2, 4, 8, ...
+    # steps in one call; one step per call, the same fits take 3,516 calls of
+    # 14,556 rows
     calls = []
 
     def counting(spec):
@@ -204,14 +204,14 @@ def test_h2_top3_fits_make_a_known_number_of_circuit_calls(monkeypatch):
     targets = [realize_partial_state(rec.spec)
                for rec in rank_initial_states(run_full_dqes(H2), 3)]
     fits = [fit_parameters_to_state(H2_SPEC, target) for target in targets]
-    assert (len(calls), sum(calls)) == (1420, 15755)
+    assert (len(calls), sum(calls)) == (2197, 15719)
     assert [fit.starts_used for fit in fits] == [2, 1, 4]
     assert fits == [sequential_fit(H2_SPEC, target, 32, 0) for target in targets]
 
 
 def test_h2_top3_vqe_runs_make_a_known_number_of_cost_calls(monkeypatch):
-    # the VQE runs after the fits never reach 4 single-step line searches in a
-    # row, so they ask for no stencil ahead: the same calls as before it
+    # the VQE runs ask as the fits do: one call per stencil and 2, 4, 8, ...
+    # steps per line-search call
     calls = []
 
     def counting(obs):
