@@ -40,9 +40,17 @@ def _out_path(args, default: str) -> Path:
     return Path(args.out) if args.out else Path(os.environ.get("DQES_OUTPUT_DIR", ".")) / default
 
 
+def _text(s: str) -> str:
+    """An OS string (argv, a file name) as text a file can hold: an argument
+    not valid in the locale's encoding arrives with surrogate escapes, which
+    UTF-8 cannot write, so its bytes are read as UTF-8 with U+FFFD for the rest."""
+    return s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+
+
 def _fields(args, seeds: dict, input_hashes: dict) -> dict:
     """Sidecar fields of a run: its argv, then its seeds and input hashes if it has any."""
-    fields = {"argv": args.argv, "seeds": seeds, "input_sha256": input_hashes}
+    fields = {"argv": [_text(arg) for arg in args.argv], "seeds": seeds,
+              "input_sha256": {_text(path): digest for path, digest in input_hashes.items()}}
     return {key: value for key, value in fields.items() if value}
 
 
@@ -84,13 +92,16 @@ def _reject_bad_outputs(args, outputs) -> None:
 
 def cmd_mub(args) -> int:
     if args.action == "verify":
+        if not 0 < args.tol < float("inf"):
+            raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
         mubs = build_full_mub_set(args.n)
-        cert = verify_mub_set(mubs, tol=args.tol)
-        print(f"n={cert.n}: {cert.n_bases} bases, {cert.n_bases * 2**cert.n} states")
-        print(f"max orthonormality deviation: {cert.max_orthonormality_deviation:.3e}")
-        print(f"max unbiasedness deviation:   {cert.max_unbiasedness_deviation:.3e}")
-        print(f"{'PASS' if cert.passed else 'FAIL'} (tol {cert.tolerance:g})")
-        return 0 if cert.passed else 1
+        orth, unbias = verify_mub_set(mubs)
+        passed = orth < args.tol and unbias < args.tol
+        print(f"n={args.n}: {mubs.n_bases} bases, {mubs.n_bases * 2**args.n} states")
+        print(f"max orthonormality deviation: {orth:.3e}")
+        print(f"max unbiasedness deviation:   {unbias:.3e}")
+        print(f"{'PASS' if passed else 'FAIL'} (tol {args.tol:g})")
+        return 0 if passed else 1
     # export
     out = _out_path(args, f"mub{args.n}.json")
     _reject_bad_outputs(args, [("--out", out)])
@@ -113,7 +124,7 @@ def cmd_landscape(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
     out = _out_path(args, "landscape.csv")
     _reject_bad_outputs(args, [("--out", out)] + ([("--plot", Path(args.plot))] if args.plot else []))
-    report = _sweep_report(obs, name, args.full, args.k)
+    report = _sweep_report(obs, _text(name), args.full, args.k)
     svg = scatter_svg(report) if args.plot else None
     fields = _fields(args, {}, input_hashes)
     export_csv(report, out, sidecar_fields=fields)
@@ -287,7 +298,7 @@ def cmd_vqe(args) -> int:
               f"{_energy_text(result.final_energy)} in {result.trace.evaluations} evals "
               f"({result.trace.termination})")
     summary = {
-        "observable": {"name": name, "n": obs.n, "sha256": observable_hash(obs)},
+        "observable": {"name": _text(name), "n": obs.n, "sha256": observable_hash(obs)},
         "ansatz": {"layers": spec.layers, "rotation_axes": list(spec.rotation_axes),
                    "parameter_count": spec.parameter_count},
         "optimizer": {"rho_init": config.rho_init, "tol": config.tol,

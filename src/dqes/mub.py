@@ -74,18 +74,6 @@ class MubSet:
 
 
 @dataclass(frozen=True)
-class MubCertification:
-    """Result of checking orthonormality and pairwise unbiasedness."""
-
-    n: int
-    n_bases: int
-    max_orthonormality_deviation: float
-    max_unbiasedness_deviation: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class PartialMubSpec:
     """One K-qubit MUB state placed on a qubit subset, |0> elsewhere.
 
@@ -224,11 +212,10 @@ def _class_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, signs
 
 
-def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:
-    """Check every within-basis pair for orthonormality and every cross-basis
-    pair for |<psi|phi>| = 1/sqrt(d), reporting worst-case deviations."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+def verify_mub_set(mubs: MubSet) -> tuple[float, float]:
+    """(orthonormality deviation, unbiasedness deviation): the worst-case
+    |<psi|phi> - delta| over every within-basis pair, and the worst-case
+    ||<psi|phi>| - 1/sqrt(d)| over every cross-basis pair."""
     d = 2**mubs.n
     target = 1.0 / np.sqrt(d)
     eye = np.eye(d)
@@ -239,14 +226,7 @@ def verify_mub_set(mubs: MubSet, tol: float = 1e-10) -> MubCertification:
         for bj in mubs.bases[i + 1:]:
             overlap = np.abs(bi.conj().T @ bj)
             unbias = max(unbias, float(np.max(np.abs(overlap - target))))
-    return MubCertification(
-        n=mubs.n,
-        n_bases=mubs.n_bases,
-        max_orthonormality_deviation=orth,
-        max_unbiasedness_deviation=unbias,
-        tolerance=tol,
-        passed=orth < tol and unbias < tol,
-    )
+    return orth, unbias
 
 
 def _check_sweep_size(n: int, k: int) -> None:

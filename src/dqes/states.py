@@ -47,16 +47,9 @@ def _check_qubit_count(n: int) -> None:
 
 def zero_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
-    return basis_state(n, 0)
-
-
-def basis_state(n: int, index: int) -> StateVector:
-    """Computational basis state |index> with qubit 1 as the most significant bit."""
     _check_qubit_count(n)
-    if not 0 <= index < 2**n:
-        raise ValueError(f"basis index must be in [0, {2**n}), got {index}")
     amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
+    amps[0] = 1.0
     return StateVector(n, amps)
 
 

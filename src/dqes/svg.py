@@ -83,7 +83,4 @@ def scatter_svg(report: LandscapeReport) -> str:
 
 
 def _escape(text: str) -> str:
-    # a file name that is not valid in the locale's encoding arrives with
-    # surrogate escapes, which UTF-8 cannot write: read its bytes as UTF-8
-    text = text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -1,6 +1,6 @@
 """
-VQE driver: cost closures, landscape-informed initialization strategies, and
-the fit of ansatz parameters to a target state.
+VQE driver: landscape-informed initialization strategies, the fit of ansatz
+parameters to a target state, and the run that minimizes the energy.
 
 Initialization strategies:
 - ShiftedMubInit: start the optimizer at zero parameters with the MUB state
@@ -86,28 +86,6 @@ class VqeResult:
         return self.trace.final_energy
 
 
-def vqe_cost(obs: Observable, spec: AnsatzSpec, initial: StateVector):
-    """Callable thetas -> the energies <psi(theta)|H|psi(theta)>, psi = U(theta) initial,
-    of each row theta of a (B, P) parameter stack.
-
-    The circuit and the observable are compiled once. Each row's state equals
-    the gate-by-gate reference of tests/reference_path.py bit for bit, and its
-    energy lies within 1e-14 * max(1, W) of the term-by-term sum there; row i's
-    value does not depend on the other rows.
-    """
-    if obs.n != spec.n:
-        raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")
-    if initial.n != spec.n:
-        raise ValueError(f"ansatz is on {spec.n} qubits but state has {initial.n}")
-    circuit = compile_ansatz(spec)
-    energy = compile_observable(obs)
-
-    def cost(thetas) -> np.ndarray:
-        return energy(circuit(thetas, initial.amps))
-
-    return cost
-
-
 # Verdict line for reachability; well above the fit's typical 1e-15 residual
 # and tight enough that a fit start reproduces the landscape energy to 1e-6.
 _REACHABLE_INFIDELITY = 1e-9
@@ -185,10 +163,20 @@ def _resolve_init(init: InitStrategy, obs: Observable, spec: AnsatzSpec):
 
 def run_vqe(obs: Observable, spec: AnsatzSpec, init: InitStrategy,
             config: OptimizerConfig | None = None) -> VqeResult:
-    """One optimization run; the result's final energy is the trace minimum."""
+    """One optimization run; the result's final energy is the trace minimum.
+
+    The cost maps each row theta of a (B, P) parameter stack to
+    <psi(theta)|H|psi(theta)>, psi = U(theta) initial, through the circuit and
+    the observable compiled once. Each row's state equals the gate-by-gate
+    reference of tests/reference_path.py bit for bit, and its energy lies within
+    1e-14 * max(1, W) of the term-by-term sum there; row i's value does not
+    depend on the other rows.
+    """
     if obs.n != spec.n:
         raise ValueError(f"observable is on {obs.n} qubits but ansatz is on {spec.n}")
     initial, theta_start, known, used_fallback = _resolve_init(init, obs, spec)
-    trace = minimize(vqe_cost(obs, spec, initial), theta_start, config, cost0=known)
+    circuit, energy = compile_ansatz(spec), compile_observable(obs)
+    trace = minimize(lambda thetas: energy(circuit(thetas, initial.amps)), theta_start, config,
+                     cost0=known)
     return VqeResult(init=init, ansatz=spec, trace=trace, initial_state=initial,
                      used_fallback=used_fallback)

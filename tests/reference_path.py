@@ -7,7 +7,8 @@ circuit (dqes.ansatz.compile_ansatz) is held to it bit for bit, and its
 compiled observable (dqes.paulis.compile_observable), which sums each X
 mask's terms in one pass, to 1e-14 * max(1, W) of the sum of pauli_apply
 term by term. prepare_state and expectation_exact run those kernels on
-one validated StateVector, the form the tests compare states and energies in.
+one validated StateVector, the form the tests compare states and energies in,
+and basis_state builds the computational basis states they start from.
 """
 
 from dataclasses import dataclass
@@ -111,6 +112,15 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     return complex(np.vdot(a.amps, b.amps))
+
+
+def basis_state(n: int, index: int) -> StateVector:
+    """Computational basis state |index> with qubit 1 as the most significant bit."""
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index must be in [0, {2**n}), got {index}")
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(n, amps)
 
 
 def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

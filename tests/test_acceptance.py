@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from dense_oracle import cut_value, max_cut_brute_force
-from reference_path import expectation_exact, prepare_state, shift_mub_set
+from reference_path import basis_state, expectation_exact, prepare_state, shift_mub_set
 
 from dqes.ansatz import AnsatzSpec
 from dqes.landscape import export_csv, rank_initial_states, run_full_dqes, run_partial_dqes
@@ -30,7 +30,7 @@ from dqes.problems import (
     single_qubit_xy,
     transverse_field_ising,
 )
-from dqes.states import basis_state, random_state, zero_state
+from dqes.states import random_state
 from dqes.vqe import ShiftedMubInit, run_vqe
 
 CHEMICAL_ACCURACY = 1.6e-3
@@ -56,9 +56,9 @@ def test_criterion_1_mub_certification():
         start = time.perf_counter()
         for n in (1, 2, 3):
             mubs = build_full_mub_set(n)
-            cert = verify_mub_set(mubs, tol=1e-10)
-            assert cert.passed, f"n={n} deviations {cert.max_orthonormality_deviation:.3e}"
-            assert cert.n_bases * 2**n == expected_states[n]
+            orth, unbias = verify_mub_set(mubs)
+            assert orth < 1e-10 and unbias < 1e-10, f"n={n} deviations {orth:.3e}, {unbias:.3e}"
+            assert mubs.n_bases * 2**n == expected_states[n]
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"certification took {elapsed:.2f} s"
 
@@ -193,7 +193,8 @@ def test_criterion_9_property_suites(tmp_path):
         mubs = build_full_mub_set(2)
         for seed in range(5):
             theta0 = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.parameter_count)
-            assert verify_mub_set(shift_mub_set(mubs, spec, theta0), tol=1e-9).passed
+            orth, unbias = verify_mub_set(shift_mub_set(mubs, spec, theta0))
+            assert orth < 1e-9 and unbias < 1e-9
 
         # CSV exports are byte-identical across reruns
         sweep = maxcut_hamiltonian(random_graph(8, 0.5, seed=42))

@@ -15,6 +15,7 @@ import pytest
 
 from dqes import cli, optimize, problems
 from dqes.cli import main
+from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.paulis import Observable, encode_observable, load_observable
 
 
@@ -38,9 +39,30 @@ def test_mub_verify_passes(capsys):
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+# n, --tol and the head line, verdict line and exit code of `dqes mub verify`
+MUB_VERIFY_PINS = [
+    ("1", [], "n=1: 3 bases, 6 states", "PASS (tol 1e-10)", 0),
+    ("2", [], "n=2: 5 bases, 20 states", "PASS (tol 1e-10)", 0),
+    ("3", [], "n=3: 9 bases, 72 states", "PASS (tol 1e-10)", 0),
+    ("1", ["--tol", "1e-300"], "n=1: 3 bases, 6 states", "FAIL (tol 1e-300)", 1),
+]
+
+
+@pytest.mark.parametrize("n, tol, head, verdict, code", MUB_VERIFY_PINS)
+def test_mub_verify_prints_its_four_lines(capsys, n, tol, head, verdict, code):
+    # the deviations come from BLAS matmuls, so their lines are read off the
+    # library rather than written as literals
+    orth, unbias = verify_mub_set(build_full_mub_set(int(n)))
+    assert run_cli("mub", "verify", n, *tol) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [head, f"max orthonormality deviation: {orth:.3e}",
+                                         f"max unbiasedness deviation:   {unbias:.3e}", verdict]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
 def test_mub_verify_rejects_a_non_finite_tolerance(capsys, tol):
-    assert run_cli("mub", "verify", "2", "--tol", tol) == 1
+    assert run_cli("mub", "verify", "2", f"--tol={tol}") == 1
     captured = capsys.readouterr()
     assert f"tolerance must be positive and finite, got {tol}" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
@@ -363,6 +385,41 @@ def test_landscape_plot_titles_a_non_ascii_file_name_under_the_c_locale(tmp_path
                           capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert svg_title(svg) == "h\u00e9_\u00efsing: partial sweep, n=2, K=2"
+
+
+def test_json_outputs_hold_a_file_name_that_is_not_utf8_as_utf8_text(tmp_path):
+    # the sidecars' argv and input paths, the landscape sidecar's name and
+    # summary.json's name read the \xff byte as U+FFFD, not a lone surrogate
+    obs = tmp_path / os.fsdecode(b"bad\xffx.json")
+    obs.write_text(encode_observable(problems.fixture("H2_075")))
+    assert run_cli("landscape", "--observable", str(obs), "--full",
+                   "--out", str(tmp_path / "l.csv")) == 0
+    assert run_cli("vqe", "--observable", str(obs), "--init", "top-1",
+                   "--out", str(tmp_path / "v")) == 0
+    docs = {path.name: json.loads(path.read_text())
+            for path in tmp_path.rglob("*.json") if path != obs}
+    assert len(docs) == 4
+    for doc in docs.values():
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    assert docs["l.csv.manifest.json"]["observable_name"] == "bad\ufffdx"
+    assert docs["summary.json"]["observable"]["name"] == "bad\ufffdx"
+
+
+def test_vqe_names_a_non_ascii_file_under_the_c_locale(tmp_path):
+    # argv is decoded as ASCII with surrogate escapes: summary.json and the
+    # sidecars read the name's UTF-8 bytes back
+    obs = tmp_path / "h\u00e9_\u00efsing.json"
+    obs.write_text(encode_observable(problems.fixture("H2_075")))
+    out = tmp_path / "v"
+    done = subprocess.run([sys.executable, "-m", "dqes", "vqe", "--observable", str(obs),
+                           "--init", "top-1", "--out", str(out)],
+                          env=child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "summary.json").read_text())["observable"]["name"] == "h\u00e9_\u00efsing"
+    sidecar = json.loads((out / "summary.json.manifest.json").read_text())
+    assert sidecar["input_sha256"] == {str(obs): hashlib.sha256(obs.read_bytes()).hexdigest()}
+    assert sidecar["argv"][3] == str(obs)
 
 
 def test_landscape_plot_must_differ_from_out(tmp_path, capsys):

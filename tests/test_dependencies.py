@@ -140,7 +140,11 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # write_output with the hash write_text_atomic takes as it writes, and the
 # file_sha256 oracle in tests/test_manifest.py, and the streak count after
 # which the descent asked for the next stencil ahead with its line search, a
-# second schedule that stopped paying once Ry became real at n = 2.
+# second schedule that stopped paying once Ry became real at n = 2, and the
+# wrappers with one caller each: the VQE cost run_vqe composes itself, the
+# basis state zero_state builds itself, now basis_state in
+# tests/reference_path.py, and the certificate whose verdict dqes mub verify
+# judges against its own --tol.
 # A definition of any of these names under src/dqes brings a second path, or an
 # unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
@@ -150,7 +154,8 @@ REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectat
                   "molecule_fixture", "cut_value", "max_cut_brute_force", "commutes_with",
                   "is_identity", "weight", "prepare_state", "expectation_exact",
                   "_joint_eigenbasis", "from_masks", "fidelity", "ground_state", "_diagonal",
-                  "write_sidecar", "file_sha256", "_STREAK"}
+                  "write_sidecar", "file_sha256", "_STREAK", "vqe_cost", "basis_state",
+                  "MubCertification"}
 
 
 def defined_names(path: Path) -> set[str]:

@@ -20,7 +20,7 @@ from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.paulis import (Observable, _weight, compile_observable, decode_observable,
                          encode_observable, load_observable, observable_matrix)
 from dqes.states import StateVector, random_state
-from dqes.vqe import _infidelities, vqe_cost
+from dqes.vqe import _infidelities
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 
@@ -109,7 +109,7 @@ def test_vqe_cost_equals_the_reference_composition(case, data):
     obs = data.draw(observables(n=spec.n))
     # the circuit half is bitwise, the observable half within the kernel's bound
     prepared = reference_prepare(spec, theta, state)
-    value = vqe_cost(obs, spec, state)(theta[None])[0]
+    value = compile_observable(obs)(compile_ansatz(spec)(theta[None], state.amps))[0]
     assert value == compile_observable(obs)(prepared[None])[0]
     assert_near_reference(value, obs, StateVector(spec.n, prepared))
 
@@ -381,7 +381,7 @@ def test_vqe_pin_and_residue_do_not_depend_on_the_blas_kernel(tmp_path):
 def test_stacked_vqe_cost_equals_the_reference_composition(case, data):
     spec, thetas, state = case
     obs = data.draw(observables(n=spec.n))
-    values = vqe_cost(obs, spec, state)(thetas)
+    values = compile_observable(obs)(compile_ansatz(spec)(thetas, state.amps))
     assert values.shape == (len(thetas),)
     prepared = np.stack([reference_prepare(spec, theta, state) for theta in thetas])
     assert values.tobytes() == compile_observable(obs)(prepared).tobytes()

@@ -8,12 +8,11 @@ from descent_oracle import one_step_entries, one_step_minimize, trace_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqes.ansatz import AnsatzSpec
+from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.optimize import (OptimizationTrace, OptimizerConfig, TraceEntry, descent, lockstep,
                            minimize)
-from dqes.paulis import Observable
+from dqes.paulis import Observable, compile_observable
 from dqes.states import random_state
-from dqes.vqe import vqe_cost
 
 
 def quadratic(center):
@@ -464,9 +463,10 @@ def test_a_gradient_norm_past_the_float64_range_still_descends():
     # 2^660: its gradient's squares pass the float64 range, so the descent scales
     # the gradient by a power of two and finds the same minimum, with no warning
     obs = Observable.from_strings(2, [(1.0, "ZI"), (1.0, "XX")])
-    cost = vqe_cost(obs, AnsatzSpec(n=2), random_state(2, 0))
-    plain = minimize(cost, np.zeros(4))
-    scaled = minimize(lambda thetas: 2.0**660 * cost(thetas), np.zeros(4))
+    circuit, energy = compile_ansatz(AnsatzSpec(n=2)), compile_observable(obs)
+    start = random_state(2, 0).amps
+    plain = minimize(lambda thetas: energy(circuit(thetas, start)), np.zeros(4))
+    scaled = minimize(lambda thetas: 2.0**660 * energy(circuit(thetas, start)), np.zeros(4))
     assert scaled.final_energy / 2.0**660 == pytest.approx(plain.final_energy, rel=1e-12)
     assert plain.final_energy == pytest.approx(-2**0.5, rel=1e-9)
 

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from dense_oracle import commutes, from_masks, kron_matrix, weight
-from reference_path import expectation_exact, pauli_apply
+from reference_path import basis_state, expectation_exact, pauli_apply
 
 from dqes.paulis import (
     _MAX_WEIGHT,
@@ -20,7 +20,7 @@ from dqes.paulis import (
     observable_matrix,
     read_observable,
 )
-from dqes.states import StateVector, basis_state, random_state, zero_state
+from dqes.states import StateVector, random_state, zero_state
 
 
 def test_pauli_masks_follow_bit_convention():

