@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -25,8 +26,8 @@ from pathlib import Path
 from . import problems
 from ._version import __version__
 from .ansatz import AnsatzSpec, compile_ansatz
-from .landscape import (LandscapeReport, basis_statistics, export_csv, rank_initial_states,
-                        run_full_dqes, run_partial_dqes)
+from .landscape import (basis_statistics, export_csv, rank_initial_states, run_full_dqes,
+                        run_partial_dqes)
 from .manifest import sidecar_path, write_output
 from .mub import MAX_MUB_QUBITS, PartialMubSpec, build_full_mub_set, encode_mub_set, verify_mub_set
 from .optimize import OptimizerConfig
@@ -113,18 +114,12 @@ def cmd_mub(args) -> int:
 # --- landscape -----------------------------------------------------------------
 
 
-def _sweep_report(obs: Observable, name: str, full: bool, k: int | None) -> LandscapeReport:
-    """The complete sweep when full, else the K-partial sweep with K = k or min(n, 3)."""
-    if full:
-        return run_full_dqes(obs, name=name)
-    return run_partial_dqes(obs, k if k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
-
-
 def cmd_landscape(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
     out = _out_path(args, "landscape.csv")
     _reject_bad_outputs(args, [("--out", out)] + ([("--plot", Path(args.plot))] if args.plot else []))
-    report = _sweep_report(obs, _text(name), args.full, args.k)
+    report = (run_full_dqes(obs, name=_text(name)) if args.full
+              else run_partial_dqes(obs, args.k, name=_text(name)))
     svg = scatter_svg(report) if args.plot else None
     fields = _fields(args, {}, input_hashes)
     export_csv(report, out, sidecar_fields=fields)
@@ -148,33 +143,6 @@ def cmd_landscape(args) -> int:
 # --- vqe -----------------------------------------------------------------------
 
 
-def _parse_init_atoms(text: str) -> list[tuple]:
-    atoms = []
-    for raw in text.split(","):
-        atom = raw.strip()
-        if atom.startswith("top-"):
-            count = _positive_int(atom[4:], atom)
-            atoms.append(("top", count))
-        elif atom.startswith("random-"):
-            count = _positive_int(atom[7:], atom)
-            atoms.append(("random", count))
-        elif atom.startswith("spec:"):
-            body = atom[5:]
-            subset = None
-            if "@" in body:
-                body, subset_text = body.split("@", 1)
-                subset = tuple(_atom_int(t, atom) for t in subset_text.split("-"))
-            parts = body.split(":")
-            if len(parts) != 2:
-                raise ValueError(f"bad init atom {atom!r}; expected spec:BASIS:STATE[@q1-q2-...]")
-            basis, state = (_atom_int(t, atom) for t in parts)
-            atoms.append(("spec", basis, state, subset))
-        else:
-            raise ValueError(
-                f"bad init atom {atom!r}; expected top-K, random-K, or spec:BASIS:STATE[@subset]")
-    return atoms
-
-
 def _atom_int(text: str, atom: str) -> int:
     try:
         return int(text)
@@ -182,38 +150,45 @@ def _atom_int(text: str, atom: str) -> int:
         raise ValueError(f"bad init atom {atom!r}: {text!r} is not an integer") from None
 
 
-def _positive_int(text: str, atom: str) -> int:
-    value = _atom_int(text, atom)
-    if value < 1:
-        raise ValueError(f"bad init atom {atom!r}: count must be >= 1")
-    return value
-
-
-def _build_inits(atoms, obs, name, args) -> list:
+def _build_inits(text: str, obs: Observable, name: str, args) -> list:
+    """The starts of an --init list, read atom by atom from the left, so an error
+    names the first bad atom. The first top-K atom runs the ranking sweep, the
+    K-partial one with K = --k or min(n, 3)."""
     mub_init = partial(ParameterFitInit, seed=args.seed) if args.strategy == "fit" else ShiftedMubInit
-    inits = []
-    report = None
-    for atom in atoms:
-        if atom[0] == "top":
+    inits, report = [], None
+    for raw in text.split(","):
+        atom = raw.strip()
+        if atom.startswith(("top-", "random-")):
+            kind, count_text = atom.split("-", 1)
+            count = _atom_int(count_text, atom)
+            if count < 1:
+                raise ValueError(f"bad init atom {atom!r}: count must be >= 1")
+            if kind == "random":
+                inits.extend(RandomStateInit(seed=args.seed + i) for i in range(count))
+                continue
             if report is None:
-                report = _sweep_report(obs, name, False, args.k)
-            if atom[1] > len(report.energies):
-                raise ValueError(f"--init top-{atom[1]}: the K={report.k} sweep has "
+                report = run_partial_dqes(
+                    obs, args.k if args.k is not None else min(obs.n, MAX_MUB_QUBITS), name=name)
+            if count > len(report.energies):
+                raise ValueError(f"--init top-{count}: the K={report.k} sweep has "
                                  f"{len(report.energies)} records")
-            for rec in rank_initial_states(report, atom[1]):
-                inits.append(mub_init(spec=rec.spec))
-        elif atom[0] == "random":
-            inits.extend(RandomStateInit(seed=args.seed + i) for i in range(atom[1]))
+            inits.extend(mub_init(spec=rec.spec) for rec in rank_initial_states(report, count))
+        elif atom.startswith("spec:"):
+            body, at, subset_text = atom[5:].partition("@")
+            subset = tuple(_atom_int(t, atom) for t in subset_text.split("-")) if at else None
+            parts = body.split(":")
+            if len(parts) != 2:
+                raise ValueError(f"bad init atom {atom!r}; expected spec:BASIS:STATE[@q1-q2-...]")
+            basis, state = (_atom_int(t, atom) for t in parts)
+            if subset is None and obs.n > MAX_MUB_QUBITS:
+                raise ValueError(f"spec:... needs an explicit @subset for n={obs.n} (register "
+                                 f"above {MAX_MUB_QUBITS} qubits)")
+            inits.append(mub_init(spec=PartialMubSpec(
+                n=obs.n, subset=subset or tuple(range(1, obs.n + 1)), basis_index=basis,
+                state_index=state)))
         else:
-            _, basis, state, subset = atom
-            if subset is None:
-                if obs.n > MAX_MUB_QUBITS:
-                    raise ValueError(
-                        f"spec:... needs an explicit @subset for n={obs.n} (register above "
-                        f"{MAX_MUB_QUBITS} qubits)")
-                subset = tuple(range(1, obs.n + 1))
-            spec = PartialMubSpec(n=obs.n, subset=subset, basis_index=basis, state_index=state)
-            inits.append(mub_init(spec=spec))
+            raise ValueError(
+                f"bad init atom {atom!r}; expected top-K, random-K, or spec:BASIS:STATE[@subset]")
     return inits
 
 
@@ -252,19 +227,16 @@ def cmd_vqe(args) -> int:
     obs, name, input_hashes = _resolve_observable(args)
     if args.k is not None and args.k > obs.n:
         raise ValueError(f"--k {args.k}: subset size {args.k} exceeds register size {obs.n}")
-    axes = args.axes
-    if axes is None:
-        # a Y-only single-qubit circuit cannot leave the real plane
-        axes = "YZ" if obs.n == 1 else "Y"
-    spec = AnsatzSpec(n=obs.n, layers=args.layers,
-                      rotation_axes=("Y",) if axes == "Y" else ("Y", "Z"))
+    # a Y-only single-qubit circuit cannot leave the real plane
+    axes = args.axes or ("YZ" if obs.n == 1 else "Y")
+    spec = AnsatzSpec(n=obs.n, layers=args.layers, rotation_axes=tuple(axes))
     if args.max_evals < spec.parameter_count + 2:
         # each run's first stencil needs the start and one probe per parameter
         raise ValueError(f"--max-evals {args.max_evals}: must be at least the "
                          f"{spec.parameter_count} parameters + 2 = {spec.parameter_count + 2}")
     config = OptimizerConfig(rho_init=args.rho_init, tol=args.tol,
                              max_evals=args.max_evals, threshold=args.threshold)
-    inits = _build_inits(_parse_init_atoms(args.init), obs, name, args)
+    inits = _build_inits(args.init, obs, name, args)
     labels = [init.label() for init in inits]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
@@ -434,11 +406,24 @@ def _add_observable_args(parser) -> None:
     source.add_argument("--observable", default=None, help="observable JSON file")
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads a negative value such as -1e-3 or -inf as an option string, so one
+    # after a --name flag is joined to it as --name=value (no option reads as a number)
+    joined = list(argv)
+    for i in range(len(joined) - 1, 0, -1):
+        flag, value = joined[i - 1], joined[i]
+        if re.fullmatch(r"--[^=]+", flag) and value[:1] == "-" and _is_float(value):
+            joined[i - 1:i + 1] = [f"{flag}={value}"]
+    args = build_parser().parse_args(joined)
     args.argv = ["dqes", *argv]
     try:
         if getattr(args, "seed", 0) < 0:

@@ -69,9 +69,9 @@ def _pauli_action(dim: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.nd
 # lies within W, up to the rounding of a unit row or of a complex modulus.
 # Then everything downstream is finite: a basis statistic's variance adds at
 # most (2W)^2 = 2^972 per record, over fewer than 2^52 records; the plot's
-# padded span is 1.1 * 2W; and eigh meets no entry past 2^485, above which
-# it would rescale the matrix (problems._EIGH_UNSCALED_MIN). The descent's
-# gradient norm guards its own squares (optimize.descent).
+# padded span is 1.1 * 2W; and eigh (LAPACK zheevd) meets no entry past 2^485,
+# above which it would rescale the matrix and round. The descent's gradient
+# norm guards its own squares (optimize.descent).
 _MAX_WEIGHT = 2.0**485
 
 

@@ -161,29 +161,19 @@ class ExactSpectrumResult:
     ground_energy: float
 
 
-# np.linalg.eigh (LAPACK zheevd) rescales a matrix whose largest entry lies
-# outside [2^-485, 2^485] before it diagonalizes, and that rescaling rounds.
-# No entry passes 2^485, the bound on sum |coeff| (paulis._MAX_WEIGHT).
-_EIGH_UNSCALED_MIN = 2.0**-485
-
-
 def exact_spectrum(obs: Observable) -> ExactSpectrumResult:
     """Ground energy via dense Hermitian diagonalization (n <= MAX_EXACT_QUBITS).
 
     An observable with no X or Y letter is diagonal: the real part of the x = 0
     group of its X-mask form (paulis._x_mask_form), or zeros with no term left.
-    Unless eigh would rescale it, its ground energy is the diagonal's minimum,
-    read with no matrix built: eigh returns the sorted diagonal, which holds no
-    -0.0 (a sum that starts at +0.0 never reaches -0.0), so the two agree bit
-    for bit.
+    Its ground energy, at any scale, is the diagonal's minimum with no matrix
+    built; never -0.0, as a sum that starts at +0.0 never reaches -0.0.
     """
     if obs.n > MAX_EXACT_QUBITS:
         raise ValueError(f"exact spectrum is limited to n <= {MAX_EXACT_QUBITS}, got n={obs.n}")
     if all(pauli.x_mask == 0 for _, pauli in obs.terms):
         diagonal = _x_mask_form(obs).get(0, np.zeros(2**obs.n, dtype=complex)).real
-        largest = float(np.abs(diagonal).max())
-        if largest == 0.0 or largest >= _EIGH_UNSCALED_MIN:
-            return ExactSpectrumResult(ground_energy=float(diagonal.min()))
+        return ExactSpectrumResult(ground_energy=float(diagonal.min()))
     matrix = observable_matrix(obs)
     eigenvalues, vectors = np.linalg.eigh(matrix)
     ground = vectors[:, 0]

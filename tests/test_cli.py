@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -731,6 +732,35 @@ def test_vqe_rejects_bad_init_atoms(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+# --init lists dqes vqe refuses before any output, and the one line each prints
+# on stderr: the atoms are read from the left, so a list with two bad atoms
+# names the first
+INIT_ERRORS = [
+    ("top-0", "bad init atom 'top-0': count must be >= 1"),
+    ("random-x", "bad init atom 'random-x': 'x' is not an integer"),
+    ("middle-3", "bad init atom 'middle-3'; expected top-K, random-K, or "
+                 "spec:BASIS:STATE[@subset]"),
+    ("spec:1", "bad init atom 'spec:1'; expected spec:BASIS:STATE[@q1-q2-...]"),
+    ("spec:0:0@", "bad init atom 'spec:0:0@': '' is not an integer"),
+    ("spec:9:0", "basis index must be in [0, 4], got 9"),
+    ("top-50", "--init top-50: the K=2 sweep has 20 records"),
+    ("random-2,random-2", "duplicate start label random0, random1 in --init 'random-2,random-2'"),
+    ("top,top-1", "bad init atom 'top'; expected top-K, random-K, or spec:BASIS:STATE[@subset]"),
+    ("top-1,", "bad init atom ''; expected top-K, random-K, or spec:BASIS:STATE[@subset]"),
+    ("spec:9:0,top-0", "basis index must be in [0, 4], got 9"),
+    ("top-50,bogus", "--init top-50: the K=2 sweep has 20 records"),
+    ("spec:0:0@1-2-3,random-0", "subset size 3 exceeds register size 2"),
+]
+
+
+@pytest.mark.parametrize("init, line", INIT_ERRORS, ids=[init for init, _ in INIT_ERRORS])
+def test_vqe_names_the_first_bad_init_atom(tmp_path, capsys, init, line):
+    out = tmp_path / "D"
+    assert run_cli("vqe", "--fixture", "H2_075", "--init", init, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_vqe_rejects_non_integer_spec_fields(tmp_path, capsys):
     for atom, bad in (("spec:a:0", "a"), ("spec:0:0@1-x", "x")):
         assert run_cli("vqe", "--fixture", "H2_075", "--init", atom,
@@ -928,6 +958,35 @@ def test_vqe_rejects_non_finite_optimizer_settings(tmp_path, capsys):
                            "--out", str(out)) == 1
             assert f"{field} must be finite, got {bad}" in capsys.readouterr().err
             assert not out.exists()
+
+
+# each float option, with a negative value in exponent form, which argparse
+# alone would read as an option string: (the command before it, flag, value)
+FLOAT_OPTIONS = [
+    (("mub", "verify", "2"), "--tol", "-1e-10"),
+    (("vqe", "--fixture", "H2_075", "--init", "top-1"), "--rho-init", "-1e-3"),
+    (("vqe", "--fixture", "H2_075", "--init", "top-1"), "--tol", "-1e-3"),
+    (("vqe", "--fixture", "H2_075", "--init", "top-1"), "--threshold", "-1E-3"),
+    (("problem", "gen", "maxcut", "--nodes", "4"), "--edge-prob", "-1e-3"),
+    (("problem", "gen", "ising", "--n", "3", "--cx", "0.5"), "--czz", "-1e-3"),
+    (("problem", "gen", "ising", "--n", "3", "--czz", "0.5"), "--cx", "-1e-3"),
+]
+
+
+@pytest.mark.parametrize("head, flag, value", FLOAT_OPTIONS,
+                         ids=[f"{head[0]}{flag}" for head, flag, _ in FLOAT_OPTIONS])
+def test_a_negative_value_in_exponent_form_is_read_as_the_flag_value(tmp_path, capsys,
+                                                                     head, flag, value):
+    runs = []
+    for tail in ((flag, value), (f"{flag}={value}",)):
+        out = tmp_path / "run" / "out"
+        code = run_cli(*head, *tail, *(() if head[0] == "mub" else ("--out", str(out))))
+        captured = capsys.readouterr()
+        data = {str(p.relative_to(tmp_path)): p.read_bytes() for p in sorted(tmp_path.rglob("*"))
+                if p.is_file() and not p.name.endswith(".manifest.json")}
+        runs.append((code, captured.out, captured.err, data))
+        shutil.rmtree(tmp_path / "run", ignore_errors=True)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv", [

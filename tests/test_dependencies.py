@@ -144,7 +144,10 @@ def test_the_guard_sees_calls_in_nested_functions(tmp_path):
 # wrappers with one caller each: the VQE cost run_vqe composes itself, the
 # basis state zero_state builds itself, now basis_state in
 # tests/reference_path.py, and the certificate whose verdict dqes mub verify
-# judges against its own --tol.
+# judges against its own --tol, and the first of two passes over dqes vqe's
+# --init list: the atom parser and its count check, now one _build_inits that
+# reads each atom as it goes, and the sweep helper each command now calls
+# itself; and the scale below which the diagonal ground energy was left to eigh.
 # A definition of any of these names under src/dqes brings a second path, or an
 # unused one, back into the package.
 REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectation_sampled",
@@ -155,7 +158,8 @@ REFERENCE_ONLY = {"Gate", "apply_gate", "build_ansatz", "pauli_apply", "expectat
                   "is_identity", "weight", "prepare_state", "expectation_exact",
                   "_joint_eigenbasis", "from_masks", "fidelity", "ground_state", "_diagonal",
                   "write_sidecar", "file_sha256", "_STREAK", "vqe_cost", "basis_state",
-                  "MubCertification"}
+                  "MubCertification", "_parse_init_atoms", "_positive_int", "_sweep_report",
+                  "_EIGH_UNSCALED_MIN"}
 
 
 def defined_names(path: Path) -> set[str]:

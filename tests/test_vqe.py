@@ -10,7 +10,7 @@ from reference_path import expectation_exact, inner_product, prepare_state
 from dqes import vqe
 from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.landscape import rank_initial_states, run_full_dqes, score_spec
-from dqes.mub import PartialMubSpec, realize_partial_state
+from dqes.mub import PartialMubSpec, _partition_classes, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
 from dqes.paulis import compile_observable
 from dqes.problems import exact_spectrum, fixture, single_qubit_xy
@@ -118,6 +118,25 @@ def test_fit_reports_unreachable_targets():
     assert not fit.reachable
     assert abs(fit_fidelity(spec, fit, target) - 0.5) < 1e-6
     assert fit.starts_used == 4
+
+
+@pytest.mark.parametrize("n, layers", [(1, 1), (1, 2), (2, 1)])
+def test_a_y_only_fit_misses_exactly_the_mub_states_of_an_odd_y_class(n, layers):
+    # a Y-only circuit prepares real vectors, and a MUB state is real up to a
+    # phase iff every Pauli of its basis's class has an even number of Y
+    # letters, |x & z| even; otherwise a real vector reaches fidelity 1/2 at best
+    spec = AnsatzSpec(n=n, layers=layers, rotation_axes=("Y",))
+    seen = set()
+    for basis, members in enumerate(_partition_classes(n)):
+        odd = any((x & z).bit_count() % 2 for x, z in members)
+        seen.add(odd)
+        for state in range(2**n):
+            target = realize_partial_state(full_spec(basis, state, n))
+            fit = fit_parameters_to_state(spec, target)
+            assert fit.reachable is not odd, (basis, state)
+            if odd:
+                assert abs(fit_fidelity(spec, fit, target) - 0.5) < 1e-6, (basis, state)
+    assert seen == {False, True}
 
 
 def sequential_fit(spec, target, starts, seed):
