@@ -33,6 +33,7 @@ on that row alone, so every trace is the one a lone descent gives, and
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 import numpy as np
 
@@ -108,10 +109,14 @@ class _Stop(Exception):
 def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None = None):
     """The ask/tell descent `minimize` runs: yields each (B, dim) batch of
     points, is sent their B cost values, and returns the OptimizationTrace.
-    The arguments are checked when it is started with send(None)."""
+    The arguments are checked when it is started with send(None). The point,
+    probes, steps and gradient are lists of Python floats, whose + - * / round
+    as numpy's do; numpy packs each ask, reads each batch of values once and
+    takes the norm. A probe's trace row holds the point's own floats at every
+    coordinate but its own, so it costs one new float, not dim."""
     if config is None:
         config = OptimizerConfig()
-    x = np.array(theta0, dtype=float).reshape(-1)
+    x = np.array(theta0, dtype=float).reshape(-1).tolist()
     dim = len(x)
     if dim == 0:
         raise ValueError("theta0 must have at least one parameter")
@@ -122,64 +127,61 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
     params: list[tuple[float, ...]] = []  # the trace's columns
     energies: list[float] = []
 
-    def record(points: np.ndarray, values: np.ndarray) -> None:
+    def record(rows: list[list[float]], values: list[float]) -> None:
         # rows are checked in order; a threshold row ends the trace there
-        rows, row_values = points.tolist(), values.tolist()
-        for k, value in enumerate(row_values):
+        for row, value in zip(rows, values):
             if not math.isfinite(value):
-                raise ValueError(f"cost returned a non-finite value {value!r} at {points[k]!r}")
+                raise ValueError(f"cost returned a non-finite value {value!r} at {np.array(row)!r}")
+            params.append(tuple(row))
+            energies.append(value)
             if threshold is not None and value <= threshold:
-                del rows[k + 1:], row_values[k + 1:]
-                params.extend(map(tuple, rows))
-                energies.extend(row_values)
                 raise _Stop("threshold")
-        params.extend(map(tuple, rows))
-        energies.extend(row_values)
 
-    def cut(points: np.ndarray) -> np.ndarray:
+    def cut(rows: list[list[float]]) -> list[list[float]]:
         # rows past the budget are dropped before they are asked for or read
-        points = points[:config.max_evals - len(energies)]
-        if len(points) == 0:
+        rows = rows[:config.max_evals - len(energies)]
+        if not rows:
             raise _Stop("max-evals")
-        return points
+        return rows
 
     termination = "converged"
     try:
         if cost0 is None:  # evaluation 1; max_evals >= 2, so it is never cut
-            cost0 = np.asarray((yield x[None]), dtype=float).item(0)
+            cost0 = np.asarray((yield np.array([x])), dtype=float).item(0)
         fx = float(cost0)
-        record(x[None], np.array([fx]))
+        record([x], [fx])
         rho = config.rho_init
         while rho >= config.tol:
             # forward-difference stencil; the very first pass is the documented
-            # probe pattern at rho_init
-            probes = x[None].repeat(dim, axis=0)
-            probes.reshape(-1)[::dim + 1] += rho  # the diagonal: probe j offsets coordinate j
-            probes = cut(probes)
-            stencil = np.asarray((yield probes), dtype=float)
+            # probe pattern at rho_init. Probe j is a copy of x, new at j alone.
+            probes = cut([x.copy() for _ in range(dim)])
+            for j, row in enumerate(probes):
+                row[j] += rho
+            stencil = np.asarray((yield np.array(probes)), dtype=float).tolist()
             record(probes, stencil)
             if len(stencil) < dim:
                 raise _Stop("max-evals")
-            gradient = (stencil - fx) / rho
-            largest = max(map(abs, gradient.tolist()))
+            gradient = [(value - fx) / rho for value in stencil]
+            largest = max(map(abs, gradient))
             if largest > _PLAIN_NORM_LIMIT:  # a square could overflow
                 # a power of two scales the norm and keeps the direction's bits
-                gradient = np.ldexp(gradient, -math.frexp(largest)[1])
+                gradient = [math.ldexp(g, -math.frexp(largest)[1]) for g in gradient]
             # what np.linalg.norm computes for a real vector, bit for bit
-            norm = math.sqrt(gradient.dot(gradient))
+            norm = math.sqrt(np.dot(gradient, gradient))
             moved = False
             if norm > 0:
-                step = rho * (-gradient / norm)
+                step = [rho * (-g / norm) for g in gradient]
                 size = 2
                 while True:
-                    # the next size steps at once: row i is row i-1 + step, the
-                    # point the one-step search would build
-                    rows = np.empty((size + 1, dim))
-                    rows[0], rows[1:] = x, step
-                    candidates = cut(np.add.accumulate(rows, out=rows)[1:])
-                    values = np.asarray((yield candidates), dtype=float)
+                    # the next size steps at once: each is the one before plus
+                    # step, the point the one-step search would build
+                    candidates = [x]
+                    for _ in range(size):
+                        candidates.append(list(map(add, candidates[-1], step)))
+                    candidates = cut(candidates[1:])
+                    values = np.asarray((yield np.array(candidates)), dtype=float).tolist()
                     taken = 0
-                    for fc in values.tolist():
+                    for fc in values:
                         if not fc < fx - 1e-15 * (1 + abs(fx)):
                             break
                         fx = fc
@@ -193,12 +195,9 @@ def descent(theta0, config: OptimizerConfig | None = None, cost0: float | None =
                         break
                     size *= 2
             if not moved:
-                j_best = int(stencil.argmin())
-                value = stencil.item(j_best)
+                value = min(stencil)
                 if value < fx - 1e-15 * (1 + abs(fx)):
-                    best = x.copy()
-                    best[j_best] += rho
-                    x, fx = best, value
+                    x, fx = probes[stencil.index(value)], value
                 else:
                     rho /= 2
     except _Stop as stop:

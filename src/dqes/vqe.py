@@ -7,7 +7,8 @@ Initialization strategies:
   itself as the circuit input.
 - ParameterFitInit: solve for parameters that prepare the MUB state from
   |0...0> and start there; when the state is outside the ansatz family, fall
-  back to the ShiftedMubInit start (recorded on the result).
+  back to the ShiftedMubInit start (recorded on the result), with no fit
+  when a Y-only ansatz cannot reach it.
 - RandomStateInit: a seeded Haar-random input state, optimizer at zero.
 
 _resolve_init decides every start. The ansatz is the identity at zero, so a
@@ -22,7 +23,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, compile_ansatz
 from .landscape import score_spec
-from .mub import PartialMubSpec, realize_partial_state
+from .mub import PartialMubSpec, _partition_classes, realize_partial_state
 from .optimize import OptimizationTrace, OptimizerConfig, descent, lockstep, minimize
 from .paulis import Observable, compile_observable
 from .states import StateVector, random_state, zero_state
@@ -145,7 +146,8 @@ def _resolve_init(init: InitStrategy, obs: Observable, spec: AnsatzSpec):
 
     A start at the MUB state with zero parameters, a ShiftedMubInit or a fit
     that fell back, knows evaluation 1: score_spec(obs, init.spec), the
-    landscape energy. Any other start leaves it to the cost (None).
+    landscape energy. Any other start leaves it to the cost (None). A Y-only
+    fit that can only fall back is not run.
     """
     zeros = np.zeros(spec.parameter_count)
     if isinstance(init, RandomStateInit):
@@ -153,7 +155,13 @@ def _resolve_init(init: InitStrategy, obs: Observable, spec: AnsatzSpec):
     if not isinstance(init, (ShiftedMubInit, ParameterFitInit)):
         raise TypeError(f"unknown initialization strategy {type(init).__name__}")
     target = realize_partial_state(init.spec)
-    if isinstance(init, ParameterFitInit):
+    run_fit = isinstance(init, ParameterFitInit)
+    if run_fit and spec.rotation_axes == ("Y",):
+        # a Y-only circuit prepares real vectors, which reach fidelity 1/2 at best
+        # with a MUB state whose class has a member with an odd number of Y letters
+        members = _partition_classes(init.spec.k)[init.spec.basis_index]
+        run_fit = not any((x & z).bit_count() & 1 for x, z in members)
+    if run_fit:
         fit = fit_parameters_to_state(spec, target, seed=init.seed)
         if fit.reachable:
             return zero_state(spec.n), np.asarray(fit.params, dtype=float), None, False

@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from dqes import cli, optimize, problems
+from dqes import cli, optimize, problems, vqe
 from dqes.cli import main
 from dqes.mub import build_full_mub_set, verify_mub_set
 from dqes.paulis import Observable, encode_observable, load_observable
@@ -860,6 +860,45 @@ def test_vqe_multi_start_fit_outputs_match_their_frozen_hashes(tmp_path):
     assert data == sorted(MULTI_START_FIT_PINS)
     for name, digest in MULTI_START_FIT_PINS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# HeH+ top-8 with the Y-only ansatz: 4 of the 8 states lie in bases 3 and 4,
+# whose Pauli classes have a member with an odd number of Y letters, so no real
+# vector reaches them and their starts fall back. Taken when every fit still ran.
+HEH_TOP8_FIT_PINS = {
+    "trace_fit-b0s0q1-2.csv": "927593d411b3bcaa4aaee22dacd50da6c04d13fdc85e24fbfd9e68b47cab5f98",
+    "trace_fit-b0s1q1-2.csv": "44f2db022ed6ec662ea6815c30142343729feff7d462f59083a94bce05202ea8",
+    "trace_fit-b0s3q1-2.csv": "fdc8dbdd35fcce511cc8a603c76197ce8850c364f7c06427e52394a4af2660a0",
+    "trace_fit-b1s3q1-2.csv": "b442b80232e7ee4fb1cd4268da60390c4808ca532f8ab1c344de12a1f2bdba16",
+    "trace_fit-b3s1q1-2.csv": "7ac758dca919182dfd56b24e0b3c99c1afb67544212d26d34afd1d1dc2262e4e",
+    "trace_fit-b3s2q1-2.csv": "7ac758dca919182dfd56b24e0b3c99c1afb67544212d26d34afd1d1dc2262e4e",
+    "trace_fit-b4s1q1-2.csv": "c77404d3ac5e5e99074c7edce421ab8e4c21a3499f41516339a639bc6e65632f",
+    "trace_fit-b4s3q1-2.csv": "c77404d3ac5e5e99074c7edce421ab8e4c21a3499f41516339a639bc6e65632f",
+    "summary.json": "e41078db75dbe926dc6b3c52eaa7f2c909f1cd58f3cef4f44c5ae31f3bf52cbc",
+}
+
+
+def test_vqe_runs_no_fit_a_y_only_circuit_cannot_pass(tmp_path, monkeypatch):
+    fitted, fit = [], vqe.fit_parameters_to_state
+
+    def recording(spec, target, seed=0):
+        fitted.append(target.amps)
+        return fit(spec, target, seed=seed)
+
+    monkeypatch.setattr(vqe, "fit_parameters_to_state", recording)
+    out = tmp_path / "vqe"
+    assert run_cli("vqe", "--fixture", "HeH+_100", "--strategy", "fit", "--init", "top-8",
+                   "--out", str(out)) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == sorted(HEH_TOP8_FIT_PINS)
+    for name, digest in HEH_TOP8_FIT_PINS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert [run["label"] for run in runs if run.get("used_fallback")] == [
+        "fit-b3s1q1-2", "fit-b3s2q1-2", "fit-b4s1q1-2", "fit-b4s3q1-2"]
+    # the 4 fits run are the 4 that pass, each on a state that is real up to a phase
+    assert len(fitted) == 4
+    assert all(abs(abs(np.sum(amps * amps)) - 1) < 1e-12 for amps in fitted)
 
 
 # a 10-qubit, two-layer YZ run: the pins above are all at n <= 3 and one layer

@@ -1,5 +1,6 @@
 """Derivative-free descent: probe pattern, batch contract, terminations, and determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -449,13 +450,14 @@ def test_best_entry_is_computed_once_and_left_out_of_equality():
 @example([0.0])
 @example([-0.0, 0.0, -0.0])
 def test_the_descent_norm_is_numpys_norm(gradient):
-    # descent takes math.sqrt(g.dot(g)) as the norm of its gradient while no
-    # component passes 2^500, and of g scaled by a power of two above that,
-    # which rounds alike; every trace whose norm is finite is bit-identical to
-    # the one np.linalg.norm gave only while this holds
+    # descent takes math.sqrt(np.dot(g, g)) of its list of floats as the norm
+    # of its gradient while no component passes 2^500, and of g scaled by a
+    # power of two above that, which rounds alike; every trace whose norm is
+    # finite is bit-identical to the one np.linalg.norm gave only while this holds
     g = np.array(gradient)
     with np.errstate(over="ignore"):  # huge entries: both sides are inf
         assert math.sqrt(g.dot(g)) == float(np.linalg.norm(g))
+        assert math.sqrt(np.dot(gradient, gradient)) == float(np.linalg.norm(g))
 
 
 def test_a_gradient_norm_past_the_float64_range_still_descends():
@@ -469,6 +471,35 @@ def test_a_gradient_norm_past_the_float64_range_still_descends():
     scaled = minimize(lambda thetas: 2.0**660 * energy(circuit(thetas, start)), np.zeros(4))
     assert scaled.final_energy / 2.0**660 == pytest.approx(plain.final_energy, rel=1e-12)
     assert plain.final_energy == pytest.approx(-2**0.5, rel=1e-9)
+    # the scaled trace bit for bit: its 425 rows as the descent gave them when
+    # it scaled a numpy array with np.ldexp, before it scaled each float
+    assert (scaled.evaluations, scaled.termination) == (425, "converged")
+    digest = hashlib.sha256(repr((scaled.params, scaled.energies, scaled.termination)).encode())
+    assert digest.hexdigest() == "0f72193bb528a1b43d8e7f0d8dcad7be621e7d41b913d4fc9d71bec49a09e6cd"
+
+
+def test_a_stencil_probe_reuses_the_floats_of_the_point_it_leaves_alone():
+    # probe j copies the point and offsets coordinate j alone, so its trace row
+    # holds a new float at j and the point's own float objects elsewhere: a
+    # trace's memory depends on this, one new float per probe instead of dim
+    asks = []
+
+    def cost(xs):
+        asks.append(xs)
+        return np.sum((xs - np.arange(5.0)) ** 2, axis=1)
+
+    theta0 = np.array([0.25, -0.5, 1.0, 3.0, -2.0])
+    trace = minimize(cost, theta0, OptimizerConfig(max_evals=60))
+    first = trace.params[0]
+    assert first == tuple(theta0.tolist())
+    for j, row in enumerate(trace.params[1:6]):
+        assert row[j] == first[j] + 0.5
+        assert all(row[k] is first[k] for k in range(5) if k != j), j
+    # the asks stay C-contiguous float64 stacks of (B, dim)
+    assert len(asks) > 3
+    for points in asks:
+        assert points.dtype == np.float64 and points.ndim == 2 and points.shape[1] == 5
+        assert points.flags.c_contiguous
 
 
 def test_minimize_builds_no_entries_until_they_are_read():

@@ -1,5 +1,7 @@
 """VQE runs: initialization strategies, convergence, and the variational floor."""
 
+import itertools
+
 import numpy as np
 import pytest
 from descent_oracle import one_step_entries, one_step_minimize
@@ -12,7 +14,7 @@ from dqes.ansatz import AnsatzSpec, compile_ansatz
 from dqes.landscape import rank_initial_states, run_full_dqes, score_spec
 from dqes.mub import PartialMubSpec, _partition_classes, realize_partial_state
 from dqes.optimize import OptimizerConfig, lockstep
-from dqes.paulis import compile_observable
+from dqes.paulis import Observable, compile_observable
 from dqes.problems import exact_spectrum, fixture, single_qubit_xy
 from dqes.states import StateVector, random_state, zero_state
 from dqes.vqe import (
@@ -277,6 +279,40 @@ def test_fit_fallback_keeps_the_run_going():
     # evaluation 1 is the landscape record, as for a shifted start
     assert result.initial_energy == score_spec(obs, init.spec)
     assert result.trace.params[0] == (0.0, 0.0)
+
+
+def test_a_y_only_fit_is_skipped_exactly_where_no_real_vector_reaches_the_state(monkeypatch):
+    # a Y-only circuit prepares real vectors, and the best fidelity of a real
+    # unit vector with t is (1 + |sum_j t_j^2|) / 2: a MUB state has 1 or 0
+    # there, and with 0 the fit can only fall back. _resolve_init reads that
+    # rule from the basis's Pauli class in integers; the amplitudes agree on
+    # every MUB state with K <= 3, on the full register and on each subset
+    fitted = []
+
+    def unreachable(spec, target, seed=0):
+        fitted.append(target)
+        return FitResult(reachable=False, params=(), starts_used=0)
+
+    monkeypatch.setattr(vqe, "fit_parameters_to_state", unreachable)
+    specs = [PartialMubSpec(n=n, subset=subset, basis_index=basis, state_index=state)
+             for n in (1, 2, 3) for k in range(1, n + 1)
+             for subset in itertools.combinations(range(1, n + 1), k)
+             for basis in range(2**k + 1) for state in range(2**k)]
+    full_register = []
+    for mub in specs:
+        obs = Observable.from_strings(mub.n, [(1.0, "Z" * mub.n), (0.5, "X" * mub.n)])
+        amps = realize_partial_state(mub).amps
+        unreal = abs(np.sum(amps * amps)) <= 1e-12
+        for axes in (("Y",), ("Y", "Z")):  # only a Y-only fit is ever skipped
+            fitted.clear()
+            initial, theta0, known, fell_back = vqe._resolve_init(
+                ParameterFitInit(spec=mub), obs, AnsatzSpec(n=mub.n, rotation_axes=axes))
+            assert (not fitted) == (unreal and axes == ("Y",)), (mub, axes)
+            assert np.array_equal(initial.amps, amps) and not theta0.any()
+            assert fell_back and known == score_spec(obs, mub)
+        if mub.k == mub.n:
+            full_register.append(unreal)
+    assert (len(full_register), sum(full_register)) == (98, 70)
 
 
 def test_fit_validation():
