@@ -244,6 +244,12 @@ def cmd_vqe(args) -> int:
         raise ValueError(f"duplicate start label {', '.join(repeated)} in --init {args.init!r}")
     out_dir = _out_path(args, "vqe")
     file_names = [*(f for label in labels for f in _run_file_names(label, obs.n)), "summary.json"]
+    # one directory holds one run: an earlier run's trace must not sit beside this summary
+    foreign = sorted(path.name for pattern in ("trace_*.csv", "bloch_*.csv")
+                     for path in out_dir.glob(pattern) if path.name not in file_names)
+    if foreign:
+        raise ValueError(f"--out {out_dir} holds {foreign[0]}, which this run would not "
+                         "write; give a directory without another run's files")
     _reject_bad_outputs(args, [("--out", out_dir / f) for f in file_names])
     exact = problems.exact_spectrum(obs) if obs.n <= problems.MAX_EXACT_QUBITS else None
     results = [run_vqe(obs, spec, init, config) for init in inits]

@@ -524,6 +524,33 @@ def test_vqe_refuses_a_directory_output_before_the_first_run(tmp_path, capsys, m
         (out / name).rmdir()
 
 
+@pytest.mark.parametrize("fixture, first, second, named", [
+    ("H2_075", "top-3", "top-1", "trace_b1s1q1-2.csv"),
+    ("xy1", "top-2", "top-1", "bloch_b2s1q1.csv"),
+])
+def test_vqe_refuses_an_out_directory_holding_another_runs_files(tmp_path, capsys, monkeypatch,
+                                                                  fixture, first, second, named):
+    # the second run would leave the first run's extra traces beside its own summary
+    out = tmp_path / "v"
+    assert run_cli("vqe", "--fixture", fixture, "--init", first, "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_vqe", no_run)
+    capsys.readouterr()
+    assert run_cli("vqe", "--fixture", fixture, "--init", second, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: --out {out} holds {named}, which this run "
+                                       "would not write; give a directory without another "
+                                       "run's files\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    monkeypatch.undo()
+    # rerunning the same command into its own directory still works
+    assert run_cli("vqe", "--fixture", fixture, "--init", first, "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
 def test_mub_export_and_problem_gen_refuse_a_directory_output(tmp_path, capsys):
     # with the second file blocked, the first would otherwise be written before the error
     for argv, blocked in ((["mub", "export", "1", "--out", "m.json"], "m.json.manifest.json"),
@@ -1073,6 +1100,19 @@ def test_problem_gen_roundtrip_into_landscape(tmp_path, capsys):
     assert run_cli("landscape", "--observable", str(prefix) + ".json", "--k", "2",
                    "--out", str(tmp_path / "s.csv")) == 0
     assert "records: 200 (partial sweep, K=2)" in capsys.readouterr().out
+
+
+def test_problem_gen_maxcut_draws_with_seed_0_by_default(tmp_path, capsys):
+    assert run_cli("problem", "gen", "maxcut", "--nodes", "8", "--edge-prob", "0.5",
+                   "--out", str(tmp_path / "default")) == 0
+    # seed 1 would draw 15 edges
+    assert "graph: 8 nodes, 11 edges (seed 0, edge prob 0.5)" in capsys.readouterr().out
+    assert run_cli("problem", "gen", "maxcut", "--nodes", "8", "--edge-prob", "0.5",
+                   "--seed", "0", "--out", str(tmp_path / "seeded")) == 0
+    for suffix in (".graph.txt", ".json"):
+        assert (tmp_path / f"default{suffix}").read_bytes() == \
+            (tmp_path / f"seeded{suffix}").read_bytes()
+    assert len(load_observable(tmp_path / "default.json").terms) == 11
 
 
 def test_problem_gen_ising_and_fixture(tmp_path):

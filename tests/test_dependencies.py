@@ -2,8 +2,13 @@
 numpy, and writes its outputs through one function."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dqes
 
@@ -185,3 +190,71 @@ def test_the_guard_sees_every_kind_of_definition(tmp_path):
     module.write_text("class Gate:\n    pass\n\ndef outer():\n    def apply_gate():\n"
                       "        pass\n\npauli_apply = None\n")
     assert defined_names(module) >= {"Gate", "outer", "apply_gate", "pauli_apply"}
+
+
+SUBMODULES = ("ansatz", "landscape", "manifest", "mub", "optimize", "paulis", "problems", "states",
+              "vqe")
+VQE_STACK = {"dqes.ansatz", "dqes.optimize", "dqes.vqe", "dqes.problems"}
+
+
+def child_json(code: str):
+    """The JSON a fresh interpreter prints after running code with this checkout's dqes."""
+    src = str(Path(dqes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out)
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The dqes modules a fresh interpreter holds after running code."""
+    return set(child_json(f"import json, sys\n{code}\nprint(json.dumps(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'dqes')))"))
+
+
+def test_importing_the_package_loads_only_its_version():
+    assert modules_loaded_by("import dqes") == {"dqes", "dqes._version"}
+
+
+@pytest.fixture
+def observable_file(tmp_path):
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps({"n": 3, "terms": [{"coeff": 0.5, "pauli": "ZZI"},
+                                                  {"coeff": -1.0, "pauli": "IXI"}]}))
+    return path
+
+
+def test_loading_an_observable_and_a_mub_set_loads_no_sweep_or_vqe(observable_file):
+    loaded = modules_loaded_by(f"import dqes\nobs = dqes.load_observable({str(observable_file)!r})"
+                               "\ndqes.build_full_mub_set(2)")
+    assert {"dqes.paulis", "dqes.mub"} <= loaded
+    assert not loaded & (VQE_STACK | {"dqes.landscape"})
+
+
+def test_a_partial_sweep_and_its_csv_load_no_vqe(observable_file, tmp_path):
+    loaded = modules_loaded_by(
+        f"import dqes\nobs = dqes.load_observable({str(observable_file)!r})\n"
+        f"dqes.export_csv(dqes.run_partial_dqes(obs, 2), {str(tmp_path / 'l.csv')!r})")
+    assert {"dqes.landscape", "dqes.manifest"} <= loaded
+    assert not loaded & VQE_STACK
+    assert (tmp_path / "l.csv").is_file()
+
+
+def test_every_public_name_and_submodule_resolves_in_a_fresh_process():
+    found = child_json(
+        "import json, sys\nimport dqes\n"
+        f"same = [getattr(dqes, m) is sys.modules['dqes.' + m] for m in {SUBMODULES!r}]\n"
+        "names = {}\nexec('from dqes import *', names)\n"
+        "print(json.dumps([same, dqes.__all__, sorted(set(names) - {'__builtins__'})]))")
+    same, names, star = found
+    assert same == [True] * len(SUBMODULES)
+    assert len(names) == 60 and names == sorted(names) and set(SUBMODULES) <= set(names)
+    assert star == names
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dqes.no_such_name
+    assert not hasattr(dqes, "no_such_name")
+    assert set(dqes.__all__) <= set(dir(dqes))

@@ -45,6 +45,13 @@ def test_write_sidecar_records_the_output_hash(tmp_path):
     assert "created_utc" in doc
 
 
+def test_the_sidecar_is_sorted_json_indented_by_two(tmp_path):
+    data = write_output(tmp_path / "out.csv", "index,energy\n0,-1.0\n",
+                        {"argv": ["dqes", "landscape"], "seeds": {"seed": 3}})
+    text = manifest.sidecar_path(data).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_sidecar_keeps_the_data_file_untouched(tmp_path):
     data = tmp_path / "out.csv"
     payload = "index,energy\n0,-1.0\n"

@@ -130,6 +130,11 @@ def test_config_validation():
         OptimizerConfig(max_evals=1)
 
 
+def test_config_accepts_max_evals_at_its_bound():
+    # two evaluations, the start and one probe, are the least a run can take
+    assert OptimizerConfig(max_evals=2).max_evals == 2
+
+
 def test_config_rejects_non_finite_settings():
     for field in ("rho_init", "tol", "threshold"):
         for bad in (float("nan"), float("inf"), float("-inf")):
